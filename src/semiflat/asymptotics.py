@@ -228,6 +228,34 @@ def _fit_radii(chart: AsymptoticChart, radii: Sequence[float]) -> list[complex]:
     return [r / chart.rate + 1j * mid / 2 for r in radii]
 
 
+def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray,
+              keep: np.ndarray, flat_below: float) -> DecayFit:
+    """Regression of log `values` over the radii that `keep` marks.
+
+    Values all under `flat_below` give a flat fit.  Otherwise `keep` must
+    leave a value at or over `flat_below`, or FitRejected is raised: the
+    rejected radii hid the decay.  ALG charts fit a power exponent against
+    log radius; ALH charts fit a rate against Re(alpha) = radius /
+    chart.rate, the window reported in the same units.
+    """
+    if values.max() < flat_below:
+        return DecayFit(kind="flat", exponent_or_rate=0.0,
+                        window=(min(radii), max(radii)), r2=0.0)
+    if not (values[keep] >= flat_below).any():
+        raise FitRejected(f"{int((~keep).sum())} of {len(keep)} radii rejected, "
+                          f"none kept at or over {flat_below:g}")
+    rs = np.asarray(radii, dtype=float)[keep]
+    logs = np.log(values[keep])
+    if chart.kind == "power":
+        slope, _, r2 = _ols(np.log(rs), logs)
+        return DecayFit(kind="power", exponent_or_rate=slope,
+                        window=(float(rs.min()), float(rs.max())), r2=r2)
+    xs = rs / chart.rate
+    slope, _, r2 = _ols(xs, logs)
+    return DecayFit(kind="exponential", exponent_or_rate=-slope,
+                    window=(float(xs.min()), float(xs.max())), r2=r2)
+
+
 def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
                     radii: Sequence[float], rng: SplitMix64 | None = None,
                     n_beta: int = 3) -> tuple[DecayFit, list[tuple[float, float]]]:
@@ -250,22 +278,8 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
         dev = max(_diag_deviation(chart, alpha, b) for b in betas)
         rows.append((float(r), dev))
     devs = np.array([d for _, d in rows])
-    if devs.max() < 1e-12:
-        return DecayFit(kind="flat", exponent_or_rate=0.0,
-                        window=(min(radii), max(radii)), r2=0.0), rows
     keep = devs > 1e-13          # below this the deviation is rounding noise
-    rs = np.asarray(radii, dtype=float)[keep]
-    devs = devs[keep]
-    if chart.kind == "power":
-        slope, _, r2 = _ols(np.log(rs), np.log(devs))
-        fit = DecayFit(kind="power", exponent_or_rate=slope,
-                       window=(float(rs.min()), float(rs.max())), r2=r2)
-    else:
-        xs = rs / chart.rate
-        slope, _, r2 = _ols(xs, np.log(devs))
-        fit = DecayFit(kind="exponential", exponent_or_rate=-slope,
-                       window=(float(xs.min()), float(xs.max())), r2=r2)
-    return fit, rows
+    return fit_decay(chart, radii, devs, keep, flat_below=1e-12), rows
 
 
 def deviation_derivative_exponent(pm: ProductModel, eps: float, vf: VolumeFormSpec,
@@ -309,10 +323,12 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     """Decay of the Chern curvature norm along the asymptotic chart.
 
     Each point is measured at two step sizes; points where the two disagree
-    by more than 30% sit on the rounding-noise floor of the second
+    by more than 15%, or that do not fall below 0.8 of the smallest trusted
+    value before them, sit on the rounding-noise floor of the second
     differences and are excluded from the regression (they remain in the
-    returned rows).  The fiber-direction steps are taken wide (the chart
-    metric is low-degree polynomial in beta, so this costs no truncation).
+    returned rows); FitRejected is raised when none is left.  The
+    fiber-direction steps are taken wide (the chart metric is low-degree
+    polynomial in beta, so this costs no truncation).
     """
     chart = to_chart(pm, eps, vf)
     if chart.kind == "radial":
@@ -345,22 +361,7 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
             ok = v2 < 0.8 * smallest
         trusted.append(ok)
     vals = np.array([v for _, v in rows])
-    keep = np.array(trusted)
-    if vals.max() < 1e-8 or not keep.any():
-        return DecayFit(kind="flat", exponent_or_rate=0.0,
-                        window=(min(radii), max(radii)), r2=0.0), rows
-    rs = np.asarray(radii, dtype=float)[keep]
-    vals = vals[keep]
-    if chart.kind == "power":
-        slope, _, r2 = _ols(np.log(rs), np.log(vals))
-        fit = DecayFit(kind="power", exponent_or_rate=slope,
-                       window=(float(rs.min()), float(rs.max())), r2=r2)
-    else:
-        xs = rs / chart.rate
-        slope, _, r2 = _ols(xs, np.log(vals))
-        fit = DecayFit(kind="exponential", exponent_or_rate=-slope,
-                       window=(float(xs.min()), float(xs.max())), r2=r2)
-    return fit, rows
+    return fit_decay(chart, radii, vals, np.array(trusted), flat_below=1e-8), rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,16 @@
 """Command-line entry point.
 
-    semiflat run <scenario.json> [--out DIR] [--seed N] [--threads N]
-                                 [--tolerance-scale F]
+    semiflat run <scenario.json> [--out DIR] [--seed N] [--tolerance-scale F]
     semiflat --list
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 malformed scenario.
-The optional SEMIFLAT_THREADS environment variable sets the default worker
-count; no other environment access occurs.
+For a fixed seed the report and CSV files are byte-identical across runs.
+No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -42,9 +40,6 @@ def main(argv: list[str] | None = None) -> int:
                                        "(or the name of a bundled one)")
     runp.add_argument("--out", default="out", help="output directory")
     runp.add_argument("--seed", type=int, default=None, help="seed override (u64)")
-    default_threads = int(os.environ.get("SEMIFLAT_THREADS", "1"))
-    runp.add_argument("--threads", type=int, default=default_threads,
-                      help="worker threads for sample fan-out")
     runp.add_argument("--tolerance-scale", type=float, default=1.0,
                       help="uniform tolerance relaxation factor (reported in output)")
     args = parser.parse_args(argv)
@@ -64,7 +59,6 @@ def main(argv: list[str] | None = None) -> int:
             path = candidate
     try:
         report = run_scenario(path, out_dir=args.out, seed=args.seed,
-                              threads=max(1, args.threads),
                               tolerance_scale=args.tolerance_scale)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -422,36 +422,23 @@ def fiber_product(left: FiberType, right: FiberType, tau0: complex = 1j) -> Prod
 
 
 def _verify_product(pm: ProductModel, seed: int = 0xFACE) -> None:
+    """Deck cocycle closes: the product of the k multipliers around the fiber is 1.
+
+    Only finite-monodromy pairs have a deck action of finite order to check.
+    """
+    if not all(pm.monodromy_finite):
+        return
     rng = SplitMix64(seed)
     zk = cmath.exp(2j * cmath.pi / pm.k)
     for _ in range(8):
         s = rng.complex_annulus(0.3, 0.9, 0.05, 2 * math.pi / pm.k - 0.05)
-        # lattice-translation identities: shifting w_j by a lattice generator
-        # moves v_j by the corresponding period
-        t = pm.tau4(s)
-        f1 = t[0]
-        mu1 = t[1] / t[0]
-        f2 = t[2]
-        mu2 = t[3] / t[2]
-        w1, w2 = 0.3 + 0.2j, -0.1 + 0.4j
-        v1 = f1 * (w1 + 1) - f1 * w1
-        if abs(v1 - t[0]) > 1e-12 * max(1.0, abs(t[0])):
-            raise UnsupportedPair("lattice translation w1 -> w1+1 fails")
-        v1b = f1 * (w1 + mu1) - f1 * w1
-        if abs(v1b - t[1]) > 1e-12 * max(1.0, abs(t[1])):
-            raise UnsupportedPair("lattice translation by the modulus fails (left)")
-        v2b = f2 * (w2 + mu2) - f2 * w2
-        if abs(v2b - t[3]) > 1e-12 * max(1.0, abs(t[3])):
-            raise UnsupportedPair("lattice translation by the modulus fails (right)")
-        # deck cocycle closes: product of multipliers over k steps is 1
-        if all(pm.monodromy_finite):
-            prod1 = prod2 = 1.0 + 0j
-            for j in range(pm.k):
-                m1, m2 = pm.deck_multipliers(zk ** j * s)
-                prod1 *= m1
-                prod2 *= m2
-            if max(abs(prod1 - 1), abs(prod2 - 1)) > 1e-12 * pm.k:
-                raise UnsupportedPair("deck action does not close after k steps")
+        prod1 = prod2 = 1.0 + 0j
+        for j in range(pm.k):
+            m1, m2 = pm.deck_multipliers(zk ** j * s)
+            prod1 *= m1
+            prod2 *= m2
+        if max(abs(prod1 - 1), abs(prod2 - 1)) > 1e-12 * pm.k:
+            raise UnsupportedPair("deck action does not close after k steps")
 
 
 def canonical_coefficient(pm: ProductModel) -> Fraction:

@@ -15,9 +15,9 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -270,25 +270,18 @@ def _scheme(cfg: dict) -> FDScheme:
 # ---------------------------------------------------------------------------
 
 
-def _check_ma(ctx: Context, rng: SplitMix64, tol_scale: float,
-              threads: int) -> CheckResult:
+def _check_ma(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     n = int(ctx.cfg.get("samples", 100))
     model = ctx.model
     pts = [sample_point(model, rng) for _ in range(n)]
     tol = 1e-10 * tol_scale
 
-    def one(pv):
-        pt, v = pv
+    def one(pt, v):
         if model.m == 1:
             return ma_residual(elliptic_metric_at(model, ctx.eps, ctx.vf, pt, v[0]))
         return ma_residual(metric_at(model, ctx.eps, ctx.vf, pt, v))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            residuals = list(pool.map(one, pts))
-    else:
-        residuals = [one(pv) for pv in pts]
-    worst = max(residuals)
+    worst = max(one(pt, v) for pt, v in pts)
     return CheckResult(
         name="ma", passed=worst < tol,
         measured={"max_residual": worst, "samples": n},
@@ -296,8 +289,7 @@ def _check_ma(ctx: Context, rng: SplitMix64, tol_scale: float,
         provenance={"max_residual": "DERIVED: determinant identity oracle"})
 
 
-def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float,
-                      threads: int) -> CheckResult:
+def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     model = ctx.model
     scheme = _scheme(ctx.cfg)
     worst_res, worst_order = 0.0, math.inf
@@ -328,8 +320,7 @@ def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float,
         provenance={"max_residual": "DERIVED: FD convergence oracle"})
 
 
-def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float,
-                    threads: int) -> CheckResult:
+def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     chart = asy.to_chart(ctx.model, ctx.eps, ctx.vf)
     dev = 0.0
     mid = 0.5 * sum(chart.sector)
@@ -366,100 +357,87 @@ def _qmin(pm: ProductModel) -> float:
                asy.factor_correction_exponent(pm.right_model))
 
 
-def _expected_error_decay(pm: ProductModel) -> tuple[str, float, str]:
-    cls = classify_asymptotics(pm)
-    qmin = _qmin(pm)
-    if cls.kind == "ALG":
-        p = pm.k / (pm.alpha + pm.beta - pm.k)
-        prov = "PAPER" if abs(p * qmin - 12 / 7) < 1e-12 else "DERIVED"
-        return "power", -p * qmin, f"{prov}: leading diagonal channel |z|^q, q={qmin:g}"
-    return "exponential", qmin, f"DERIVED: rate = {qmin:g} x base rate"
+@dataclass(frozen=True)
+class _DecayCheck:
+    """What tells the two decay checks apart; `_check_decay` does the rest."""
+
+    fit: str                 # sampler in `asymptotics`, by name: a rebound attribute is seen
+    alh_r_max: float         # default ALH radii: linspace(5, alh_r_max, alh_n)
+    alh_n: int
+    exponent: Callable[[float, float], float]        # ALG (p, q) -> expected exponent
+    rate: Callable[[float, float], float]            # ALH (base rate, q) -> expected rate
+    tol: float               # absolute on an exponent, relative on a rate
+    exponent_provenance: Callable[[float, float], str]
+    rate_provenance: Callable[[float], str]
+    flat_key: str
+    flat_tol: float
+    flat_provenance: str
+    label: str               # CSV observable
 
 
-def _check_error_decay(ctx: Context, rng: SplitMix64, tol_scale: float,
-                       threads: int) -> CheckResult:
+_DECAY_CHECKS = {
+    "error_decay": _DecayCheck(
+        fit="error_decay_fit", alh_r_max=25.0, alh_n=11,
+        exponent=lambda p, q: -p * q, rate=lambda rate, q: q * rate, tol=0.05,
+        exponent_provenance=lambda p, q: (
+            f"{'PAPER' if abs(p * q - 12 / 7) < 1e-12 else 'DERIVED'}: "
+            f"leading diagonal channel |z|^q, q={q:g}"),
+        rate_provenance=lambda q: f"DERIVED: rate = {q:g} x base rate",
+        flat_key="max_deviation", flat_tol=1e-12,
+        flat_provenance="PAPER: exact flatness", label="deviation"),
+    "curvature_decay": _DecayCheck(
+        fit="curvature_decay_fit", alh_r_max=20.0, alh_n=9,
+        exponent=lambda p, q: -(p * q / 2.0 + 2.0), rate=lambda rate, q: rate * q / 2.0,
+        tol=0.1,
+        exponent_provenance=lambda p, q: (
+            "DERIVED: Wronskian channel |z|^{q/2} with one alpha-derivative; "
+            "see the decisions record for the displaced published exponent"),
+        rate_provenance=lambda q: "DERIVED: Wronskian channel",
+        flat_key="max_norm", flat_tol=1e-10,
+        flat_provenance="TRIVIAL: flat model", label="curvature"),
+}
+
+
+def _check_decay(name: str, ctx: Context, rng: SplitMix64,
+                 tol_scale: float) -> CheckResult:
+    spec = _DECAY_CHECKS[name]
     pm = ctx.model
-    cls = classify_asymptotics(pm)
-    if cls.kind == "ALH":
+    chart = asy.to_chart(pm, ctx.eps, ctx.vf)
+    if chart.kind == "exp":
         radii = np.linspace(float(ctx.cfg.get("r_min", 5.0)),
-                            float(ctx.cfg.get("r_max", 25.0)),
-                            int(ctx.cfg.get("n_radii", 11)))
+                            float(ctx.cfg.get("r_max", spec.alh_r_max)),
+                            int(ctx.cfg.get("n_radii", spec.alh_n)))
     else:
         radii = _radii(ctx.cfg, 1e2, 1e5)
-    fit, rows = asy.error_decay_fit(pm, ctx.eps, ctx.vf, radii, rng)
-    csv = [(r, "deviation", d) for r, d in rows]
+    fit, rows = getattr(asy, spec.fit)(pm, ctx.eps, ctx.vf, radii, rng)
+    csv = [(r, spec.label, v) for r, v in rows]
     if fit.kind == "flat":
+        worst = max(v for _, v in rows)
+        tol = spec.flat_tol * tol_scale
         return CheckResult(
-            name="error_decay", passed=max(d for _, d in rows) < 1e-12 * tol_scale,
-            measured={"kind": "flat", "max_deviation": max(d for _, d in rows)},
-            expected={"max_deviation": 0.0}, tolerance={"max_deviation": 1e-12 * tol_scale},
-            provenance={"max_deviation": "PAPER: exact flatness"}, csv_rows=csv)
-    kind, expect, prov = _expected_error_decay(pm)
-    if kind == "power":
-        chart = asy.to_chart(pm, ctx.eps, ctx.vf)
-        tol = 0.05 * tol_scale
-        ok = abs(fit.exponent_or_rate - expect) < tol
-        measured = {"exponent": fit.exponent_or_rate, "r2": fit.r2}
-        expected = {"exponent": expect}
-        tolerance = {"exponent": tol}
-    else:
-        chart = asy.to_chart(pm, ctx.eps, ctx.vf)
-        expect_rate = expect * chart.rate
-        tol = 0.05 * expect_rate * tol_scale
-        ok = abs(fit.exponent_or_rate - expect_rate) < tol
-        measured = {"rate": fit.exponent_or_rate, "r2": fit.r2}
-        expected = {"rate": expect_rate}
-        tolerance = {"rate": tol}
-    return CheckResult(name="error_decay", passed=ok, measured=measured,
-                       expected=expected, tolerance=tolerance,
-                       provenance={"exponent": prov}, csv_rows=csv)
-
-
-def _check_curvature_decay(ctx: Context, rng: SplitMix64, tol_scale: float,
-                           threads: int) -> CheckResult:
-    pm = ctx.model
-    cls = classify_asymptotics(pm)
-    if cls.kind == "ALH":
-        radii = np.linspace(float(ctx.cfg.get("r_min", 5.0)),
-                            float(ctx.cfg.get("r_max", 20.0)),
-                            int(ctx.cfg.get("n_radii", 9)))
-    else:
-        radii = _radii(ctx.cfg, 1e2, 1e5)
-    fit, rows = asy.curvature_decay_fit(pm, ctx.eps, ctx.vf, radii, rng)
-    csv = [(r, "curvature", c) for r, c in rows]
-    if fit.kind == "flat":
-        return CheckResult(
-            name="curvature_decay", passed=True,
-            measured={"kind": "flat", "max_norm": max(c for _, c in rows)},
-            expected={"max_norm": 0.0}, tolerance={"max_norm": 1e-10 * tol_scale},
-            provenance={"max_norm": "TRIVIAL: flat model"}, csv_rows=csv)
+            name=name, passed=worst < tol,
+            measured={"kind": "flat", spec.flat_key: worst},
+            expected={spec.flat_key: 0.0}, tolerance={spec.flat_key: tol},
+            provenance={spec.flat_key: spec.flat_provenance}, csv_rows=csv)
     qmin = _qmin(pm)
-    if cls.kind == "ALG":
-        p = pm.k / (pm.alpha + pm.beta - pm.k)
-        expect = -(p * qmin / 2.0 + 2.0)
-        tol = 0.1 * tol_scale
-        ok = abs(fit.exponent_or_rate - expect) < tol
-        measured = {"exponent": fit.exponent_or_rate, "r2": fit.r2}
-        expected = {"exponent": expect}
-        tolerance = {"exponent": tol}
-        prov = ("DERIVED: Wronskian channel |z|^{q/2} with one alpha-derivative; "
-                "see the decisions record for the displaced published exponent")
+    if fit.kind == "power":
+        key = "exponent"
+        expect = spec.exponent(chart.p, qmin)
+        tol = spec.tol * tol_scale
+        prov = spec.exponent_provenance(chart.p, qmin)
     else:
-        chart = asy.to_chart(pm, ctx.eps, ctx.vf)
-        expect = chart.rate * qmin / 2.0
-        tol = 0.1 * expect * tol_scale
-        ok = abs(fit.exponent_or_rate - expect) < tol
-        measured = {"rate": fit.exponent_or_rate, "r2": fit.r2}
-        expected = {"rate": expect}
-        tolerance = {"rate": tol}
-        prov = "DERIVED: Wronskian channel"
-    return CheckResult(name="curvature_decay", passed=ok, measured=measured,
-                       expected=expected, tolerance=tolerance,
-                       provenance={"exponent": prov}, csv_rows=csv)
+        key = "rate"
+        expect = spec.rate(chart.rate, qmin)
+        tol = spec.tol * expect * tol_scale
+        prov = spec.rate_provenance(qmin)
+    return CheckResult(
+        name=name, passed=abs(fit.exponent_or_rate - expect) < tol,
+        measured={key: fit.exponent_or_rate, "r2": fit.r2},
+        expected={key: expect}, tolerance={key: tol},
+        provenance={"exponent": prov}, csv_rows=csv)
 
 
-def _check_volume_growth(ctx: Context, rng: SplitMix64, tol_scale: float,
-                         threads: int) -> CheckResult:
+def _check_volume_growth(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     pm = ctx.model
     cls = classify_asymptotics(pm)
     profile = asy.base_profile(pm, ctx.eps, ctx.vf)
@@ -475,8 +453,7 @@ def _check_volume_growth(ctx: Context, rng: SplitMix64, tol_scale: float,
         provenance={"exponent": "PAPER: geodesic-ball growth order"}, csv_rows=csv)
 
 
-def _check_sob(ctx: Context, rng: SplitMix64, tol_scale: float,
-               threads: int) -> CheckResult:
+def _check_sob(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     pm = ctx.model
     cls = classify_asymptotics(pm)
     profile = asy.base_profile(pm, ctx.eps, ctx.vf)
@@ -493,8 +470,7 @@ def _check_sob(ctx: Context, rng: SplitMix64, tol_scale: float,
         note=rep["connectivity"])
 
 
-def _check_tangent_cone(ctx: Context, rng: SplitMix64, tol_scale: float,
-                        threads: int) -> CheckResult:
+def _check_tangent_cone(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     pm = ctx.model
     cls = classify_asymptotics(pm)
     cone = asy.tangent_cone(pm, ctx.eps, ctx.vf)
@@ -545,8 +521,7 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64, tol_scale: float,
                        provenance=provenance, note=note)
 
 
-def _check_canonical(ctx: Context, rng: SplitMix64, tol_scale: float,
-                     threads: int) -> CheckResult:
+def _check_canonical(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     if ctx.cfg["model_kind"] == "isotrivial":
         got = isotrivial_coefficient(6)
         expect = Fraction(-2, 6)
@@ -582,8 +557,7 @@ def _check_canonical(ctx: Context, rng: SplitMix64, tol_scale: float,
                        expected=expected, tolerance={}, provenance=provenance)
 
 
-def _check_fiber_volume(ctx: Context, rng: SplitMix64, tol_scale: float,
-                        threads: int) -> CheckResult:
+def _check_fiber_volume(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     pm = ctx.model
     worst_area = 0.0
     worst_vol = 0.0
@@ -606,8 +580,7 @@ def _check_fiber_volume(ctx: Context, rng: SplitMix64, tol_scale: float,
         provenance={"fiber_volume": "PAPER: fibers have area eps (per factor)"})
 
 
-def _check_christoffel(ctx: Context, rng: SplitMix64, tol_scale: float,
-                       threads: int) -> CheckResult:
+def _check_christoffel(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     model = ctx.model
     worst = 0.0
     for _ in range(8):
@@ -625,8 +598,7 @@ def _check_christoffel(ctx: Context, rng: SplitMix64, tol_scale: float,
         provenance={"max_rel_disagreement": "DERIVED: closed form vs stacked inverse"})
 
 
-def _check_eh(ctx: Context, rng: SplitMix64, tol_scale: float,
-              threads: int) -> CheckResult:
+def _check_eh(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     a = float(ctx.cfg.get("eh_a", 0.05))
     delta = float(ctx.cfg.get("eh_delta", 1.0))
     rep = eh.gluing_report(eh.EHConfig(a=a, delta=delta),
@@ -657,8 +629,7 @@ def _check_eh(ctx: Context, rng: SplitMix64, tol_scale: float,
                                    "bound C_k a^2 holds a fortiori"})
 
 
-def _check_weierstrass(ctx: Context, rng: SplitMix64, tol_scale: float,
-                       threads: int) -> CheckResult:
+def _check_weierstrass(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     nz = int(ctx.cfg.get("grid_z", 5))
     nv = int(ctx.cfg.get("grid_v", 5))
     b = int(ctx.cfg.get("b", 1))
@@ -690,8 +661,8 @@ _CHECKS: dict[str, Callable] = {
     "ma": _check_ma,
     "closedness": _check_closedness,
     "flatness": _check_flatness,
-    "error_decay": _check_error_decay,
-    "curvature_decay": _check_curvature_decay,
+    "error_decay": partial(_check_decay, "error_decay"),
+    "curvature_decay": partial(_check_decay, "curvature_decay"),
     "volume_growth": _check_volume_growth,
     "sob": _check_sob,
     "tangent_cone": _check_tangent_cone,
@@ -718,8 +689,7 @@ def emit_decay_csv(path: str | Path, rows: list[tuple[float, str, float]]) -> No
 
 
 def run_scenario(cfg: dict | str | Path, out_dir: str | Path | None = None,
-                 seed: Optional[int] = None, threads: int = 1,
-                 tolerance_scale: float = 1.0,
+                 seed: Optional[int] = None, tolerance_scale: float = 1.0,
                  log=sys.stderr) -> Report:
     """Execute a scenario's checks in dependency order and write its artifacts."""
     if not isinstance(cfg, dict):
@@ -745,7 +715,7 @@ def run_scenario(cfg: dict | str | Path, out_dir: str | Path | None = None,
         rng = master.split()        # per-check stream: stable under check reordering
         t0 = time.perf_counter()
         try:
-            result = _CHECKS[name](ctx, rng, tolerance_scale, threads)
+            result = _CHECKS[name](ctx, rng, tolerance_scale)
         except SemiflatError as exc:
             result = CheckResult(name=name, passed=False, measured={},
                                  expected={}, tolerance={}, provenance={},

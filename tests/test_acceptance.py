@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Three clauses assert published display constants that are
 inconsistent with the construction's own formulas (the measured values are
 derived independently and step-robust); those assertions are kept verbatim
-and marked strict-xfail, with the full analysis in the project decisions
-record.
+and marked strict-xfail, with the full analysis in the decisions record,
+docs/decisions.md.
 """
 
 import cmath
@@ -182,7 +182,7 @@ def test_criterion_4_decay_exponents():
                    reason="published curvature exponent -31/12 is inconsistent "
                           "with the construction: the measured, step-robust "
                           "exponent is -(12/7 * 1/2 + 2) = -20/7; see "
-                          "notes/decisions.md")
+                          "docs/decisions.md")
 def test_criterion_4_curvature_exponent():
     vf = sf.VolumeFormSpec(k0=1.0)
     pm = sf.fiber_product(sf.FiberType(FK.IIstar, m_mult=2),
@@ -240,7 +240,7 @@ def test_criterion_6_alg_angles():
                           "factor pi (and a b/(pi eps) factor for the ray); "
                           "the measured limits match the values derived from "
                           "the displayed base metrics to 0.1%; see "
-                          "notes/decisions.md")
+                          "docs/decisions.md")
 def test_criterion_6_cone_limit_published_constants():
     eps, k0, b = 1.0, 1.0, 1
     vf = sf.VolumeFormSpec(k0=k0)
@@ -374,7 +374,7 @@ def test_criterion_9_eh_gluing():
                    reason="the sharp closeness order of this resolution model "
                           "is a^3, so |g-I|/a^2 grows linearly in a; the "
                           "published bound C_k a^2 holds but is not an "
-                          "equality; see notes/decisions.md")
+                          "equality; see docs/decisions.md")
 def test_criterion_9_closeness_ratio_a2():
     ratios = []
     for a in (0.02, 0.04, 0.08):

@@ -197,7 +197,7 @@ def test_star_curvature_decay_istar_istar():
     # measured total-space curvature of the ansatz: |Rm| ~ C L^{-4} with
     # L = -log|z|, i.e. |Rm| ~ C'/r^2 since r ~ L^2.  Step-size-robust FD
     # measurement; the published display shows an exponentially small law
-    # instead (see the decisions record).
+    # instead (see docs/decisions.md).
     eps, k0 = 1.0, 1.0
     ss = sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.Istar, b=1))
     vf = sf.VolumeFormSpec(k0=k0)

