@@ -21,7 +21,11 @@ fit but deliberately not mixed into the error fit.
 
 Radial geometry of the star-like models is handled entirely in
 L = -log|z| to avoid under/overflow: the base coefficients reduce to
-closed forms C L^w e^{q L} with small exponents.
+closed forms C L^w e^{q L} with small exponents.  For Istar x Istar they
+are pure powers of L, so distance, volume and the inverse distance are
+closed forms (r = C_r (L^2 - L0^2) / 2).  An Istar x E-star profile is
+integrated once, into a cumulative table of Gauss-Legendre panels that
+distance, volume and inversion all read.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -369,44 +374,165 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
 # ---------------------------------------------------------------------------
 
 
+# 8-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 15.
+# Hard-coded: computing it would import numpy.polynomial or start up BLAS.
+_GL_X = np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329,
+                  -0.1834346424956498, 0.1834346424956498, 0.525532409916329,
+                  0.7966664774136267, 0.9602898564975363])
+_GL_W = np.array([0.10122853629037626, 0.22238103445337448, 0.31370664587788727,
+                  0.362683783378362, 0.362683783378362, 0.31370664587788727,
+                  0.22238103445337448, 0.10122853629037626])
+_PANEL_WIDTH = 0.5          # width in L of one Gauss-Legendre panel
+_FIRST_PANELS = 16          # a table starts with this many panels and doubles
+_MAX_PANELS = 1 << 15       # a radius not reached within this many panels is unreachable
+_NEWTON_STEPS = 50
+
+
+def _gauss(fn: Callable, a: float, b: float) -> float:
+    """Integral of `fn` over [a, b] by one 8-point Gauss-Legendre panel."""
+    half = 0.5 * (b - a)
+    return half * float(fn(a + half + half * _GL_X) @ _GL_W)
+
+
+class _PanelTable:
+    """Cumulative integrals of a profile's two integrands over fixed panels.
+
+    Panel j spans [L0 + j h, L0 + (j+1) h]; `dist[j]` and `area[j]` integrate
+    sqrt_g_radial and area_density from L0 to its left edge.  The table
+    doubles its panel count until it covers what is asked, so its entries do
+    not depend on the order of the requests.
+    """
+
+    def __init__(self, profile: "BaseProfile", width: float):
+        self.profile, self.h = profile, width
+        self.dist = np.zeros(1)
+        self.area = np.zeros(1)
+
+    @property
+    def panels(self) -> int:
+        return len(self.dist) - 1
+
+    def _grow(self) -> None:
+        n = self.panels
+        m = max(2 * n, _FIRST_PANELS)
+        if m > _MAX_PANELS:
+            raise NoConvergence(f"radial distance stays under {self.dist[-1]:.6g} "
+                                f"up to L = {self.profile.L0 + n * self.h:g}")
+        half = 0.5 * self.h
+        mids = self.profile.L0 + self.h * np.arange(n, m) + half
+        nodes = mids[:, None] + half * _GL_X
+        d = self.dist[-1] + np.cumsum(half * (self.profile.sqrt_g_radial(nodes) @ _GL_W))
+        a = self.area[-1] + np.cumsum(half * (self.profile.area_density(nodes) @ _GL_W))
+        if not (np.isfinite(d).all() and np.isfinite(a).all()):
+            raise NoConvergence("radial integrand not finite on "
+                                f"[{mids[0] - half:g}, {mids[-1] + half:g}]")
+        self.dist = np.concatenate([self.dist, d])
+        self.area = np.concatenate([self.area, a])
+
+    def _panel(self, L: float) -> tuple[int, float]:
+        """Index and left edge of the panel holding L, growing the table to it."""
+        while L > self.profile.L0 + self.panels * self.h:
+            self._grow()
+        j = min(max(int((L - self.profile.L0) // self.h), 0), self.panels - 1)
+        return j, self.profile.L0 + j * self.h
+
+    def dist_at(self, L: float) -> float:
+        j, edge = self._panel(L)
+        return float(self.dist[j]) + _gauss(self.profile.sqrt_g_radial, edge, L)
+
+    def area_at(self, L: float) -> float:
+        j, edge = self._panel(L)
+        return float(self.area[j]) + _gauss(self.profile.area_density, edge, L)
+
+    def invert(self, r: float) -> float:
+        """L with dist_at(L) = r: linear interpolation between the panel edges
+        around r, then Newton steps kept inside that panel."""
+        while self.dist[-1] < r:
+            self._grow()
+        j = min(max(int(np.searchsorted(self.dist, r, side="right")) - 1, 0),
+                self.panels - 1)
+        lo = self.profile.L0 + j * self.h
+        hi = lo + self.h
+        d0, d1 = float(self.dist[j]), float(self.dist[j + 1])
+        L = lo + self.h * (r - d0) / (d1 - d0) if d1 > d0 else lo
+        for _ in range(_NEWTON_STEPS):
+            slope = float(self.profile.sqrt_g_radial(L))
+            if not slope > 0:
+                raise NoConvergence(f"radial integrand {slope} at L = {L:g}")
+            step = (self.dist_at(L) - r) / slope
+            L = min(max(L - step, lo), hi)
+            if abs(step) <= 1e-13 * max(abs(L), 1.0):
+                return L
+        raise NoConvergence(f"radial inversion of r = {r:g} did not converge")
+
+
 @dataclass(frozen=True)
 class BaseProfile:
     """Radial data of a star-like base metric, parameterized by L = -log|z|.
 
     sqrt_g_radial(L) integrates to the radial distance; area_density(L) is
-    the area element per unit L and unit angle.  Closed forms keep every
-    exponential factor explicit so no |z| power is ever materialized.
+    the area element per unit L and unit angle.  Both take and return numpy
+    arrays, and keep every exponential factor explicit so no |z| power is
+    ever materialized.
+
+    A profile with `power_law = (cr, m, ca, n)` has sqrt_g_radial = cr L^m
+    and area_density = ca L^n, and integrates and inverts in closed form.
+    Any other profile integrates once: a cumulative table of 8-point
+    Gauss-Legendre panels of width 0.5 in L is built on first use and
+    doubled until it covers the largest L or radius asked for.  dist and
+    volume add the partial panel to the cumulative sum; invert_dist
+    interpolates between panel edges and finishes with Newton steps, using
+    sqrt_g_radial as the derivative.  The table is not a field, so
+    `dataclasses.replace` gives a copy that builds its own.
     """
 
     label: str
     L0: float
-    sqrt_g_radial: Callable[[float], float]
-    area_density: Callable[[float], float]
+    sqrt_g_radial: Callable[[np.ndarray], np.ndarray]
+    area_density: Callable[[np.ndarray], np.ndarray]
     eps: float
     angular_extent: float = 2 * math.pi
+    power_law: Optional[tuple[float, float, float, float]] = None
 
-    def dist(self, L: float, n: int = 2000) -> float:
-        Ls = np.linspace(self.L0, L, n)
-        return float(np.trapezoid([self.sqrt_g_radial(x) for x in Ls], Ls))
+    @cached_property
+    def _table(self) -> _PanelTable:
+        return _PanelTable(self, _PANEL_WIDTH)
 
-    def volume(self, L: float, n: int = 2000) -> float:
-        Ls = np.linspace(self.L0, L, n)
-        dens = [self.area_density(x) for x in Ls]
-        return self.eps * self.angular_extent * float(np.trapezoid(dens, Ls))
+    def dist(self, L: float) -> float:
+        if self.power_law is None:
+            return self._table.dist_at(L)
+        cr, m, _, _ = self.power_law
+        return cr * (L ** (m + 1) - self.L0 ** (m + 1)) / (m + 1)
+
+    def volume(self, L: float) -> float:
+        if self.power_law is None:
+            area = self._table.area_at(L)
+        else:
+            _, _, ca, n = self.power_law
+            area = ca * (L ** (n + 1) - self.L0 ** (n + 1)) / (n + 1)
+        return self.eps * self.angular_extent * area
 
     def invert_dist(self, r: float) -> float:
-        lo, hi = self.L0 + 1e-9, self.L0 + 4.0
-        while self.dist(hi) < r:
-            hi *= 1.6
-            if hi > 1e7:
-                raise NoConvergence("radial inversion ran away")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if self.dist(mid) < r:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        if self.power_law is None:
+            return self._table.invert(r)
+        cr, m, _, _ = self.power_law
+        return (self.L0 ** (m + 1) + (m + 1) * r / cr) ** (1.0 / (m + 1))
+
+    def quad_rel_err(self, r: float) -> float:
+        """Relative change of the volume at distance r when the panel width
+        is halved; 0.0 for a closed form."""
+        if self.power_law is not None:
+            return 0.0
+        coarse, fine = self._table, _PanelTable(self, _PANEL_WIDTH / 2)
+        vol = coarse.area_at(coarse.invert(r))
+        return abs(fine.area_at(fine.invert(r)) / vol - 1.0)
+
+
+def _power_profile(label: str, L0: float, eps: float, cr: float, m: float,
+                   ca: float, n: float) -> BaseProfile:
+    return BaseProfile(label=label, L0=L0, sqrt_g_radial=lambda L: cr * L ** m,
+                       area_density=lambda L: ca * L ** n, eps=eps,
+                       power_law=(cr, m, ca, n))
 
 
 def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfile:
@@ -420,9 +546,7 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
         b1, b2 = pm.left.b, pm.right.b
         cr = math.sqrt(2.0 * b1 * b2) * k0 / (math.pi * eps)
         ca = 2.0 * b1 * b2 * k0 ** 2 / (math.pi ** 2 * eps ** 2)
-        return BaseProfile(label=pm.label(), L0=L0,
-                           sqrt_g_radial=lambda L: cr * L,
-                           area_density=lambda L: ca * L * L, eps=eps)
+        return _power_profile(pm.label(), L0, eps, cr, 1, ca, 2)
     if cls.kind == "ALG_star":
         b = pm.left.b
         rm = pm.right_model
@@ -433,11 +557,11 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
         c2 = 2.0 * b * k0 ** 2 * i2 / (math.pi * eps ** 2)
         exp_half = 0.5 * (w - 2.0)
 
-        def sqrtg(L: float) -> float:
-            return math.sqrt(2.0 * c2 * L * (1.0 - math.exp(-q * L))) * math.exp(exp_half * L)
+        def sqrtg(L: np.ndarray) -> np.ndarray:
+            return np.sqrt(2.0 * c2 * L * (1.0 - np.exp(-q * L))) * np.exp(exp_half * L)
 
-        def areaden(L: float) -> float:
-            return 2.0 * c2 * L * (1.0 - math.exp(-q * L)) * math.exp((w - 2.0) * L)
+        def areaden(L: np.ndarray) -> np.ndarray:
+            return 2.0 * c2 * L * (1.0 - np.exp(-q * L)) * np.exp((w - 2.0) * L)
 
         return BaseProfile(label=pm.label(), L0=L0, sqrt_g_radial=sqrtg,
                            area_density=areaden, eps=eps)
@@ -460,9 +584,7 @@ def factor_correction_exponent(lm) -> float:
 
 def euclidean_profile(eps: float = 1.0) -> BaseProfile:
     """Flat-disk-complement sanity profile: g = |dz|^2 in direct radius."""
-    return BaseProfile(label="euclidean", L0=0.0,
-                       sqrt_g_radial=lambda r: 1.0,
-                       area_density=lambda r: r, eps=eps)
+    return _power_profile("euclidean", 0.0, eps, 1.0, 0, 1.0, 1)
 
 
 def volume_growth_fit(profile: BaseProfile,
@@ -501,11 +623,11 @@ def sob_check(profile: BaseProfile, beta: float,
         elif beta < 1.75:       # ray collapse: full annulus (1-shrink) L .. L
             Ls = np.linspace((1 - shrink) * L, L, 800)
             region = profile.eps * profile.angular_extent * float(
-                np.trapezoid([profile.area_density(x) for x in Ls], Ls))
+                np.trapezoid(profile.area_density(Ls), Ls))
         else:                   # cone: thin annulus, angular fraction shrink/pi
             Ls = np.linspace(L - math.log(1 + shrink), L, 400)
             region = profile.eps * 2 * shrink * float(
-                np.trapezoid([profile.area_density(x) for x in Ls], Ls))
+                np.trapezoid(profile.area_density(Ls), Ls))
         c2.append(region / float(r) ** beta)
     return {
         "beta": beta,
@@ -513,6 +635,7 @@ def sob_check(profile: BaseProfile, beta: float,
         "clause2_sup": max(c2), "clause2_inf": min(c2),
         "clause1_stable": max(c1) / min(c1),
         "clause2_stable": max(c2) / min(c2),
+        "quad_rel_err": profile.quad_rel_err(max(radii)),
         "connectivity": "structural: circle-fibered base, annuli are connected",
     }
 

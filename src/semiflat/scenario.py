@@ -448,7 +448,8 @@ def _check_volume_growth(ctx: Context, rng: SplitMix64, tol_scale: float) -> Che
     csv = [(r, "volume", v) for r, v in rows]
     return CheckResult(
         name="volume_growth", passed=abs(fit.exponent_or_rate - expect) < tol,
-        measured={"exponent": fit.exponent_or_rate, "r2": fit.r2},
+        measured={"exponent": fit.exponent_or_rate, "r2": fit.r2,
+                  "quad_rel_err": profile.quad_rel_err(float(max(radii)))},
         expected={"exponent": expect}, tolerance={"exponent": tol},
         provenance={"exponent": "PAPER: geodesic-ball growth order"}, csv_rows=csv)
 
@@ -690,8 +691,13 @@ def emit_decay_csv(path: str | Path, rows: list[tuple[float, str, float]]) -> No
 
 def run_scenario(cfg: dict | str | Path, out_dir: str | Path | None = None,
                  seed: Optional[int] = None, tolerance_scale: float = 1.0,
-                 log=sys.stderr) -> Report:
-    """Execute a scenario's checks in dependency order and write its artifacts."""
+                 log=None) -> Report:
+    """Execute a scenario's checks in dependency order and write its artifacts.
+
+    Per-check status lines go to `log`; None means sys.stderr as it is at
+    the call, so a redirect around the call captures them.
+    """
+    log = sys.stderr if log is None else log
     if not isinstance(cfg, dict):
         cfg = load_scenario(cfg)
     else:

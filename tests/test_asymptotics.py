@@ -1,9 +1,11 @@
 """Charts, decay fits, volume growth, SOB clauses, tangent cones."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -160,6 +162,74 @@ def test_sob_clauses():
     repe = sf.sob_check(sf.euclidean_profile(), 2.0, np.geomspace(1e2, 1e6, 9))
     assert abs(repe["clause1_sup"] - math.pi) < 1e-6
     assert abs(repe["clause1_inf"] - math.pi) < 1e-6
+
+
+STAR_RIGHT = {"istar": sf.FiberType(FK.Istar, b=1), "iistar": sf.FiberType(FK.IIstar),
+              "iiistar": sf.FiberType(FK.IIIstar), "ivstar": sf.FiberType(FK.IVstar)}
+
+
+def star_profile(right: str, eps: float, k0: float) -> sf.BaseProfile:
+    pm = sf.fiber_product(sf.FiberType(FK.Istar, b=2), STAR_RIGHT[right])
+    return sf.base_profile(pm, eps, sf.VolumeFormSpec(k0=k0))
+
+
+@pytest.mark.parametrize("eps,k0", [(0.5, 1.5), (2.0, -0.7)])
+@pytest.mark.parametrize("right", sorted(STAR_RIGHT))
+def test_radial_profile_against_mpmath(right, eps, k0):
+    # closed forms (Istar x Istar) and the panel table (Istar x E-star)
+    # against adaptive mpmath quadrature of the same integrands
+    prof = star_profile(right, eps, k0)
+    closed = prof.power_law is not None
+    assert closed == (right == "istar")
+    tol = 1e-12 if closed else 1e-10
+    L_far = prof.invert_dist(1e6)
+    for L in (prof.L0 + 0.3, prof.L0 + 2.0, 0.5 * (prof.L0 + L_far), L_far):
+        knots = mpmath.linspace(prof.L0, L, 17)
+        for got, fn, scale in ((prof.dist(L), prof.sqrt_g_radial, 1.0),
+                               (prof.volume(L), prof.area_density,
+                                prof.eps * prof.angular_extent)):
+            want = scale * float(mpmath.quad(lambda t: float(fn(float(t))), knots))
+            assert abs(got / want - 1.0) < tol, (L, got, want)
+    err = prof.quad_rel_err(1e6)
+    assert err == 0.0 if closed else 0.0 <= err < 1e-12
+
+
+@pytest.mark.parametrize("right", sorted(STAR_RIGHT))
+def test_invert_dist_roundtrip(right):
+    prof = star_profile(right, 1.0, 1.0)
+    for L in (prof.L0 + 0.01, prof.L0 + 1.0, prof.L0 + 7.25, 13.7, 40.0, 300.0):
+        assert abs(prof.invert_dist(prof.dist(L)) / L - 1.0) < 1e-12
+
+
+def test_bounded_distance_raises():
+    # dist tends to 1: no radius over 1 is reached, however far the table grows
+    prof = sf.BaseProfile(label="bounded", L0=0.0, sqrt_g_radial=lambda L: np.exp(-L),
+                          area_density=lambda L: np.exp(-L), eps=1.0)
+    assert abs(prof.dist(40.0) - 1.0) < 1e-12
+    assert abs(prof.invert_dist(0.5) - math.log(2.0)) < 1e-12
+    with pytest.raises(sf.NoConvergence):
+        prof.invert_dist(2.0)
+
+
+def test_replaced_profile_integrates_once():
+    # a copy made by dataclasses.replace builds its own table; each radius
+    # costs a few vectorized integrand calls and gives the original's values
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(L):
+            calls[0] += 1
+            return fn(L)
+        return wrapper
+
+    prof = star_profile("ivstar", 1.1, 0.7)
+    prof.invert_dist(1e3)
+    copy = dataclasses.replace(prof, sqrt_g_radial=counted(prof.sqrt_g_radial),
+                               area_density=counted(prof.area_density))
+    radii = np.geomspace(1e2, 1e6, 13)
+    fit, rows = sf.volume_growth_fit(copy, radii)
+    assert 0 < calls[0] < 100 * len(radii)
+    assert (fit, rows) == sf.volume_growth_fit(prof, radii)
 
 
 def test_tangent_cone_alg_and_alh():

@@ -1,11 +1,18 @@
 """CLI surface: exit codes, determinism, CSV format, scenario validation."""
 
+import contextlib
+import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semiflat
 from semiflat.cli import bundled_path, bundled_scenarios, main
 from semiflat.errors import ScenarioError
 from semiflat.scenario import run_scenario, validate_scenario
@@ -28,6 +35,27 @@ def test_run_exit_zero_and_report(tmp_path):
     assert names == sorted(names)
     for c in report["checks"]:
         assert c["provenance"]                      # every check carries tags
+
+
+def test_check_lines_follow_redirected_stderr(tmp_path):
+    # the per-check lines go to sys.stderr as it is at the call, not at import
+    captured = io.StringIO()
+    with contextlib.redirect_stderr(captured):
+        rc = main(["run", str(bundled_path("elliptic_iv.json")), "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "elliptic_iv_report.json").read_text())
+    for c in report["checks"]:
+        assert f"[elliptic_iv] {c['name']}: pass" in captured.getvalue()
+
+
+def test_import_footprint():
+    # scipy and numpy.polynomial would add start-up time and memory to every run
+    code = ("import sys, semiflat, semiflat.cli; "
+            "print([m for m in ('scipy', 'numpy.polynomial') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(semiflat.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_exit_code_two_on_malformed(tmp_path):
