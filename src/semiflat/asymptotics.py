@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diffgeo import FDScheme, chern_curvature_norm, first_partial
+from .diffgeo import FDScheme, chern_curvature_norm, first_partial, memoized
 from .errors import FitRejected, NoConvergence, Unsupported
 from .kodaira import (Classification, FiberKind, ProductModel, PuncturedPoint,
                       classify_asymptotics)
@@ -95,10 +95,6 @@ class AsymptoticChart:
     flat_h: np.ndarray
     limit_moduli: tuple[complex, complex]
 
-    def base_point(self, alpha: complex) -> PuncturedPoint:
-        s = self._s(alpha)
-        return PuncturedPoint(s=s, d=self.model.k)
-
     def _log_w(self, alpha: complex) -> complex:
         # log(alpha/alpha0) with the phase taken in the chart sector (0, theta),
         # which may exceed pi; principal powers would branch wrongly there
@@ -108,25 +104,38 @@ class AsymptoticChart:
             ph += 2 * math.pi
         return complex(math.log(abs(w)), ph)
 
-    def _s(self, alpha: complex) -> complex:
-        k = self.model.k
-        if self.kind == "power":
-            return cmath.exp(-self.p / k * self._log_w(alpha))
-        return cmath.exp(-self.rate * alpha / k)
+    def _pullback(self, alpha: complex, betas: Sequence[complex],
+                  ) -> tuple[PuncturedPoint, tuple[complex, complex], np.ndarray]:
+        """Base point, fiber coordinates and Jacobian at (alpha, betas).
 
-    def _scales(self, alpha: complex) -> tuple[complex, complex]:
+        The cover coordinate s and the fiber scales c_j are computed once
+        and shared by all three.
+        """
         k, a1, a2 = self.model.k, self.model.a1, self.model.a2
         if self.kind == "power":
             lw = self._log_w(alpha)
-            return (cmath.exp(-self.p * a1 / k * lw),
-                    cmath.exp(-self.p * a2 / k * lw))
-        return (cmath.exp(-self.rate * a1 * alpha / k),
-                cmath.exp(-self.rate * a2 * alpha / k))
+            c1 = cmath.exp(-self.p * a1 / k * lw)
+            c2 = cmath.exp(-self.p * a2 / k * lw)
+            s = cmath.exp(-self.p / k * lw)
+            dz = -(self.p / alpha) * s ** k
+            dc1 = -(self.p * a1 / (k * alpha)) * c1
+            dc2 = -(self.p * a2 / (k * alpha)) * c2
+        else:
+            c1 = cmath.exp(-self.rate * a1 * alpha / k)
+            c2 = cmath.exp(-self.rate * a2 * alpha / k)
+            s = cmath.exp(-self.rate * alpha / k)
+            dz = -self.rate * s ** k
+            dc1 = -(self.rate * a1 / k) * c1
+            dc2 = -(self.rate * a2 / k) * c2
+        J = np.array([[dz, 0, 0],
+                      [dc1 * betas[0], c1, 0],
+                      [dc2 * betas[1], 0, c2]], dtype=complex)
+        return PuncturedPoint(s=s, d=k), (c1 * betas[0], c2 * betas[1]), J
 
     def to_base(self, alpha: complex,
                 betas: Sequence[complex]) -> tuple[PuncturedPoint, tuple[complex, complex]]:
-        c1, c2 = self._scales(alpha)
-        return self.base_point(alpha), (c1 * betas[0], c2 * betas[1])
+        pt, v, _ = self._pullback(alpha, betas)
+        return pt, v
 
     def inverse(self, pt: PuncturedPoint) -> complex:
         # along the chart arg z = -(p or rate)-multiple of arg alpha lies in
@@ -139,27 +148,10 @@ class AsymptoticChart:
             return self.alpha0 * cmath.exp(-lg / self.p)
         return -lg / self.rate
 
-    def jacobian(self, alpha: complex, betas: Sequence[complex]) -> np.ndarray:
-        k, a1, a2 = self.model.k, self.model.a1, self.model.a2
-        z = self._s(alpha) ** k
-        c1, c2 = self._scales(alpha)
-        if self.kind == "power":
-            dz = -(self.p / alpha) * z
-            dc1 = -(self.p * a1 / (k * alpha)) * c1
-            dc2 = -(self.p * a2 / (k * alpha)) * c2
-        else:
-            dz = -self.rate * z
-            dc1 = -(self.rate * a1 / k) * c1
-            dc2 = -(self.rate * a2 / k) * c2
-        return np.array([[dz, 0, 0],
-                         [dc1 * betas[0], c1, 0],
-                         [dc2 * betas[1], 0, c2]], dtype=complex)
-
     def pulled_h(self, alpha: complex, betas: Sequence[complex]) -> np.ndarray:
         """Hermitian matrix of the ansatz in the (alpha, beta1, beta2) coframe."""
-        pt, v = self.to_base(alpha, betas)
+        pt, v, J = self._pullback(alpha, betas)
         sample = metric_at(self.model, self.eps, self.vf, pt, v)
-        J = self.jacobian(alpha, betas)
         return J.T @ sample.h @ J.conj()
 
 
@@ -348,6 +340,9 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     trusted = []
     for r, alpha in zip(radii, alphas):
 
+        # one memo per radius: the h/2 stencil points of the `scheme` norm
+        # are the h points of the `half` norm
+        @memoized
         def field(x: np.ndarray) -> np.ndarray:
             a = complex(x[0], x[1])
             b = (complex(x[2], x[3]), complex(x[4], x[5]))

@@ -5,6 +5,11 @@ coordinate) with central stencils; Wirtinger combinations are assembled
 afterwards, which keeps the schemes standard and avoids branch crossings.
 A field is any callable x in R^n -> complex Hermitian matrix, where n is
 even and the complex coordinates are (x[0] + i x[1], x[2] + i x[3], ...).
+
+The stencils of one closedness residual or one Chern-curvature norm share
+points (d and dbar take the same partials, the mixed partial (i, j) repeats
+(j, i)), so both checks evaluate their field once per distinct point
+(`memoized`).  A field must therefore be pure: its value depends on x only.
 """
 
 from __future__ import annotations
@@ -33,6 +38,27 @@ class FDScheme:
             raise ValueError("step must lie in [1e-8, 1e-2]")
         if self.order not in (2, 4):
             raise ValueError("order must be 2 or 4")
+
+
+def memoized(field: Field) -> Field:
+    """`field` evaluated once per distinct point, keyed on the bytes of x.
+
+    A repeated point returns the array of its first evaluation, marked
+    read-only, so a caller that writes to it raises ValueError instead of
+    changing what the next caller reads.
+    """
+    cache: dict[bytes, np.ndarray] = {}
+
+    def memo(x: np.ndarray) -> np.ndarray:
+        key = x.tobytes()
+        out = cache.get(key)
+        if out is None:
+            out = np.asarray(field(x)).view()
+            out.flags.writeable = False
+            cache[key] = out
+        return out
+
+    return memo
 
 
 def _d1(field: Field, x: np.ndarray, i: int, h: float, order: int) -> np.ndarray:
@@ -136,6 +162,7 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     """
     n = x.size // 2
     scales = tuple(scales) if scales is not None else (1.0,) * n
+    field = memoized(field)
     h = scheme.step
     pairs = [_closedness_at_step(field, x, h / 2 ** k, scheme.order, scales)
              for k in range(3)]
@@ -184,6 +211,7 @@ def chern_curvature_norm(field: Field, x: np.ndarray, scheme: FDScheme,
     h-orthonormal frame (Cholesky transform), which is manifestly
     nonnegative and frame-independent.
     """
+    field = memoized(field)
     h0 = field(x)
     L = np.linalg.cholesky(0.5 * (h0 + h0.conj().T))
     A = np.linalg.inv(L.conj().T)        # A^dagger h A = I

@@ -86,6 +86,34 @@ def _im_pair(a: complex, b: complex) -> float:
     return (a.conjugate() * b).imag
 
 
+def _fiber_terms(model: Model, pt: PuncturedPoint, periods, eps: float | None = None,
+                 v: Sequence[complex] | None = None,
+                 ) -> tuple[tuple[float, ...], tuple[complex, ...]]:
+    """Fiber coefficients F_j = eps / (2 nu_j Im(conj(tau_1) tau_2)_j) when
+    eps is given, Christoffel symbols Gamma^j when v is given.
+
+    `periods` is the (tau, dtau/dz) pair of periods_at at pt, computed once
+    by the caller.  Raises DegenerateLattice unless every Im pairing is
+    positive.
+    """
+    if eps is not None and eps <= 0:
+        raise ValueError("eps must be positive")
+    tau, dt = periods
+    nu = getattr(model, "nu", (1,) * model.m)
+    F, gamma = [], []
+    for j in range(model.m):
+        t1, t2 = tau[2 * j], tau[2 * j + 1]
+        imp = _im_pair(t1, t2)
+        if imp <= 0:
+            raise DegenerateLattice(f"Im pairing {j} non-positive at s={pt.s}")
+        if eps is not None:
+            F.append(eps / (2.0 * nu[j] * imp))
+        if v is not None:
+            d1, d2 = dt[2 * j], dt[2 * j + 1]
+            gamma.append((_im_pair(t1, v[j]) * d2 - _im_pair(t2, v[j]) * d1) / imp)
+    return tuple(F), tuple(gamma)
+
+
 def christoffel_closed(model: Model, pt: PuncturedPoint,
                        v: Sequence[complex]) -> tuple[complex, ...]:
     """Closed-form Christoffel symbols of the flat lattice connection.
@@ -93,16 +121,7 @@ def christoffel_closed(model: Model, pt: PuncturedPoint,
     Gamma^j = [Im(conj(tau_1) v_j) tau_2' - Im(conj(tau_2) v_j) tau_1'] /
     Im(conj(tau_1) tau_2), per fiber factor.
     """
-    tau, dt = periods_at(model, pt)
-    out = []
-    for j in range(model.m):
-        t1, t2 = tau[2 * j], tau[2 * j + 1]
-        d1, d2 = dt[2 * j], dt[2 * j + 1]
-        imp = _im_pair(t1, t2)
-        if imp <= 0:
-            raise DegenerateLattice(f"Im pairing {j} non-positive at s={pt.s}")
-        out.append((_im_pair(t1, v[j]) * d2 - _im_pair(t2, v[j]) * d1) / imp)
-    return tuple(out)
+    return _fiber_terms(model, pt, periods_at(model, pt), v=v)[1]
 
 
 def christoffel_general(tau: Sequence[complex], dtau_dz: Sequence[complex],
@@ -122,21 +141,6 @@ def christoffel_general(tau: Sequence[complex], dtau_dz: Sequence[complex],
     return tuple(dT @ np.linalg.solve(stack, vv))
 
 
-def fiber_blocks(model: Model, pt: PuncturedPoint, eps: float) -> tuple[float, ...]:
-    """Fiber coefficients F_j = eps / (2 nu_j Im(conj(tau)tau')_j)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    tau, _ = periods_at(model, pt)
-    nu = getattr(model, "nu", (1,) * model.m)
-    out = []
-    for j in range(model.m):
-        imp = _im_pair(tau[2 * j], tau[2 * j + 1])
-        if imp <= 0:
-            raise DegenerateLattice(f"Im pairing {j} non-positive at s={pt.s}")
-        out.append(eps / (2.0 * nu[j] * imp))
-    return tuple(out)
-
-
 def effective_g(model: Model, vf: VolumeFormSpec, z: complex) -> complex:
     """g_eff feeding the determinant identity: g for m=2, g/sqrt(2) for m=1."""
     g = vf.g(z)
@@ -153,8 +157,7 @@ def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
     m = model.m
     if len(v) != m:
         raise ValueError(f"need {m} fiber coordinates")
-    F = fiber_blocks(model, pt, eps)
-    gamma = christoffel_closed(model, pt, v)
+    F, gamma = _fiber_terms(model, pt, periods_at(model, pt), eps=eps, v=v)
     g_eff = effective_g(model, vf, pt.z)
     B = abs(g_eff) ** 2 / math.prod(F)
     h = np.zeros((m + 1, m + 1), dtype=complex)
@@ -226,8 +229,9 @@ def fiber_factor_areas(model: Model, pt: PuncturedPoint, eps: float,
     over the fundamental parallelogram is exact up to rounding; for a
     product model each factor area equals eps.
     """
-    tau, _ = periods_at(model, pt)
-    F = fiber_blocks(model, pt, eps)
+    periods = periods_at(model, pt)
+    F, _ = _fiber_terms(model, pt, periods, eps=eps)
+    tau = periods[0]
     areas = []
     for j in range(model.m):
         t1, t2 = tau[2 * j], tau[2 * j + 1]
@@ -243,14 +247,15 @@ def fiber_factor_areas(model: Model, pt: PuncturedPoint, eps: float,
 def fiber_volume(model: Model, pt: PuncturedPoint, eps: float) -> float:
     """Riemannian volume of the full fiber (m = 2): equals eps^2.
 
-    The true fundamental domain of a quotient model is index prod(nu_j^?)
+    The true fundamental domain of a quotient model is index nu_1 nu_2
     larger than the naive product cell; the stored per-factor factors nu
     supply exactly that index.
     """
     if model.m != 2:
         raise ValueError("fiber_volume applies to m = 2 models")
-    tau, _ = periods_at(model, pt)
-    F = fiber_blocks(model, pt, eps)
+    periods = periods_at(model, pt)
+    F, _ = _fiber_terms(model, pt, periods, eps=eps)
+    tau = periods[0]
     nu = getattr(model, "nu", (1, 1))
     index = nu[0] * nu[1]
     vol_euc = index * abs(_im_pair(tau[0], tau[1])) * abs(_im_pair(tau[2], tau[3]))

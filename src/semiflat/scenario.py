@@ -718,7 +718,9 @@ def run_scenario(cfg: dict | str | Path, out_dir: str | Path | None = None,
     report = Report(scenario=cfg, tolerance_scale=tolerance_scale)
     ordered = sorted(cfg["checks"], key=_CHECK_ORDER.index)
     for name in ordered:
-        rng = master.split()        # per-check stream: stable under check reordering
+        # per-check stream, split in execution order: adding or removing a
+        # check changes the streams of the checks after it
+        rng = master.split()
         t0 = time.perf_counter()
         try:
             result = _CHECKS[name](ctx, rng, tolerance_scale)

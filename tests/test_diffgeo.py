@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import semiflat as sf
-from semiflat.diffgeo import (FDScheme, first_partial, ricci_scalar_residual,
-                              wirtinger_second)
+from semiflat.diffgeo import (FDScheme, first_partial, memoized,
+                              ricci_scalar_residual, wirtinger_second)
 from semiflat.kodaira import PuncturedPoint
 
 
@@ -196,3 +196,45 @@ def test_fd_scheme_validation():
         FDScheme(step=0.1)
     with pytest.raises(ValueError):
         FDScheme(order=3)
+
+
+def counted(field):
+    calls = [0]
+
+    def wrapper(x):
+        calls[0] += 1
+        return field(x)
+
+    return wrapper, calls
+
+
+def test_chern_norm_evaluates_each_point_once():
+    # d and dbar take the same first partials and the mixed partial (i, j)
+    # repeats (j, i): the 326 stencil evaluations of a 3-coordinate field
+    # fall on 145 distinct points
+    cfg = sf.EHConfig(a=0.3)
+    ehf, calls = counted(lambda x: sf.eh_metric(
+        cfg, (complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5]))))
+    x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
+    sf.chern_curvature_norm(ehf, x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0))
+    assert calls[0] <= 145
+
+
+def test_closedness_evaluates_each_point_once():
+    # d and dbar share their first partials: 3 steps x 3 coordinates x
+    # 2 real directions x 2 points, where the stencils make 72 calls
+    flat, calls = counted(lambda x: np.eye(3, dtype=complex))
+    sf.closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
+    assert calls[0] == 36
+
+
+def test_memoized_values_are_read_only():
+    fld, calls = counted(lambda x: np.diag([x[0], 1.0]).astype(complex))
+    memo = memoized(fld)
+    x = np.array([0.5, 0.25])
+    out = memo(x)
+    assert memo(x.copy()) is out and calls[0] == 1
+    with pytest.raises(ValueError):
+        out[0, 0] = 2.0
+    memo(np.array([0.5, 0.5]))
+    assert calls[0] == 2
