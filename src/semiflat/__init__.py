@@ -5,36 +5,25 @@ fiber products, pointwise evaluation of the semi-flat ansatz, and numeric
 verification of its closed-form identities (Monge-Ampere, closedness,
 flatness of the isotrivial quotients) and asymptotics (decay exponents,
 volume growth, tangent cones).
-"""
 
-from .asymptotics import (AsymptoticChart, BaseProfile, ConeDescription, DecayFit,
-                          base_profile, cone_limit_coefficient, curvature_decay_fit,
-                          error_decay_fit, euclidean_profile, ray_limit_coefficient,
-                          sob_check, tangent_cone, to_chart, volume_growth_fit)
-from .diffgeo import (FDScheme, chern_curvature_norm, closedness_residual,
-                      positivity, ricci_form_base, ricci_scalar_residual)
-from .eguchi_hanson import (EHConfig, a_max, cutoff, eh_metric, eh_potential,
-                            glued_potential, gluing_report)
-from .errors import (BranchPoint, DegenerateLattice, FitRejected, NoConvergence,
-                     NotConvergent, NotPositive, OriginSingular, PolePoint,
-                     ScenarioError, SemiflatError, SingularPeriods,
-                     SingularPolarization, StepTooSmall, Unsupported,
-                     UnsupportedPair, UnsupportedType)
-from .kodaira import (Classification, FiberKind, FiberType, LocalModel,
-                      ProductModel, PuncturedPoint, canonical_coefficient,
-                      classify_asymptotics, fiber_product, finite_kinds,
-                      isotrivial_case13, isotrivial_coefficient, local_model,
-                      monodromy_order)
-from .lattice import (HermitianForm, PolarizedFamily, SiegelData, hermitian_h,
-                      product_family, reduce_mod_lattice, scaled_h,
-                      siegel_normalize, siegel_residual, stacked_inverse_block,
-                      type_one_one_residual)
-from .metric import (MetricSample, VolumeFormSpec, christoffel_closed,
-                     christoffel_general, elliptic_metric_at, fiber_factor_areas,
-                     fiber_volume, ma_residual, metric_at)
-from .rng import SplitMix64
-from .weierstrass import (EllipticData, cubic_residual, eisenstein_g4_g6,
-                          g2_series, g3_series, volume_pullback_ratio, wp,
-                          wp_lattice, wp_prime, wp_prime_lattice)
+Importing the package loads no submodule; import from the submodules,
+e.g. ``from semiflat.metric import metric_at``:
+
+    lattice         polarized families, Siegel normalization, fiber metric H
+    kodaira         fiber-type catalog, local models, fiber products,
+                    canonical coefficients, asymptotic classification
+    metric          semi-flat metric assembly, periods, Christoffel symbols,
+                    Monge-Ampere residual, fiber volumes
+    diffgeo         finite differences: closedness, Chern curvature,
+                    Ricci form of the base, positivity
+    asymptotics     charts at infinity, decay fits, radial profiles,
+                    volume growth, SOB clauses, tangent cones
+    eguchi_hanson   EH potential/metric, smooth cutoff, gluing report
+    weierstrass     wp / wp', g2/g3 q-series, Kodaira cubic, pullback ratio
+    errors          the SemiflatError hierarchy
+    rng             SplitMix64, the seeded sample generator
+    scenario        JSON scenarios, check registry, reports, CSV emission
+    cli             command-line entry point (``python -m semiflat.cli``)
+"""
 
 __version__ = "0.1.0"

@@ -68,15 +68,23 @@ class MetricSample:
     m: int
 
 
+def period_maps(model: Model):
+    """(tau, dtau/ds) as functions of the cover coordinate s, for either model kind.
+
+    `period_maps(model)[0](pt.s)` is the period vector alone, for callers
+    that need no derivative.
+    """
+    if model.m == 1:
+        return model.tau, model.dtau_ds
+    return model.tau4, model.dtau4_ds
+
+
 def periods_at(model: Model, pt: PuncturedPoint):
     """Period vector and its z-derivative at a cover point."""
     s = pt.s
-    if model.m == 1:
-        tau = model.tau(s)
-        dts = model.dtau_ds(s)
-    else:
-        tau = model.tau4(s)
-        dts = model.dtau4_ds(s)
+    tau_of, dtau_of = period_maps(model)
+    tau = tau_of(s)
+    dts = dtau_of(s)
     dz_ds = pt.d * s ** (pt.d - 1)
     dtau_dz = tuple(d / dz_ds for d in dts)
     return tau, dtau_dz

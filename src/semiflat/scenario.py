@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import asymptotics as asy
-from . import eguchi_hanson as eh
-from . import weierstrass as wst
+# Every metric scenario needs these.  asymptotics, eguchi_hanson and
+# weierstrass are imported inside the checks that call them, so a CLI run
+# loads (and, without a bytecode cache, compiles) only what its checks use.
 from .diffgeo import FDScheme, chern_curvature_norm, closedness_residual
 from .errors import BranchPoint, PolePoint, ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint,
@@ -33,7 +33,7 @@ from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint,
                       isotrivial_case13, isotrivial_coefficient, local_model)
 from .metric import (VolumeFormSpec, christoffel_closed, christoffel_general,
                      elliptic_metric_at, fiber_factor_areas, fiber_volume,
-                     ma_residual, metric_at, periods_at)
+                     ma_residual, metric_at, period_maps, periods_at)
 from .rng import SplitMix64
 
 _SCHEMA: dict[str, tuple[type, bool]] = {
@@ -246,7 +246,7 @@ def sample_point(model, rng: SplitMix64):
     r = rng.uniform(0.05, 0.5) ** (1.0 / k)
     th = rng.uniform(0.04 / k, (2 * math.pi - 0.04) / k)
     pt = PuncturedPoint(s=r * cmath.exp(1j * th), d=k)
-    tau, _ = periods_at(model, pt)
+    tau = period_maps(model)[0](pt.s)
     v = tuple(rng.uniform(0.05, 0.95) * tau[2 * j] + rng.uniform(0.05, 0.95) * tau[2 * j + 1]
               for j in range(model.m))
     return pt, v
@@ -321,6 +321,7 @@ def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckR
 
 
 def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
+    from . import asymptotics as asy
     chart = asy.to_chart(ctx.model, ctx.eps, ctx.vf)
     dev = 0.0
     mid = 0.5 * sum(chart.sector)
@@ -353,6 +354,7 @@ def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckRes
 
 
 def _qmin(pm: ProductModel) -> float:
+    from . import asymptotics as asy
     return min(asy.factor_correction_exponent(pm.left_model),
                asy.factor_correction_exponent(pm.right_model))
 
@@ -400,6 +402,7 @@ _DECAY_CHECKS = {
 
 def _check_decay(name: str, ctx: Context, rng: SplitMix64,
                  tol_scale: float) -> CheckResult:
+    from . import asymptotics as asy
     spec = _DECAY_CHECKS[name]
     pm = ctx.model
     chart = asy.to_chart(pm, ctx.eps, ctx.vf)
@@ -438,6 +441,7 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64,
 
 
 def _check_volume_growth(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
+    from . import asymptotics as asy
     pm = ctx.model
     cls = classify_asymptotics(pm)
     profile = asy.base_profile(pm, ctx.eps, ctx.vf)
@@ -455,6 +459,7 @@ def _check_volume_growth(ctx: Context, rng: SplitMix64, tol_scale: float) -> Che
 
 
 def _check_sob(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
+    from . import asymptotics as asy
     pm = ctx.model
     cls = classify_asymptotics(pm)
     profile = asy.base_profile(pm, ctx.eps, ctx.vf)
@@ -472,6 +477,7 @@ def _check_sob(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
 
 
 def _check_tangent_cone(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
+    from . import asymptotics as asy
     pm = ctx.model
     cls = classify_asymptotics(pm)
     cone = asy.tangent_cone(pm, ctx.eps, ctx.vf)
@@ -600,6 +606,7 @@ def _check_christoffel(ctx: Context, rng: SplitMix64, tol_scale: float) -> Check
 
 
 def _check_eh(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
+    from . import eguchi_hanson as eh
     a = float(ctx.cfg.get("eh_a", 0.05))
     delta = float(ctx.cfg.get("eh_delta", 1.0))
     rep = eh.gluing_report(eh.EHConfig(a=a, delta=delta),
@@ -631,6 +638,7 @@ def _check_eh(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
 
 
 def _check_weierstrass(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
+    from . import weierstrass as wst
     nz = int(ctx.cfg.get("grid_z", 5))
     nv = int(ctx.cfg.get("grid_v", 5))
     b = int(ctx.cfg.get("b", 1))

@@ -16,15 +16,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import semiflat as sf
-from semiflat.diffgeo import FDScheme
-from semiflat.kodaira import PuncturedPoint, finite_kinds
-from semiflat.metric import periods_at
+from semiflat.asymptotics import (base_profile, cone_limit_coefficient,
+                                  curvature_decay_fit, error_decay_fit,
+                                  ray_limit_coefficient, tangent_cone, to_chart,
+                                  volume_growth_fit)
+from semiflat.diffgeo import FDScheme, chern_curvature_norm, closedness_residual
+from semiflat.eguchi_hanson import EHConfig, a_max, eh_metric
+from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, canonical_coefficient,
+                              classify_asymptotics, fiber_product, finite_kinds,
+                              isotrivial_case13, isotrivial_coefficient, local_model)
+from semiflat.lattice import (PolarizedFamily, hermitian_h, product_family,
+                              siegel_normalize)
+from semiflat.metric import (VolumeFormSpec, christoffel_closed, christoffel_general,
+                             elliptic_metric_at, ma_residual, metric_at, periods_at)
 from semiflat.rng import SplitMix64
 from semiflat.scenario import sample_point
-from semiflat.weierstrass import eisenstein_g4_g6, wp_lattice
+from semiflat.weierstrass import (EllipticData, cubic_residual, eisenstein_g4_g6,
+                                  volume_pullback_ratio, wp, wp_lattice)
 
-FK = sf.FiberKind
+FK = FiberKind
 
 
 def _line(num: int, name: str, ok: bool, detail: str) -> None:
@@ -36,41 +46,41 @@ def catalogued_products():
     out = []
     for i, a in enumerate(kinds):
         for b in kinds[i:]:
-            out.append(sf.fiber_product(sf.FiberType(a), sf.FiberType(b)))
-    out.append(sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                                sf.FiberType(FK.Istar, b=2)))
+            out.append(fiber_product(FiberType(a), FiberType(b)))
+    out.append(fiber_product(FiberType(FK.Istar, b=1),
+                             FiberType(FK.Istar, b=2)))
     for kind in (FK.IIstar, FK.IIIstar, FK.IVstar):
-        out.append(sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                                    sf.FiberType(kind)))
+        out.append(fiber_product(FiberType(FK.Istar, b=1),
+                                 FiberType(kind)))
     return out
 
 
 def test_criterion_1_monge_ampere():
     t0 = time.perf_counter()
     rng = SplitMix64(2026)
-    vf = sf.VolumeFormSpec(k0=0.9 + 0.2j)
+    vf = VolumeFormSpec(k0=0.9 + 0.2j)
     worst = 0.0
     n_models = 0
     for pm in catalogued_products():
         n_models += 1
         for _ in range(100):
             pt, v = sample_point(pm, rng)
-            worst = max(worst, sf.ma_residual(sf.metric_at(pm, 1.2, vf, pt, v)))
-    elliptic = [sf.FiberType(k) for k in finite_kinds()]
-    elliptic += [sf.FiberType(FK.I, b=1), sf.FiberType(FK.I, b=2),
-                 sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.Istar, b=2)]
+            worst = max(worst, ma_residual(metric_at(pm, 1.2, vf, pt, v)))
+    elliptic = [FiberType(k) for k in finite_kinds()]
+    elliptic += [FiberType(FK.I, b=1), FiberType(FK.I, b=2),
+                 FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2)]
     for ft in elliptic:
         n_models += 1
-        lm = sf.local_model(ft)
+        lm = local_model(ft)
         for _ in range(100):
             pt, v = sample_point(lm, rng)
-            worst = max(worst, sf.ma_residual(
-                sf.elliptic_metric_at(lm, 0.8, vf, pt, v[0])))
-    c13 = sf.isotrivial_case13()
+            worst = max(worst, ma_residual(
+                elliptic_metric_at(lm, 0.8, vf, pt, v[0])))
+    c13 = isotrivial_case13()
     for _ in range(100):
         pt, v = sample_point(c13, rng)
-        worst = max(worst, sf.ma_residual(
-            sf.metric_at(c13, 0.7, sf.VolumeFormSpec(k0=c13.default_k0), pt, v)))
+        worst = max(worst, ma_residual(
+            metric_at(c13, 0.7, VolumeFormSpec(k0=c13.default_k0), pt, v)))
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and dt < 10.0
     _line(1, "Monge-Ampere identity", ok,
@@ -83,13 +93,13 @@ def test_criterion_1_monge_ampere():
 def test_criterion_2_closedness():
     t0 = time.perf_counter()
     rng = SplitMix64(7)
-    vf = sf.VolumeFormSpec(k0=1.0)
+    vf = VolumeFormSpec(k0=1.0)
     results = []
 
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar))
-    c13 = sf.isotrivial_case13()
-    vf13 = sf.VolumeFormSpec(k0=c13.default_k0)
-    lm = sf.local_model(sf.FiberType(FK.IV))
+    pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
+    c13 = isotrivial_case13()
+    vf13 = VolumeFormSpec(k0=c13.default_k0)
+    lm = local_model(FiberType(FK.IV))
 
     for model, mvf, eps in ((pm, vf, 1.3), (c13, vf13, 0.7), (lm, vf, 1.0)):
         pt, v = sample_point(model, rng)
@@ -101,12 +111,12 @@ def test_criterion_2_closedness():
             vs = tuple(complex(x[2 + 2 * j], x[3 + 2 * j])
                        for j in range(model.m))
             if model.m == 1:
-                return sf.elliptic_metric_at(model, eps, mvf, p, vs[0]).h
-            return sf.metric_at(model, eps, mvf, p, vs).h
+                return elliptic_metric_at(model, eps, mvf, p, vs[0]).h
+            return metric_at(model, eps, mvf, p, vs).h
 
         x = np.array([z0.real, z0.imag]
                      + [w for vj in v for w in (vj.real, vj.imag)])
-        res, order = sf.closedness_residual(
+        res, order = closedness_residual(
             field, x, FDScheme(step=1e-4, order=2, richardson=False),
             (abs(z0),) + (1.0,) * model.m)
         results.append((model.label(), res, order))
@@ -122,10 +132,10 @@ def test_criterion_2_closedness():
 
 def test_criterion_3_case13_flatness():
     t0 = time.perf_counter()
-    c13 = sf.isotrivial_case13()
+    c13 = isotrivial_case13()
     eps = 0.7
-    vf = sf.VolumeFormSpec(k0=c13.default_k0)
-    chart = sf.to_chart(c13, eps, vf)
+    vf = VolumeFormSpec(k0=c13.default_k0)
+    chart = to_chart(c13, eps, vf)
     rng = SplitMix64(13)
     dev = 0.0
     for i in range(8):
@@ -142,8 +152,8 @@ def test_criterion_3_case13_flatness():
                               (complex(x[2], x[3]), complex(x[4], x[5])))
 
     x = np.array([alpha.real, alpha.imag, 0.31, 0.12, 0.22, 0.41])
-    curv = sf.chern_curvature_norm(field, x, FDScheme(step=2e-3),
-                                   (abs(alpha), 1.0, 1.0))
+    curv = chern_curvature_norm(field, x, FDScheme(step=2e-3),
+                                (abs(alpha), 1.0, 1.0))
     dt = time.perf_counter() - t0
     ok = dev < 1e-12 and curv < 1e-6 and dt < 10.0
     _line(3, "isotrivial case-13 flatness", ok,
@@ -156,15 +166,15 @@ def test_criterion_3_case13_flatness():
 
 def test_criterion_4_decay_exponents():
     t0 = time.perf_counter()
-    vf = sf.VolumeFormSpec(k0=1.0)
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar, m_mult=2),
-                          sf.FiberType(FK.IIIstar, m_mult=1))
-    fit, _ = sf.error_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13))
+    vf = VolumeFormSpec(k0=1.0)
+    pm = fiber_product(FiberType(FK.IIstar, m_mult=2),
+                       FiberType(FK.IIIstar, m_mult=1))
+    fit, _ = error_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13))
     err_ok = abs(fit.exponent_or_rate + 12 / 7) < 0.05
 
     eps, k0 = 1.0, 1.0
-    alh = sf.fiber_product(sf.FiberType(FK.III), sf.FiberType(FK.IIIstar))
-    rfit, _ = sf.error_decay_fit(alh, eps, vf, np.linspace(5, 25, 11))
+    alh = fiber_product(FiberType(FK.III), FiberType(FK.IIIstar))
+    rfit, _ = error_decay_fit(alh, eps, vf, np.linspace(5, 25, 11))
     rate = eps / (2 * math.sqrt(2) * k0)
     rate_ok = abs(rfit.exponent_or_rate - rate) < 0.05 * rate
     dt = time.perf_counter() - t0
@@ -184,10 +194,10 @@ def test_criterion_4_decay_exponents():
                           "exponent is -(12/7 * 1/2 + 2) = -20/7; see "
                           "docs/decisions.md")
 def test_criterion_4_curvature_exponent():
-    vf = sf.VolumeFormSpec(k0=1.0)
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar, m_mult=2),
-                          sf.FiberType(FK.IIIstar, m_mult=1))
-    fit, _ = sf.curvature_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13))
+    vf = VolumeFormSpec(k0=1.0)
+    pm = fiber_product(FiberType(FK.IIstar, m_mult=2),
+                       FiberType(FK.IIIstar, m_mult=1))
+    fit, _ = curvature_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13))
     ok = abs(fit.exponent_or_rate + 31 / 12) < 0.1
     _line(4, "curvature exponent (published value)", ok,
           f"measured {fit.exponent_or_rate:.4f}, published -31/12 = "
@@ -198,12 +208,12 @@ def test_criterion_4_curvature_exponent():
 def test_criterion_5_volume_growth():
     t0 = time.perf_counter()
     radii = np.geomspace(1e2, 1e6, 13)
-    ss = sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.Istar, b=2))
-    prof = sf.base_profile(ss, 1.0, sf.VolumeFormSpec(k0=1.0))
-    f1, _ = sf.volume_growth_fit(prof, radii)
-    s4 = sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.IVstar))
-    prof4 = sf.base_profile(s4, 1.0, sf.VolumeFormSpec(k0=1.0))
-    f2, _ = sf.volume_growth_fit(prof4, radii)
+    ss = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2))
+    prof = base_profile(ss, 1.0, VolumeFormSpec(k0=1.0))
+    f1, _ = volume_growth_fit(prof, radii)
+    s4 = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.IVstar))
+    prof4 = base_profile(s4, 1.0, VolumeFormSpec(k0=1.0))
+    f2, _ = volume_growth_fit(prof4, radii)
     dt = time.perf_counter() - t0
     ok = abs(f1.exponent_or_rate - 1.5) < 0.05 and abs(f2.exponent_or_rate - 2.0) < 0.05
     _line(5, "volume growth", ok and dt < 60,
@@ -220,13 +230,13 @@ def test_criterion_6_alg_angles():
     checked = 0
     for i, a in enumerate(kinds):
         for b in kinds[i:]:
-            pm = sf.fiber_product(sf.FiberType(a), sf.FiberType(b))
+            pm = fiber_product(FiberType(a), FiberType(b))
             if pm.alpha + pm.beta <= pm.k:
                 continue
-            cls = sf.classify_asymptotics(pm)
+            cls = classify_asymptotics(pm)
             expect = Fraction(2 * (pm.alpha + pm.beta - pm.k), pm.k)
             assert cls.angle_over_pi == expect
-            chart = sf.to_chart(pm, 1.0, sf.VolumeFormSpec())
+            chart = to_chart(pm, 1.0, VolumeFormSpec())
             assert abs(chart.sector[1] - float(expect) * math.pi) < 1e-12
             checked += 1
     dt = time.perf_counter() - t0
@@ -243,14 +253,14 @@ def test_criterion_6_alg_angles():
                           "docs/decisions.md")
 def test_criterion_6_cone_limit_published_constants():
     eps, k0, b = 1.0, 1.0, 1
-    vf = sf.VolumeFormSpec(k0=k0)
-    ss = sf.fiber_product(sf.FiberType(FK.Istar, b=b), sf.FiberType(FK.Istar, b=b))
-    ray = sf.tangent_cone(ss, eps, vf)
+    vf = VolumeFormSpec(k0=k0)
+    ss = fiber_product(FiberType(FK.Istar, b=b), FiberType(FK.Istar, b=b))
+    ray = tangent_cone(ss, eps, vf)
     ray_published = b * abs(vf.k(0.5)) ** 2 / (2 * math.pi * eps)
     ray_ok = abs(ray.limit_coefficient / ray_published - 1.0) < 0.01
 
-    s4 = sf.fiber_product(sf.FiberType(FK.Istar, b=b), sf.FiberType(FK.IVstar))
-    cone = sf.tangent_cone(s4, eps, vf)
+    s4 = fiber_product(FiberType(FK.Istar, b=b), FiberType(FK.IVstar))
+    cone = tangent_cone(s4, eps, vf)
     cone_published = 216 * math.sqrt(3) * b * k0 ** 2 / eps ** 2
     cone_ok = abs(cone.limit_coefficient / cone_published - 1.0) < 0.01
     _line(6, "tangent-cone limits (published constants)", ray_ok and cone_ok,
@@ -267,13 +277,13 @@ def test_criterion_6_cone_limits_derived_constants():
     # rescaling maps into the displayed base metrics
     t0 = time.perf_counter()
     eps, k0, b = 1.0, 1.0, 1
-    vf = sf.VolumeFormSpec(k0=k0)
-    ss = sf.fiber_product(sf.FiberType(FK.Istar, b=b), sf.FiberType(FK.Istar, b=b))
-    ray = sf.tangent_cone(ss, eps, vf)
-    ray_honest = sf.ray_limit_coefficient(ss, eps, vf)
-    s4 = sf.fiber_product(sf.FiberType(FK.Istar, b=b), sf.FiberType(FK.IVstar))
-    cone = sf.tangent_cone(s4, eps, vf)
-    cone_honest = sf.cone_limit_coefficient(s4, eps, vf)
+    vf = VolumeFormSpec(k0=k0)
+    ss = fiber_product(FiberType(FK.Istar, b=b), FiberType(FK.Istar, b=b))
+    ray = tangent_cone(ss, eps, vf)
+    ray_honest = ray_limit_coefficient(ss, eps, vf)
+    s4 = fiber_product(FiberType(FK.Istar, b=b), FiberType(FK.IVstar))
+    cone = tangent_cone(s4, eps, vf)
+    cone_honest = cone_limit_coefficient(s4, eps, vf)
     dt = time.perf_counter() - t0
     ray_ok = abs(ray.limit_coefficient / ray_honest - 1.0) < 0.01
     cone_ok = abs(cone.limit_coefficient / cone_honest - 1.0) < 0.01
@@ -288,29 +298,29 @@ def test_criterion_6_cone_limits_derived_constants():
 
 def test_criterion_7_canonical_coefficients():
     t0 = time.perf_counter()
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar))
+    pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     vals = {
-        "IIstar x IIIstar": (sf.canonical_coefficient(pm), Fraction(-8, 12)),
-        "Istar x Istar": (sf.canonical_coefficient(
-            sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                             sf.FiberType(FK.Istar, b=2))), Fraction(-1, 2)),
-        "Istar x IIstar": (sf.canonical_coefficient(
-            sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                             sf.FiberType(FK.IIstar))), Fraction(-1, 2)),
-        "Istar x IIIstar": (sf.canonical_coefficient(
-            sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                             sf.FiberType(FK.IIIstar))), Fraction(-1, 2)),
-        "Istar x IVstar": (sf.canonical_coefficient(
-            sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                             sf.FiberType(FK.IVstar))), Fraction(-1, 3)),
+        "IIstar x IIIstar": (canonical_coefficient(pm), Fraction(-8, 12)),
+        "Istar x Istar": (canonical_coefficient(
+            fiber_product(FiberType(FK.Istar, b=1),
+                          FiberType(FK.Istar, b=2))), Fraction(-1, 2)),
+        "Istar x IIstar": (canonical_coefficient(
+            fiber_product(FiberType(FK.Istar, b=1),
+                          FiberType(FK.IIstar))), Fraction(-1, 2)),
+        "Istar x IIIstar": (canonical_coefficient(
+            fiber_product(FiberType(FK.Istar, b=1),
+                          FiberType(FK.IIIstar))), Fraction(-1, 2)),
+        "Istar x IVstar": (canonical_coefficient(
+            fiber_product(FiberType(FK.Istar, b=1),
+                          FiberType(FK.IVstar))), Fraction(-1, 3)),
     }
     for k in (2, 3, 4, 5, 6, 12):
-        vals[f"isotrivial k={k}"] = (sf.isotrivial_coefficient(k), Fraction(-2, k))
+        vals[f"isotrivial k={k}"] = (isotrivial_coefficient(k), Fraction(-2, k))
     # cross-check against (k - alpha - beta - 1)/k where applicable
     for i, a in enumerate(finite_kinds()):
         for b in finite_kinds()[i:]:
-            q = sf.fiber_product(sf.FiberType(a), sf.FiberType(b))
-            assert sf.canonical_coefficient(q) == Fraction(
+            q = fiber_product(FiberType(a), FiberType(b))
+            assert canonical_coefficient(q) == Fraction(
                 q.k - q.alpha - q.beta - 1, q.k)
     dt = time.perf_counter() - t0
     ok = all(got == expect for got, expect in vals.values())
@@ -327,12 +337,12 @@ def test_criterion_8_weierstrass_grid():
     worst_ratio = 0.0
     for i in range(5):
         z = (0.08 + 0.42 * i / 4) * cmath.exp(1j * (0.3 + 0.8 * i))
-        ed = sf.EllipticData(z=z, b=1)
+        ed = EllipticData(z=z, b=1)
         for j in range(5):
             v = (0.18 + 0.5 * j / 4) + 0.13j * (j + 1)
-            worst_cubic = max(worst_cubic, sf.cubic_residual(ed, v))
+            worst_cubic = max(worst_cubic, cubic_residual(ed, v))
             worst_ratio = max(worst_ratio,
-                              abs(sf.volume_pullback_ratio(ed, v) - 1.0))
+                              abs(volume_pullback_ratio(ed, v) - 1.0))
     dt = time.perf_counter() - t0
     ok = worst_cubic < 1e-8 and worst_ratio < 1e-8 and dt < 30.0
     _line(8, "Weierstrass cubic + volume pullback", ok,
@@ -351,14 +361,14 @@ def test_criterion_9_eh_gluing():
         z = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3))
         if sum(abs(c) ** 2 for c in z) < 1e-3:
             continue
-        g = sf.eh_metric(sf.EHConfig(a=rng.uniform(0.02, 0.4)), z)
+        g = eh_metric(EHConfig(a=rng.uniform(0.02, 0.4)), z)
         worst_det = max(worst_det, abs(np.linalg.det(g).real - 1.0))
-    am = sf.a_max(1.0)
+    am = a_max(1.0)
     from semiflat.eguchi_hanson import glued_metric_eigenvalues
     pos_ok = True
     for a in (0.25 * am, 0.5 * am, 0.9 * am):
         for u in np.linspace(0.6, 2.4, 40):
-            pos_ok &= min(glued_metric_eigenvalues(sf.EHConfig(a=a, delta=1.0),
+            pos_ok &= min(glued_metric_eigenvalues(EHConfig(a=a, delta=1.0),
                                                    float(u))) > 0
     dt = time.perf_counter() - t0
     ok = worst_det < 1e-10 and am > 0 and pos_ok and dt < 30.0
@@ -378,12 +388,12 @@ def test_criterion_9_eh_gluing():
 def test_criterion_9_closeness_ratio_a2():
     ratios = []
     for a in (0.02, 0.04, 0.08):
-        cfg = sf.EHConfig(a=a, delta=1.0)
+        cfg = EHConfig(a=a, delta=1.0)
         dev = 0.0
         for i in range(24):
             u = 1.0 + (i + 0.5) / 24
             zpt = (math.sqrt(u / 3) + 0j,) * 3
-            dev = max(dev, float(np.max(np.abs(sf.eh_metric(cfg, zpt) - np.eye(3)))))
+            dev = max(dev, float(np.max(np.abs(eh_metric(cfg, zpt) - np.eye(3)))))
         ratios.append(dev / a ** 2)
     spread = max(ratios) / min(ratios) - 1.0
     ok = spread < 0.2
@@ -400,8 +410,8 @@ def test_criterion_10_property_suites(seed):
 
     # H invariance under integer symplectic basis change
     taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-    fam = sf.product_family(taus)
-    S = sf.siegel_normalize(fam).S
+    fam = product_family(taus)
+    S = siegel_normalize(fam).S
     B = np.zeros((2, 2), dtype=int)
     B[0, 0] = rng.next_u64() % 3 - 1
     B[1, 1] = rng.next_u64() % 3 - 1
@@ -409,22 +419,22 @@ def test_criterion_10_property_suites(seed):
     AJ = np.block([[np.eye(2, dtype=int), B],
                    [np.zeros((2, 2), dtype=int), np.eye(2, dtype=int)]])
     A = S @ AJ @ np.linalg.inv(S)
-    fam2 = sf.PolarizedFamily(T=fam.T @ A, Q=fam.Q, m=2)
-    assert np.max(np.abs(sf.hermitian_h(fam).H - sf.hermitian_h(fam2).H)) < 1e-10
+    fam2 = PolarizedFamily(T=fam.T @ A, Q=fam.Q, m=2)
+    assert np.max(np.abs(hermitian_h(fam).H - hermitian_h(fam2).H)) < 1e-10
 
     # christoffel closed vs general
-    pm = sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.IVstar))
+    pm = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.IVstar))
     for _ in range(6):
         pt, v = sample_point(pm, rng)
         tau, dtz = periods_at(pm, pt)
-        g1 = sf.christoffel_closed(pm, pt, v)
-        g2 = sf.christoffel_general(tau, dtz, v)
+        g1 = christoffel_closed(pm, pt, v)
+        g2 = christoffel_general(tau, dtz, v)
         scale = max(1.0, max(abs(g) for g in g1))
         assert max(abs(a - b) for a, b in zip(g1, g2)) < 1e-12 * scale
 
     # deck-period compatibility and deck action closing after k steps
     for kind in (FK.II, FK.IIIstar, FK.IV):
-        lm = sf.local_model(sf.FiberType(kind))
+        lm = local_model(FiberType(kind))
         Amat = lm.A
         s = rng.complex_annulus(0.1, 0.6, 0.05, 2 * math.pi / lm.d - 0.05)
         t1, t2 = lm.tau(s)
@@ -432,7 +442,7 @@ def test_criterion_10_property_suites(seed):
         scale = max(abs(t1), abs(t2), 1.0)
         assert abs(n1 - (t1 * Amat[0][0] + t2 * Amat[1][0])) < 1e-12 * scale
         assert abs(n2 - (t1 * Amat[0][1] + t2 * Amat[1][1])) < 1e-12 * scale
-    pm2 = sf.fiber_product(sf.FiberType(FK.II), sf.FiberType(FK.IIstar))
+    pm2 = fiber_product(FiberType(FK.II), FiberType(FK.IIstar))
     zk = cmath.exp(2j * cmath.pi / pm2.k)
     s = rng.complex_annulus(0.4, 0.9, 0.03, 2 * math.pi / pm2.k - 0.03)
     p1 = p2 = 1.0 + 0j
@@ -443,11 +453,11 @@ def test_criterion_10_property_suites(seed):
     assert abs(p1 - 1) < 1e-11 and abs(p2 - 1) < 1e-11
 
     # wp evenness / periodicity / homogeneity
-    ed = sf.EllipticData(z=0.22, b=1)
+    ed = EllipticData(z=0.22, b=1)
     v = complex(rng.uniform(0.15, 0.5), rng.uniform(0.02, 0.15))
-    w = sf.wp(ed, v)
-    assert abs(sf.wp(ed, -v) - w) < 1e-12 * max(1, abs(w))
-    assert abs(sf.wp(ed, v + 1) - w) < 1e-11 * max(1, abs(w))
+    w = wp(ed, v)
+    assert abs(wp(ed, -v) - w) < 1e-12 * max(1, abs(w))
+    assert abs(wp(ed, v + 1) - w) < 1e-11 * max(1, abs(w))
     c = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.3, 0.3))
     G4, G6 = eisenstein_g4_g6(ed.q)
     lhs = wp_lattice(c * v, c * 1.0, c * ed.tau, G4 / c ** 4, G6 / c ** 6)

@@ -48,14 +48,47 @@ def test_check_lines_follow_redirected_stderr(tmp_path):
         assert f"[elliptic_iv] {c['name']}: pass" in captured.getvalue()
 
 
-def test_import_footprint():
-    # scipy and numpy.polynomial would add start-up time and memory to every run
-    code = ("import sys, semiflat, semiflat.cli; "
-            "print([m for m in ('scipy', 'numpy.polynomial') if m in sys.modules])")
+def _python(*args, cwd=None):
+    """A fresh interpreter on this checkout's package, as a CLI user starts one."""
     env = dict(os.environ, PYTHONPATH=str(Path(semiflat.__file__).parent.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True)
+
+
+def test_import_footprint():
+    # scipy and numpy.polynomial would add start-up time and memory to every run,
+    # and the fit, gluing, Weierstrass and lattice modules load only where called
+    absent = ("scipy", "numpy.polynomial", "semiflat.asymptotics", "semiflat.lattice",
+              "semiflat.eguchi_hanson", "semiflat.weierstrass")
+    code = ("import sys, semiflat, semiflat.cli; "
+            f"print([m for m in {absent!r} if m in sys.modules])")
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_run_loads_only_the_modules_its_checks_call(tmp_path):
+    code = ("import json, sys, semiflat.cli; "
+            f"rc = semiflat.cli.main(['run', 'elliptic_iv.json', '--out', {str(tmp_path)!r}]); "
+            "loaded = sorted(m for m in sys.modules if m.startswith('semiflat.')); "
+            "print(json.dumps([rc, loaded]))")
+    out = _python("-c", code, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    rc, loaded = json.loads(out.stdout)
+    assert rc == 0
+    assert loaded == [f"semiflat.{m}" for m in ("cli", "diffgeo", "errors", "kodaira",
+                                                 "metric", "rng", "scenario")]
+
+
+def test_module_invocation(tmp_path):
+    # the invocation the README documents, as its own process
+    listed = _python("-m", "semiflat.cli", "--list", cwd=tmp_path)
+    assert listed.returncode == 0, listed.stderr
+    assert "pair_iistar_x_iiistar.json" in listed.stdout.split()
+    run = _python("-m", "semiflat.cli", "run", "elliptic_iv.json", "--out", str(tmp_path),
+                  cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "elliptic_iv_report.json").read_text())["passed"] is True
 
 
 def test_exit_code_two_on_malformed(tmp_path):

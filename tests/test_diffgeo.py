@@ -6,10 +6,16 @@ import math
 import numpy as np
 import pytest
 
-import semiflat as sf
-from semiflat.diffgeo import (FDScheme, first_partial, memoized,
+from semiflat.asymptotics import to_chart
+from semiflat.diffgeo import (FDScheme, chern_curvature_norm, closedness_residual,
+                              first_partial, memoized, positivity, ricci_form_base,
                               ricci_scalar_residual, wirtinger_second)
-from semiflat.kodaira import PuncturedPoint
+from semiflat.eguchi_hanson import EHConfig, eh_metric
+from semiflat.errors import StepTooSmall
+from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
+                              isotrivial_case13)
+from semiflat.lattice import product_family, siegel_normalize
+from semiflat.metric import VolumeFormSpec, metric_at
 
 
 def test_fd_battery_polynomial_exponential():
@@ -42,74 +48,74 @@ def test_fd_battery_polynomial_exponential():
 
 def test_closedness_flat_and_convergence_order():
     flat = lambda x: np.eye(3, dtype=complex)
-    res, order = sf.closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
+    res, order = closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
     assert res < 1e-13 and order == math.inf
 
-    vf = sf.VolumeFormSpec(k0=0.8 + 0.1j)
-    pm = sf.fiber_product(sf.FiberType(sf.FiberKind.IIstar),
-                          sf.FiberType(sf.FiberKind.IIIstar))
+    vf = VolumeFormSpec(k0=0.8 + 0.1j)
+    pm = fiber_product(FiberType(FiberKind.IIstar),
+                       FiberType(FiberKind.IIIstar))
 
     def field(x):
         z = complex(x[0], x[1])
         pt = PuncturedPoint(s=z ** (1.0 / pm.k), d=pm.k)
-        return sf.metric_at(pm, 1.3, vf, pt,
-                            (complex(x[2], x[3]), complex(x[4], x[5]))).h
+        return metric_at(pm, 1.3, vf, pt,
+                         (complex(x[2], x[3]), complex(x[4], x[5]))).h
 
     z0 = (0.9 * cmath.exp(0.43j)) ** 12
     x0 = np.array([z0.real, z0.imag, 0.3, 0.2, -0.1, 0.4])
-    res, order = sf.closedness_residual(field, x0,
-                                        FDScheme(step=1e-4, order=2,
-                                                 richardson=False),
-                                        (abs(z0), 1.0, 1.0))
+    res, order = closedness_residual(field, x0,
+                                     FDScheme(step=1e-4, order=2,
+                                              richardson=False),
+                                     (abs(z0), 1.0, 1.0))
     assert res < 1e-6
     assert order >= 1.9
 
 
 def test_closedness_case13():
-    c13 = sf.isotrivial_case13()
-    vf = sf.VolumeFormSpec(k0=c13.default_k0)
+    c13 = isotrivial_case13()
+    vf = VolumeFormSpec(k0=c13.default_k0)
 
     def field(x):
         z = complex(x[0], x[1])
         pt = PuncturedPoint(s=z ** (1.0 / 6.0), d=6)
-        return sf.metric_at(c13, 0.7, vf, pt,
-                            (complex(x[2], x[3]), complex(x[4], x[5]))).h
+        return metric_at(c13, 0.7, vf, pt,
+                         (complex(x[2], x[3]), complex(x[4], x[5]))).h
 
     z0 = (0.6 * cmath.exp(0.9j)) ** 6
     x0 = np.array([z0.real, z0.imag, 0.05, 0.02, 0.03, -0.04])
-    res, order = sf.closedness_residual(field, x0,
-                                        FDScheme(step=1e-4, order=2,
-                                                 richardson=False),
-                                        (abs(z0), 1.0, 1.0))
+    res, order = closedness_residual(field, x0,
+                                     FDScheme(step=1e-4, order=2,
+                                              richardson=False),
+                                     (abs(z0), 1.0, 1.0))
     assert res < 1e-6 and order >= 1.9
 
 
 def test_curvature_flat_zero():
     flat = lambda x: np.diag([2.0, 1.0, 0.5]).astype(complex)
-    assert sf.chern_curvature_norm(flat, np.zeros(6), FDScheme()) < 1e-10
+    assert chern_curvature_norm(flat, np.zeros(6), FDScheme()) < 1e-10
 
 
 def test_curvature_eh_nonzero_ricci_flat():
-    cfg = sf.EHConfig(a=0.3)
+    cfg = EHConfig(a=0.3)
 
     def ehf(x):
-        return sf.eh_metric(cfg, (complex(x[0], x[1]), complex(x[2], x[3]),
-                                  complex(x[4], x[5])))
+        return eh_metric(cfg, (complex(x[0], x[1]), complex(x[2], x[3]),
+                               complex(x[4], x[5])))
 
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
-    norm_in = sf.chern_curvature_norm(ehf, x0, FDScheme(step=1e-3))
+    norm_in = chern_curvature_norm(ehf, x0, FDScheme(step=1e-3))
     assert norm_in > 1e-3
     # |Rm| decays in u: the same shell direction further out is flatter
     x1 = 2.5 * x0
-    assert sf.chern_curvature_norm(ehf, x1, FDScheme(step=1e-3)) < norm_in
+    assert chern_curvature_norm(ehf, x1, FDScheme(step=1e-3)) < norm_in
     # det g = 1 means Ricci vanishes identically
     assert ricci_scalar_residual(ehf, x0, FDScheme(step=1e-3)) < 1e-6
 
 
 def test_case13_chart_curvature_zero():
-    c13 = sf.isotrivial_case13()
-    vf = sf.VolumeFormSpec(k0=c13.default_k0)
-    chart = sf.to_chart(c13, 0.7, vf)
+    c13 = isotrivial_case13()
+    vf = VolumeFormSpec(k0=c13.default_k0)
+    chart = to_chart(c13, 0.7, vf)
     mid = 0.5 * sum(chart.sector)
     alpha = 9.0 * cmath.exp(1j * mid)
 
@@ -118,22 +124,22 @@ def test_case13_chart_curvature_zero():
                               (complex(x[2], x[3]), complex(x[4], x[5])))
 
     x0 = np.array([alpha.real, alpha.imag, 0.31, 0.12, 0.2, 0.4])
-    norm = sf.chern_curvature_norm(field, x0, FDScheme(step=2e-3),
-                                   (abs(alpha), 1.0, 1.0))
+    norm = chern_curvature_norm(field, x0, FDScheme(step=2e-3),
+                                (abs(alpha), 1.0, 1.0))
     assert norm < 1e-6
 
 
 def test_semiflat_ricci_vanishes():
     # det h is |g|^2-proportional, so -i d dbar log det h = 0
-    vf = sf.VolumeFormSpec(k0=1.0)
-    pm = sf.fiber_product(sf.FiberType(sf.FiberKind.Istar, b=1),
-                          sf.FiberType(sf.FiberKind.IVstar))
+    vf = VolumeFormSpec(k0=1.0)
+    pm = fiber_product(FiberType(FiberKind.Istar, b=1),
+                       FiberType(FiberKind.IVstar))
 
     def field(x):
         z = complex(x[0], x[1])
         pt = PuncturedPoint(s=z ** (1.0 / pm.k), d=pm.k)
-        return sf.metric_at(pm, 1.0, vf, pt,
-                            (complex(x[2], x[3]), complex(x[4], x[5]))).h
+        return metric_at(pm, 1.0, vf, pt,
+                         (complex(x[2], x[3]), complex(x[4], x[5]))).h
 
     z0 = 0.2 * cmath.exp(1.2j)
     x0 = np.array([z0.real, z0.imag, 0.1, 0.02, 0.05, -0.03])
@@ -143,11 +149,11 @@ def test_semiflat_ricci_vanishes():
 
 def test_ricci_form_base_constant_and_linear():
     const = lambda z: np.array([[2j, 0], [0, 1j + 0.3]])
-    lhs, rhs, resid = sf.ricci_form_base(const, 0.1 + 0.05j, FDScheme(step=1e-4))
+    lhs, rhs, resid = ricci_form_base(const, 0.1 + 0.05j, FDScheme(step=1e-4))
     assert abs(lhs) < 1e-9 and abs(rhs) < 1e-9 and resid < 1e-9
 
     zf = lambda z: np.array([[1j + z, 0], [0, 1j - z]])
-    lhs, rhs, resid = sf.ricci_form_base(zf, 0.05 + 0.02j, FDScheme(step=1e-4))
+    lhs, rhs, resid = ricci_form_base(zf, 0.05 + 0.02j, FDScheme(step=1e-4))
     assert resid < 1e-6
     assert abs(lhs - 0.5) < 0.01       # hand value at z = 0 is exactly 1/2
 
@@ -158,17 +164,17 @@ def test_ricci_form_base_product_model_siegel():
 
     def zfield(z: complex) -> np.ndarray:
         taus = (taus0[0], taus0[1] + 0.3 * z, taus0[2], taus0[3] + 0.2 * z * z)
-        return sf.siegel_normalize(sf.product_family(taus)).Z
+        return siegel_normalize(product_family(taus)).Z
 
-    _, _, resid = sf.ricci_form_base(zfield, 0.05 + 0.1j, FDScheme(step=1e-4))
+    _, _, resid = ricci_form_base(zfield, 0.05 + 0.1j, FDScheme(step=1e-4))
     assert resid < 1e-6
 
 
 def test_positivity_examples():
-    assert abs(sf.positivity(np.eye(3)) - 1.0) < 1e-14
-    assert abs(sf.positivity(np.diag([2.0, 1.0, 1e-7])) - 1e-7) < 1e-16
+    assert abs(positivity(np.eye(3)) - 1.0) < 1e-14
+    assert abs(positivity(np.diag([2.0, 1.0, 1e-7])) - 1e-7) < 1e-16
     h = np.array([[2.0, 1j], [-1j, 2.0]])
-    assert abs(sf.positivity(h) - 1.0) < 1e-12
+    assert abs(positivity(h) - 1.0) < 1e-12
 
 
 def test_step_too_small_detection():
@@ -184,9 +190,9 @@ def test_step_too_small_detection():
                          [xi0 * np.conj(xi1), 1.0 + abs(xi0) ** 2 + ripple]],
                         dtype=complex)
 
-    with pytest.raises(sf.StepTooSmall):
-        sf.closedness_residual(fld, np.array([0.3, 0.1, 0.2, 0.4]),
-                               FDScheme(step=1e-3, order=2, richardson=False))
+    with pytest.raises(StepTooSmall):
+        closedness_residual(fld, np.array([0.3, 0.1, 0.2, 0.4]),
+                            FDScheme(step=1e-3, order=2, richardson=False))
 
 
 def test_fd_scheme_validation():
@@ -212,11 +218,11 @@ def test_chern_norm_evaluates_each_point_once():
     # d and dbar take the same first partials and the mixed partial (i, j)
     # repeats (j, i): the 326 stencil evaluations of a 3-coordinate field
     # fall on 145 distinct points
-    cfg = sf.EHConfig(a=0.3)
-    ehf, calls = counted(lambda x: sf.eh_metric(
+    cfg = EHConfig(a=0.3)
+    ehf, calls = counted(lambda x: eh_metric(
         cfg, (complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5]))))
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
-    sf.chern_curvature_norm(ehf, x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0))
+    chern_curvature_norm(ehf, x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0))
     assert calls[0] <= 145
 
 
@@ -224,7 +230,7 @@ def test_closedness_evaluates_each_point_once():
     # d and dbar share their first partials: 3 steps x 3 coordinates x
     # 2 real directions x 2 points, where the stencils make 72 calls
     flat, calls = counted(lambda x: np.eye(3, dtype=complex))
-    sf.closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
+    closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
     assert calls[0] == 36
 
 

@@ -6,16 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-import semiflat as sf
-from semiflat.kodaira import (case13_deck, case13_embedding, det_a,
-                              finite_kinds)
+from semiflat.errors import Unsupported, UnsupportedPair
+from semiflat.kodaira import (FiberKind, FiberType, canonical_coefficient, case13_deck,
+                              case13_embedding, classify_asymptotics, det_a,
+                              fiber_product, finite_kinds, isotrivial_case13,
+                              isotrivial_coefficient, local_model, monodromy_order)
 from semiflat.rng import SplitMix64
 
-FK = sf.FiberKind
+FK = FiberKind
 
 
 def test_iv_realization():
-    lm = sf.local_model(sf.FiberType(FK.IV))     # default m = 2
+    lm = local_model(FiberType(FK.IV))     # default m = 2
     assert lm.d == 3
     assert lm.A == ((-1, 1), (-1, 0))
     s = 0.4 * cmath.exp(0.6j)
@@ -25,7 +27,7 @@ def test_iv_realization():
 
 
 def test_ibstar_periods_and_monodromy():
-    lm = sf.local_model(sf.FiberType(FK.Istar, b=3))
+    lm = local_model(FiberType(FK.Istar, b=3))
     assert lm.d == 2
     assert lm.A == ((-1, -3), (0, -1))
     s = 0.3 * cmath.exp(1.1j)
@@ -34,12 +36,12 @@ def test_ibstar_periods_and_monodromy():
     z = s * s
     assert abs(t2 - 3 / (2j * math.pi) * cmath.sqrt(z) * cmath.log(z)) < 1e-13 \
         or abs(t2 + 3 / (2j * math.pi) * cmath.sqrt(z) * cmath.log(z)) < 1e-13
-    assert sf.monodromy_order(sf.FiberType(FK.Istar, b=3)) == math.inf
+    assert monodromy_order(FiberType(FK.Istar, b=3)) == math.inf
     assert lm.quasi_order == 2
 
 
 def test_iistar_deck_exponent():
-    lm = sf.local_model(sf.FiberType(FK.IIstar))
+    lm = local_model(FiberType(FK.IIstar))
     assert lm.deck_exponent == 5 and lm.d == 6
 
 
@@ -47,12 +49,12 @@ def test_iistar_deck_exponent():
     (FK.I0star, 2), (FK.II, 6), (FK.IIstar, 6), (FK.III, 4),
     (FK.IIIstar, 4), (FK.IV, 3), (FK.IVstar, 3)])
 def test_monodromy_orders(kind, order):
-    assert sf.monodromy_order(sf.FiberType(kind)) == order
-    assert det_a(sf.local_model(sf.FiberType(kind)).A) == 1
+    assert monodromy_order(FiberType(kind)) == order
+    assert det_a(local_model(FiberType(kind)).A) == 1
 
 
 def test_ib_order_infinite():
-    assert sf.monodromy_order(sf.FiberType(FK.I, b=4)) == math.inf
+    assert monodromy_order(FiberType(FK.I, b=4)) == math.inf
 
 
 @pytest.mark.parametrize("seed", [11, 22, 33])
@@ -60,8 +62,8 @@ def test_ib_order_infinite():
 def test_deck_period_compatibility(kind, seed):
     # tau(zeta_d s) (analytically continued for log models) equals the
     # A-transform of tau(s)
-    ft = sf.FiberType(kind, b=2) if kind is FK.Istar else sf.FiberType(kind)
-    lm = sf.local_model(ft)
+    ft = FiberType(kind, b=2) if kind is FK.Istar else FiberType(kind)
+    lm = local_model(ft)
     rng = SplitMix64(seed)
     A = lm.A
     for _ in range(8):
@@ -74,7 +76,7 @@ def test_deck_period_compatibility(kind, seed):
 
 
 def test_fiber_product_iistar_iiistar():
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar))
+    pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     assert (pm.k, pm.alpha, pm.beta, pm.a1, pm.a2) == (12, 10, 9, 2, 3)
     s = 0.8 * cmath.exp(0.25j)
     t = pm.tau4(s)
@@ -83,13 +85,13 @@ def test_fiber_product_iistar_iiistar():
 
 
 def test_fiber_product_alh_criterion():
-    pm = sf.fiber_product(sf.FiberType(FK.III), sf.FiberType(FK.IIIstar))
+    pm = fiber_product(FiberType(FK.III), FiberType(FK.IIIstar))
     assert pm.k == 4 and pm.alpha + pm.beta == pm.k
-    assert sf.classify_asymptotics(pm).kind == "ALH"
+    assert classify_asymptotics(pm).kind == "ALH"
 
 
 def test_fiber_product_istar_istar_periods():
-    pm = sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.Istar, b=2))
+    pm = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2))
     assert pm.k == 2
     s = 0.4 * cmath.exp(0.8j)
     t = pm.tau4(s)
@@ -110,10 +112,10 @@ CANONICAL_CASES = [
 
 @pytest.mark.parametrize("left,right,expect", CANONICAL_CASES)
 def test_canonical_coefficients(left, right, expect):
-    lt = sf.FiberType(left[0], b=left[1]) if left[1] else sf.FiberType(left[0])
-    rt = sf.FiberType(right[0], b=right[1]) if right[1] else sf.FiberType(right[0])
-    pm = sf.fiber_product(lt, rt)
-    assert sf.canonical_coefficient(pm) == expect
+    lt = FiberType(left[0], b=left[1]) if left[1] else FiberType(left[0])
+    rt = FiberType(right[0], b=right[1]) if right[1] else FiberType(right[0])
+    pm = fiber_product(lt, rt)
+    assert canonical_coefficient(pm) == expect
 
 
 def test_canonical_cross_check_finite():
@@ -121,8 +123,8 @@ def test_canonical_cross_check_finite():
     kinds = finite_kinds()
     for i, a in enumerate(kinds):
         for b in kinds[i:]:
-            pm = sf.fiber_product(sf.FiberType(a), sf.FiberType(b))
-            assert sf.canonical_coefficient(pm) == Fraction(
+            pm = fiber_product(FiberType(a), FiberType(b))
+            assert canonical_coefficient(pm) == Fraction(
                 pm.k - pm.alpha - pm.beta - 1, pm.k)
 
 
@@ -130,41 +132,41 @@ def test_canonical_cross_check_finite():
                                       (4, Fraction(-1, 2)), (5, Fraction(-2, 5)),
                                       (6, Fraction(-1, 3)), (12, Fraction(-1, 6))])
 def test_isotrivial_coefficients(k, expect):
-    assert sf.isotrivial_coefficient(k) == expect
+    assert isotrivial_coefficient(k) == expect
 
 
 def test_classification_angles():
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar))
-    assert sf.classify_asymptotics(pm).angle_over_pi == Fraction(7, 6)
-    ss = sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.Istar, b=1))
-    cls = sf.classify_asymptotics(ss)
+    pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
+    assert classify_asymptotics(pm).angle_over_pi == Fraction(7, 6)
+    ss = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=1))
+    cls = classify_asymptotics(ss)
     assert cls.cone == "ray" and cls.volume_exponent == Fraction(3, 2)
     for kind, angle in [(FK.IIstar, Fraction(2, 3)), (FK.IIIstar, Fraction(1, 2)),
                         (FK.IVstar, Fraction(1, 3))]:
-        pm2 = sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(kind))
-        cls2 = sf.classify_asymptotics(pm2)
+        pm2 = fiber_product(FiberType(FK.Istar, b=1), FiberType(kind))
+        cls2 = classify_asymptotics(pm2)
         assert cls2.angle_over_pi == angle and cls2.volume_exponent == Fraction(2)
 
 
 def test_unsupported_pairs():
-    with pytest.raises(sf.UnsupportedPair):
-        sf.fiber_product(sf.FiberType(FK.I, b=1), sf.FiberType(FK.II))
-    with pytest.raises(sf.UnsupportedPair):
-        sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.IV))
-    with pytest.raises(sf.UnsupportedPair):
-        sf.fiber_product(sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.I0star))
-    pm = sf.fiber_product(sf.FiberType(FK.II), sf.FiberType(FK.III))  # alpha+beta < k
-    with pytest.raises(sf.Unsupported):
-        sf.classify_asymptotics(pm)
+    with pytest.raises(UnsupportedPair):
+        fiber_product(FiberType(FK.I, b=1), FiberType(FK.II))
+    with pytest.raises(UnsupportedPair):
+        fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.IV))
+    with pytest.raises(UnsupportedPair):
+        fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.I0star))
+    pm = fiber_product(FiberType(FK.II), FiberType(FK.III))  # alpha+beta < k
+    with pytest.raises(Unsupported):
+        classify_asymptotics(pm)
 
 
 def test_m_congruence_validation():
     with pytest.raises(ValueError):
-        sf.FiberType(FK.IV, m_mult=1)      # needs m = 2 mod 3
+        FiberType(FK.IV, m_mult=1)      # needs m = 2 mod 3
     with pytest.raises(ValueError):
-        sf.FiberType(FK.III, m_mult=2)     # needs m odd
-    sf.FiberType(FK.IV, m_mult=5)
-    sf.FiberType(FK.III, m_mult=3)
+        FiberType(FK.III, m_mult=2)     # needs m odd
+    FiberType(FK.IV, m_mult=5)
+    FiberType(FK.III, m_mult=3)
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -173,7 +175,7 @@ def test_deck_action_closes_after_k_steps(seed):
     rng = SplitMix64(seed)
     for left, right in [(FK.IIstar, FK.IIIstar), (FK.II, FK.IIstar),
                         (FK.IV, FK.IVstar)]:
-        pm = sf.fiber_product(sf.FiberType(left), sf.FiberType(right))
+        pm = fiber_product(FiberType(left), FiberType(right))
         zk = cmath.exp(2j * cmath.pi / pm.k)
         s = rng.complex_annulus(0.4, 0.9, 0.03, 2 * math.pi / pm.k - 0.03)
         p1 = p2 = 1.0 + 0j
@@ -185,7 +187,7 @@ def test_deck_action_closes_after_k_steps(seed):
 
 
 def test_case13_model_data():
-    c13 = sf.isotrivial_case13()
+    c13 = isotrivial_case13()
     assert (c13.k, c13.alpha, c13.beta, c13.a1, c13.a2) == (6, 5, 2, 1, 4)
     assert c13.nu == (2, 2)
     # the quotient deck action commutes with the embedding and has order 6

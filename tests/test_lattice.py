@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
-import semiflat as sf
+from semiflat.errors import NotPositive, SingularPolarization
+from semiflat.lattice import (HermitianForm, PolarizedFamily, hermitian_h, product_family,
+                              reduce_mod_lattice, scaled_h, siegel_normalize,
+                              siegel_residual, stacked_inverse_block,
+                              type_one_one_residual)
 from semiflat.rng import SplitMix64
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def unit_square():
-    return sf.PolarizedFamily(T=np.array([[1.0, 1j]]), Q=J2, m=1)
+    return PolarizedFamily(T=np.array([[1.0, 1j]]), Q=J2, m=1)
 
 
 def block_q():
@@ -23,7 +27,7 @@ def block_q():
 
 
 def test_siegel_already_normalized():
-    sd = sf.siegel_normalize(unit_square())
+    sd = siegel_normalize(unit_square())
     assert np.allclose(sd.S, np.eye(2))
     assert abs(sd.R[0, 0] - 1) < 1e-15
     assert abs(sd.Z[0, 0] - 1j) < 1e-15
@@ -31,8 +35,8 @@ def test_siegel_already_normalized():
 
 def test_siegel_product_family_permutation():
     taus = (0.9 + 0.1j, 0.3 + 0.8j, 1.1 - 0.05j, 0.2 + 0.95j)
-    fam = sf.product_family(taus)
-    sd = sf.siegel_normalize(fam)
+    fam = product_family(taus)
+    sd = siegel_normalize(fam)
     expect_s = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1.0]])
     assert np.array_equal(sd.S, expect_s)
     assert abs(sd.R[0, 0] - taus[0]) < 1e-14
@@ -50,21 +54,21 @@ def test_siegel_random_reconstruction_residual():
         t2 = rng.complex_annulus(0.5, 1.5)
         if (np.conj(t1) * t2).imag <= 0.05:
             continue
-        fam = sf.PolarizedFamily(T=np.array([[t1, t2]]), Q=J2, m=1)
-        sd = sf.siegel_normalize(fam)
+        fam = PolarizedFamily(T=np.array([[t1, t2]]), Q=J2, m=1)
+        sd = siegel_normalize(fam)
         assert sd.Z[0, 0].imag > 0
-        assert sf.siegel_residual(fam, sd) < 1e-12
+        assert siegel_residual(fam, sd) < 1e-12
 
 
 def test_hermitian_h_unit_square():
-    H = sf.hermitian_h(unit_square()).H
+    H = hermitian_h(unit_square()).H
     assert abs(H[0, 0] - 0.5) < 1e-15
 
 
 def test_hermitian_h_product_diag():
     taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-    fam = sf.product_family(taus)
-    H = sf.hermitian_h(fam).H
+    fam = product_family(taus)
+    H = hermitian_h(fam).H
     i12 = (np.conj(taus[0]) * taus[1]).imag
     i34 = (np.conj(taus[2]) * taus[3]).imag
     assert abs(H[0, 0] - 1.0 / (2 * i12)) < 1e-13
@@ -81,9 +85,9 @@ def test_hermitian_h_case13_true_lattice():
     cols = [np.array([s, s ** 4]), z3 * np.array([s, s ** 4]),
             np.array([s, -s ** 4]), z3 * np.array([s, -s ** 4])]
     T = np.column_stack(cols)
-    fam = sf.PolarizedFamily(T=T, Q=block_q(), m=2)
+    fam = PolarizedFamily(T=T, Q=block_q(), m=2)
     eps = 0.7
-    Heps = sf.scaled_h(sf.hermitian_h(fam), fam.Q, eps, 2).H
+    Heps = scaled_h(hermitian_h(fam), fam.Q, eps, 2).H
     assert abs(Heps[0, 0] - eps / (2 * math.sqrt(3)) * abs(z) ** (-1 / 3)) < 1e-12
     assert abs(Heps[1, 1] - eps / (2 * math.sqrt(3)) * abs(z) ** (-4 / 3)) < 1e-12
 
@@ -91,32 +95,32 @@ def test_hermitian_h_case13_true_lattice():
 def test_scaled_h_scale_one_m1():
     # for m=1 the scale is eps/sqrt(det Q) and equals one at eps = sqrt(det Q)
     Q = 2.0 * J2
-    fam = sf.PolarizedFamily(T=np.array([[1.0, 1j]]), Q=Q, m=1)
-    H = sf.hermitian_h(fam)
-    Hs = sf.scaled_h(H, Q, math.sqrt(np.linalg.det(Q)), 1)
+    fam = PolarizedFamily(T=np.array([[1.0, 1j]]), Q=Q, m=1)
+    H = hermitian_h(fam)
+    Hs = scaled_h(H, Q, math.sqrt(np.linalg.det(Q)), 1)
     assert np.allclose(Hs.H, H.H)
 
 
 def test_scaled_h_direct_arithmetic():
-    H = sf.HermitianForm(H=np.array([[0.5]]))
-    out = sf.scaled_h(H, J2, 2.0, 1)
+    H = HermitianForm(H=np.array([[0.5]]))
+    out = scaled_h(H, J2, 2.0, 1)
     assert abs(out.H[0, 0] - 1.0) < 1e-15
 
 
 def test_reduce_mod_lattice():
     fam = unit_square()
-    assert abs(sf.reduce_mod_lattice(1.0 + 0j, fam)[0]) < 1e-12          # tau1 -> 0
+    assert abs(reduce_mod_lattice(1.0 + 0j, fam)[0]) < 1e-12          # tau1 -> 0
     v = 0.5 + 0.5j
-    assert abs(sf.reduce_mod_lattice(v, fam)[0] - v) < 1e-12             # interior fixed
-    out = sf.reduce_mod_lattice(1.25 - 0.75j, fam)[0]
+    assert abs(reduce_mod_lattice(v, fam)[0] - v) < 1e-12             # interior fixed
+    out = reduce_mod_lattice(1.25 - 0.75j, fam)[0]
     assert abs(out - (0.25 + 0.25j)) < 1e-12
 
 
 def test_reduce_mod_lattice_rank4():
     taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-    fam = sf.product_family(taus)
+    fam = product_family(taus)
     v = np.array([2.25 * taus[0] - 0.5 * taus[1], 1.75 * taus[3]])
-    out = sf.reduce_mod_lattice(v, fam)
+    out = reduce_mod_lattice(v, fam)
     expect = np.array([0.25 * taus[0] + 0.5 * taus[1], 0.75 * taus[3]])
     assert np.max(np.abs(out - expect)) < 1e-12
 
@@ -131,9 +135,9 @@ def test_block_inverse_formula():
         if (np.conj(t1) * t2).imag < 0.1 or (np.conj(t3) * t4).imag < 0.1:
             continue
         taus = (t1, t2, t3, t4)
-        fam = sf.product_family(taus)
+        fam = product_family(taus)
         err = np.max(np.abs(np.linalg.inv(fam.stacked())
-                            - sf.stacked_inverse_block(taus)))
+                            - stacked_inverse_block(taus)))
         assert err < 1e-10
 
 
@@ -151,9 +155,9 @@ def test_h_invariant_under_symplectic_basis_change(seed):
     # well-definedness: T -> T A with A^t Q A = Q leaves H unchanged
     rng = SplitMix64(seed)
     taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-    fam = sf.product_family(taus)
+    fam = product_family(taus)
     # symplectic-for-Q matrices conjugated from Sp(4, Z) for the standard form
-    S = sf.siegel_normalize(fam).S
+    S = siegel_normalize(fam).S
     B = np.zeros((2, 2), dtype=int)
     B[0, 0] = rng.next_u64() % 3 - 1
     B[1, 1] = rng.next_u64() % 3 - 1
@@ -166,24 +170,24 @@ def test_h_invariant_under_symplectic_basis_change(seed):
                   [np.zeros((2, 2), dtype=int), u_inv_t]])
     A = S @ AJ @ np.linalg.inv(S)
     assert np.max(np.abs(A.T @ fam.Q @ A - fam.Q)) < 1e-12
-    fam2 = sf.PolarizedFamily(T=fam.T @ A, Q=fam.Q, m=2)
-    H1 = sf.hermitian_h(fam).H
-    H2 = sf.hermitian_h(fam2).H
+    fam2 = PolarizedFamily(T=fam.T @ A, Q=fam.Q, m=2)
+    H1 = hermitian_h(fam).H
+    H2 = hermitian_h(fam2).H
     assert np.max(np.abs(H1 - H2)) < 1e-10
 
 
 def test_type_one_one_criterion():
     taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-    assert sf.type_one_one_residual(sf.product_family(taus)) < 1e-12
+    assert type_one_one_residual(product_family(taus)) < 1e-12
 
 
 def test_singular_polarization_rejected():
-    with pytest.raises(sf.SingularPolarization):
-        sf.PolarizedFamily(T=np.array([[1.0, 1j]]),
-                           Q=np.array([[0.0, 1.0], [1.0, 0.0]]), m=1)
+    with pytest.raises(SingularPolarization):
+        PolarizedFamily(T=np.array([[1.0, 1j]]),
+                        Q=np.array([[0.0, 1.0], [1.0, 0.0]]), m=1)
 
 
 def test_not_positive_for_wrong_orientation():
-    fam = sf.PolarizedFamily(T=np.array([[1j, 1.0]]), Q=J2, m=1)
-    with pytest.raises(sf.NotPositive):
-        sf.siegel_normalize(fam)
+    fam = PolarizedFamily(T=np.array([[1j, 1.0]]), Q=J2, m=1)
+    with pytest.raises(NotPositive):
+        siegel_normalize(fam)

@@ -6,12 +6,16 @@ import math
 import numpy as np
 import pytest
 
-import semiflat as sf
-from semiflat.kodaira import PuncturedPoint, finite_kinds
-from semiflat.metric import calibration_constant, periods_at
+from semiflat.diffgeo import positivity
+from semiflat.errors import DegenerateLattice, SingularPeriods
+from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
+                              finite_kinds, isotrivial_case13, local_model)
+from semiflat.metric import (VolumeFormSpec, calibration_constant, christoffel_closed,
+                             christoffel_general, elliptic_metric_at, fiber_factor_areas,
+                             fiber_volume, ma_residual, metric_at, periods_at)
 from semiflat.rng import SplitMix64
 
-FK = sf.FiberKind
+FK = FiberKind
 
 
 def sample(model, rng):
@@ -24,12 +28,12 @@ def all_product_pairs():
     pairs = []
     for i, a in enumerate(kinds):
         for b in kinds[i:]:
-            pairs.append(sf.fiber_product(sf.FiberType(a), sf.FiberType(b)))
-    pairs.append(sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                                  sf.FiberType(FK.Istar, b=2)))
+            pairs.append(fiber_product(FiberType(a), FiberType(b)))
+    pairs.append(fiber_product(FiberType(FK.Istar, b=1),
+                               FiberType(FK.Istar, b=2)))
     for kind in (FK.IIstar, FK.IIIstar, FK.IVstar):
-        pairs.append(sf.fiber_product(sf.FiberType(FK.Istar, b=1),
-                                      sf.FiberType(kind)))
+        pairs.append(fiber_product(FiberType(FK.Istar, b=1),
+                                   FiberType(kind)))
     return pairs
 
 
@@ -42,27 +46,27 @@ def test_flat_calibration_identity_matrix():
 
 
 def test_case13_displayed_coefficients():
-    c13 = sf.isotrivial_case13()
-    vf = sf.VolumeFormSpec(k0=c13.default_k0)
+    c13 = isotrivial_case13()
+    vf = VolumeFormSpec(k0=c13.default_k0)
     eps = 0.7
     pt = PuncturedPoint(s=0.6 * cmath.exp(0.9j), d=6)
     v = (0.21 - 0.11j, 0.05 + 0.3j)
-    samp = sf.metric_at(c13, eps, vf, pt, v)
+    samp = metric_at(c13, eps, vf, pt, v)
     z = pt.z
     assert abs(samp.h[1, 1] - eps / (2 * math.sqrt(3)) * abs(z) ** (-1 / 3)) < 1e-14
     assert abs(samp.h[2, 2] - eps / (2 * math.sqrt(3)) * abs(z) ** (-4 / 3)) < 1e-14
     base = abs(z) ** (5 / 3) / (12 * eps ** 2 * abs(z) ** 4)
-    gam = sf.christoffel_closed(c13, pt, v)
+    gam = christoffel_closed(c13, pt, v)
     expected00 = base + samp.h[1, 1].real * abs(gam[0]) ** 2 \
         + samp.h[2, 2].real * abs(gam[1]) ** 2
     assert abs(samp.h[0, 0] - expected00) < 1e-12 * abs(expected00)
 
 
 def test_case13_christoffel_closed_form():
-    c13 = sf.isotrivial_case13()
+    c13 = isotrivial_case13()
     pt = PuncturedPoint(s=0.6 * cmath.exp(0.9j), d=6)
     v = (0.21 - 0.11j, 0.05 + 0.3j)
-    g1, g2 = sf.christoffel_closed(c13, pt, v)
+    g1, g2 = christoffel_closed(c13, pt, v)
     assert abs(g1 - v[0] / (6 * pt.z)) < 1e-14
     assert abs(g2 - 2 * v[1] / (3 * pt.z)) < 1e-14
 
@@ -71,7 +75,7 @@ def test_pairing_closed_forms():
     # phase terms cancel in the Im pairings: for (IIstar, IIIstar) with
     # m = (2, 1), Im(t1-bar t2) = (sqrt3/2)(1-|z|^{2m1/3})|z|^{1/3} and
     # Im(t3-bar t4) = (1-|z|^{m2})|z|^{1/2}
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar))
+    pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     s = 0.82 * cmath.exp(0.37j)
     t = pm.tau4(s)
     z = s ** 12
@@ -84,10 +88,10 @@ def test_pairing_closed_forms():
 def test_istar_istar_base_coefficient():
     # base term of the star x star ansatz: b1 b2 |k|^2 L^2 / (pi^2 eps^2 |z|^2)
     b1, b2, eps, k0 = 1, 3, 0.8, 1.4
-    pm = sf.fiber_product(sf.FiberType(FK.Istar, b=b1), sf.FiberType(FK.Istar, b=b2))
-    vf = sf.VolumeFormSpec(k0=k0)
+    pm = fiber_product(FiberType(FK.Istar, b=b1), FiberType(FK.Istar, b=b2))
+    vf = VolumeFormSpec(k0=k0)
     pt = PuncturedPoint(s=0.09 * cmath.exp(1.3j), d=2)
-    samp = sf.metric_at(pm, eps, vf, pt, (0j, 0j))
+    samp = metric_at(pm, eps, vf, pt, (0j, 0j))
     z = pt.z
     L = -math.log(abs(z))
     expect = b1 * b2 * k0 ** 2 * L ** 2 / (math.pi ** 2 * eps ** 2 * abs(z) ** 2)
@@ -97,9 +101,9 @@ def test_istar_istar_base_coefficient():
 def test_ib_fiber_block_log_factor():
     # I_b: Im(t1-bar t2) = (b/2 pi) L, so the fiber coefficient is pi eps/(b L)
     b, eps = 3, 1.2
-    lm = sf.local_model(sf.FiberType(FK.I, b=b))
+    lm = local_model(FiberType(FK.I, b=b))
     pt = PuncturedPoint(s=0.2 * cmath.exp(0.9j), d=1)
-    samp = sf.elliptic_metric_at(lm, eps, sf.VolumeFormSpec(), pt, 0.1 + 0.1j)
+    samp = elliptic_metric_at(lm, eps, VolumeFormSpec(), pt, 0.1 + 0.1j)
     L = -math.log(abs(pt.z))
     assert abs(samp.h[1, 1].real - math.pi * eps / (b * L)) < 1e-13
 
@@ -107,12 +111,12 @@ def test_ib_fiber_block_log_factor():
 def test_istar_christoffel_structure():
     # exact decomposition for the log factor: with L = -log|z|,
     # Gamma = v (1 - 1/L) / (2z) + conj(v) / (2 |z| L), independent of b
-    pm = sf.fiber_product(sf.FiberType(FK.Istar, b=2), sf.FiberType(FK.IVstar))
+    pm = fiber_product(FiberType(FK.Istar, b=2), FiberType(FK.IVstar))
     pt = PuncturedPoint(s=0.4 * cmath.exp(0.8j), d=pm.k)
     z = pt.z
     L = -math.log(abs(z))
     v1 = 0.02 - 0.013j
-    g1, _ = sf.christoffel_closed(pm, pt, (v1, 0.01))
+    g1, _ = christoffel_closed(pm, pt, (v1, 0.01))
     expect = v1 * (1 - 1 / L) / (2 * z) + v1.conjugate() / (2 * abs(z) * L)
     assert abs(g1 - expect) < 1e-13 * max(1.0, abs(expect))
 
@@ -126,55 +130,77 @@ def test_christoffel_constant_lattice_vanishes():
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_christoffel_general_agrees_with_closed(seed):
     rng = SplitMix64(seed)
-    models = [sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar)),
-              sf.fiber_product(sf.FiberType(FK.Istar, b=2), sf.FiberType(FK.IVstar)),
-              sf.isotrivial_case13(),
-              sf.local_model(sf.FiberType(FK.Istar, b=1)),
-              sf.local_model(sf.FiberType(FK.I, b=2))]
+    models = [fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar)),
+              fiber_product(FiberType(FK.Istar, b=2), FiberType(FK.IVstar)),
+              isotrivial_case13(),
+              local_model(FiberType(FK.Istar, b=1)),
+              local_model(FiberType(FK.I, b=2))]
     for model in models:
         for _ in range(8):
             pt, v = sample(model, rng)
             tau, dtz = periods_at(model, pt)
-            g1 = sf.christoffel_closed(model, pt, v)
-            g2 = sf.christoffel_general(tau, dtz, v)
+            g1 = christoffel_closed(model, pt, v)
+            g2 = christoffel_general(tau, dtz, v)
             scale = max(1.0, max(abs(g) for g in g1))
             assert max(abs(a - b) for a, b in zip(g1, g2)) < 1e-12 * scale
 
 
 def test_ma_residual_all_models():
     rng = SplitMix64(42)
-    vf = sf.VolumeFormSpec(k0=0.8 + 0.3j)
+    vf = VolumeFormSpec(k0=0.8 + 0.3j)
     for pm in all_product_pairs():
         for _ in range(10):
             pt, v = sample(pm, rng)
-            assert sf.ma_residual(sf.metric_at(pm, 1.3, vf, pt, v)) < 1e-10
+            assert ma_residual(metric_at(pm, 1.3, vf, pt, v)) < 1e-10
     for kind in finite_kinds():
-        lm = sf.local_model(sf.FiberType(kind))
+        lm = local_model(FiberType(kind))
         for _ in range(10):
             pt, v = sample(lm, rng)
-            assert sf.ma_residual(sf.elliptic_metric_at(lm, 0.9, vf, pt, v[0])) < 1e-10
+            assert ma_residual(elliptic_metric_at(lm, 0.9, vf, pt, v[0])) < 1e-10
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model_kind": "elliptic", "fiber": "IV"},
+    {"model_kind": "pair", "left": "IIstar", "right": "IIIstar"},
+], ids=["elliptic", "pair"])
+def test_ma_check_computes_periods_once_per_sample(monkeypatch, cfg):
+    # sample_point reads tau alone; the periods of a sample come from metric_at only
+    from semiflat import metric, scenario
+    ctx = scenario.build_context(scenario.validate_scenario(
+        {"name": "x", "checks": ["ma"], "samples": 7, **cfg}))
+    calibration_constant(ctx.model.m)
+    calls = []
+
+    def counted(model, pt):
+        calls.append(pt)
+        return periods_at(model, pt)
+
+    monkeypatch.setattr(metric, "periods_at", counted)
+    monkeypatch.setattr(scenario, "periods_at", counted)
+    assert scenario._check_ma(ctx, SplitMix64(3), 1.0).passed
+    assert len(calls) == 7
 
 
 def test_positive_definite_in_chart():
     rng = SplitMix64(4242)
-    vf = sf.VolumeFormSpec()
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar))
+    vf = VolumeFormSpec()
+    pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     for _ in range(20):
         pt, v = sample(pm, rng)
-        assert sf.positivity(sf.metric_at(pm, 1.0, vf, pt, v).h) > 0
-    lm = sf.local_model(sf.FiberType(FK.IV))
+        assert positivity(metric_at(pm, 1.0, vf, pt, v).h) > 0
+    lm = local_model(FiberType(FK.IV))
     pt = PuncturedPoint(s=0.3 * cmath.exp(0.5j), d=3)
-    assert sf.positivity(sf.elliptic_metric_at(lm, 1.0, vf, pt, 0.2 + 0.1j).h) > 0
+    assert positivity(elliptic_metric_at(lm, 1.0, vf, pt, 0.2 + 0.1j).h) > 0
 
 
 def test_eps_scaling():
     # base block ~ eps^-2, fiber blocks ~ eps, det h eps-independent
-    vf = sf.VolumeFormSpec(k0=1.0)
-    pm = sf.fiber_product(sf.FiberType(FK.IIstar), sf.FiberType(FK.IIIstar))
+    vf = VolumeFormSpec(k0=1.0)
+    pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     pt = PuncturedPoint(s=0.85 * cmath.exp(0.3j), d=12)
     v = (0.1 + 0.05j, -0.02 + 0.08j)
-    h1 = sf.metric_at(pm, 1.0, vf, pt, v).h
-    h2 = sf.metric_at(pm, 2.0, vf, pt, v).h
+    h1 = metric_at(pm, 1.0, vf, pt, v).h
+    h2 = metric_at(pm, 2.0, vf, pt, v).h
     assert abs(h2[1, 1] / h1[1, 1] - 2.0) < 1e-13
     assert abs(h2[2, 2] / h1[2, 2] - 2.0) < 1e-13
     base1 = h1[0, 0].real - (h1[1, 1].real * abs(h1[0, 1] / h1[1, 1]) ** 2
@@ -186,23 +212,23 @@ def test_eps_scaling():
 
 
 def test_fiber_areas_and_volume():
-    vf = sf.VolumeFormSpec()
+    vf = VolumeFormSpec()
     eps = 1.7
-    pm = sf.fiber_product(sf.FiberType(FK.II), sf.FiberType(FK.IVstar))
+    pm = fiber_product(FiberType(FK.II), FiberType(FK.IVstar))
     pt = PuncturedPoint(s=0.8 * cmath.exp(0.2j), d=pm.k)
-    areas = sf.fiber_factor_areas(pm, pt, eps)
+    areas = fiber_factor_areas(pm, pt, eps)
     assert all(abs(a / eps - 1) < 1e-8 for a in areas)
-    assert abs(sf.fiber_volume(pm, pt, eps) / eps ** 2 - 1) < 1e-8
-    c13 = sf.isotrivial_case13()
+    assert abs(fiber_volume(pm, pt, eps) / eps ** 2 - 1) < 1e-8
+    c13 = isotrivial_case13()
     pt13 = PuncturedPoint(s=0.5 * cmath.exp(1.0j), d=6)
-    assert abs(sf.fiber_volume(c13, pt13, eps) / eps ** 2 - 1) < 1e-8
+    assert abs(fiber_volume(c13, pt13, eps) / eps ** 2 - 1) < 1e-8
 
 
 def test_degenerate_lattice_raises():
     # a reversed-orientation family (Im pairing < 0) must be rejected
     from semiflat.kodaira import LocalModel
 
-    bad = LocalModel(fiber=sf.FiberType(FK.I0star), d=2, A=((-1, 0), (0, -1)),
+    bad = LocalModel(fiber=FiberType(FK.I0star), d=2, A=((-1, 0), (0, -1)),
                      deck_exponent=1, coord_power=1,
                      tau=lambda s: (s, -1j * s),
                      dtau_ds=lambda s: (1.0 + 0j, -1j),
@@ -210,22 +236,22 @@ def test_degenerate_lattice_raises():
                      deck_tau=lambda s: (-s, 1j * s),
                      modulus_limit=-1j)
     pt = PuncturedPoint(s=0.4 + 0.1j, d=2)
-    with pytest.raises(sf.DegenerateLattice):
-        sf.elliptic_metric_at(bad, 1.0, sf.VolumeFormSpec(), pt, 0.1 + 0.1j)
+    with pytest.raises(DegenerateLattice):
+        elliptic_metric_at(bad, 1.0, VolumeFormSpec(), pt, 0.1 + 0.1j)
 
 
 def test_singular_periods_raises():
     tau = (1.0 + 0j, 1.0 + 1e-14j)
-    with pytest.raises(sf.SingularPeriods):
-        sf.christoffel_general(tau, (0j, 0j), (0.1 + 0j,))
+    with pytest.raises(SingularPeriods):
+        christoffel_general(tau, (0j, 0j), (0.1 + 0j,))
 
 
 def test_ib_and_ibstar_ma():
     rng = SplitMix64(5)
-    vf = sf.VolumeFormSpec(k0=1.0)
-    for ft in (sf.FiberType(FK.I, b=1), sf.FiberType(FK.I, b=3),
-               sf.FiberType(FK.Istar, b=1), sf.FiberType(FK.Istar, b=2)):
-        lm = sf.local_model(ft)
+    vf = VolumeFormSpec(k0=1.0)
+    for ft in (FiberType(FK.I, b=1), FiberType(FK.I, b=3),
+               FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2)):
+        lm = local_model(ft)
         for _ in range(10):
             pt, v = sample(lm, rng)
-            assert sf.ma_residual(sf.elliptic_metric_at(lm, 1.0, vf, pt, v[0])) < 1e-10
+            assert ma_residual(elliptic_metric_at(lm, 1.0, vf, pt, v[0])) < 1e-10

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-import semiflat as sf
+from semiflat.errors import BranchPoint, NotConvergent, PolePoint
 from semiflat.rng import SplitMix64
-from semiflat.weierstrass import (eisenstein_g4_g6, gauss_reduce, reduce_argument,
-                                  wp_lattice)
+from semiflat.weierstrass import (EllipticData, cubic_residual, eisenstein_g4_g6,
+                                  g2_series, g3_series, gauss_reduce, reduce_argument,
+                                  volume_pullback_ratio, wp, wp_lattice, wp_prime)
 
 
 def brute_wp(v, w1, w2, radius):
@@ -33,125 +34,125 @@ def brute_g(w1, w2, radius, power):
 
 
 def test_wp_against_brute_force():
-    ed = sf.EllipticData(z=0.2, b=1)
+    ed = EllipticData(z=0.2, b=1)
     v = 0.3 + 0.1j
-    ours = sf.wp(ed, v)
+    ours = wp(ed, v)
     oracle = brute_wp(v, 1.0, ed.tau, 800.0)
     assert abs(ours - oracle) < 1e-8
 
 
 def test_evenness_and_periodicity():
-    ed = sf.EllipticData(z=0.3, b=1)
+    ed = EllipticData(z=0.3, b=1)
     rng = SplitMix64(3)
     for _ in range(5):
         v = complex(rng.uniform(0.1, 0.6), rng.uniform(0.02, 0.2))
-        assert abs(sf.wp(ed, -v) - sf.wp(ed, v)) < 1e-12 * max(1, abs(sf.wp(ed, v)))
-        assert abs(sf.wp(ed, v + 1) - sf.wp(ed, v)) < 1e-11 * max(1, abs(sf.wp(ed, v)))
-        assert abs(sf.wp(ed, v + ed.tau) - sf.wp(ed, v)) < 1e-11 * max(1, abs(sf.wp(ed, v)))
+        assert abs(wp(ed, -v) - wp(ed, v)) < 1e-12 * max(1, abs(wp(ed, v)))
+        assert abs(wp(ed, v + 1) - wp(ed, v)) < 1e-11 * max(1, abs(wp(ed, v)))
+        assert abs(wp(ed, v + ed.tau) - wp(ed, v)) < 1e-11 * max(1, abs(wp(ed, v)))
 
 
 def test_truncation_radius_doubling():
-    ed = sf.EllipticData(z=0.2, b=1)
+    ed = EllipticData(z=0.2, b=1)
     v = 0.35 + 0.08j
-    a = sf.wp(ed, v, radius=30.0)
-    b = sf.wp(ed, v, radius=60.0)
+    a = wp(ed, v, radius=30.0)
+    b = wp(ed, v, radius=60.0)
     assert abs(a - b) < 1e-12 * max(1.0, abs(a))
 
 
 def test_eisenstein_identity_with_direct_sums():
     # (wp')^2 = 4 wp^3 - g4hat wp - g6hat with Eisenstein g4hat = 60 G4,
     # g6hat = 140 G6 computed by direct lattice sums
-    ed = sf.EllipticData(z=0.2, b=1)
+    ed = EllipticData(z=0.2, b=1)
     G4_direct = brute_g(1.0, ed.tau, 400.0, 4)
     G6_direct = brute_g(1.0, ed.tau, 400.0, 6)
     G4, G6 = eisenstein_g4_g6(ed.q)
     assert abs(G4 - G4_direct) < 1e-8 * max(1.0, abs(G4))
     assert abs(G6 - G6_direct) < 1e-8 * max(1.0, abs(G6))
     v = 0.3 + 0.1j
-    w = sf.wp(ed, v)
-    wprime = sf.wp_prime(ed, v)
+    w = wp(ed, v)
+    wprime = wp_prime(ed, v)
     resid = wprime ** 2 - (4 * w ** 3 - 60 * G4_direct * w - 140 * G6_direct)
     assert abs(resid) < 1e-9 * max(1.0, abs(w) ** 3)
 
 
 def test_g_series_values():
-    assert sf.g2_series(0.0) == 0.0
-    assert sf.g3_series(0.0) == 0.0
+    assert g2_series(0.0) == 0.0
+    assert g3_series(0.0) == 0.0
     # brute-force long summation oracle at z = 0.1
     z = 0.1
     g2_brute = 20 * sum(n ** 3 * z ** n / (1 - z ** n) for n in range(1, 10000))
     g3_brute = sum((7 * n ** 5 + 5 * n ** 3) * z ** n / (1 - z ** n)
                    for n in range(1, 10000)) / 3
-    assert abs(sf.g2_series(z) - g2_brute) < 1e-12
-    assert abs(sf.g3_series(z) - g3_brute) < 1e-12
-    with pytest.raises(sf.NotConvergent):
-        sf.g2_series(0.97)
-    with pytest.raises(sf.NotConvergent):
-        sf.g3_series(1.2)
+    assert abs(g2_series(z) - g2_brute) < 1e-12
+    assert abs(g3_series(z) - g3_brute) < 1e-12
+    with pytest.raises(NotConvergent):
+        g2_series(0.97)
+    with pytest.raises(NotConvergent):
+        g3_series(1.2)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_homogeneity(seed):
     # wp(c v | c Lambda) = c^-2 wp(v | Lambda)
     rng = SplitMix64(seed)
-    ed = sf.EllipticData(z=0.25, b=1)
+    ed = EllipticData(z=0.25, b=1)
     G4, G6 = eisenstein_g4_g6(ed.q)
     c = complex(rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5))
     v = 0.3 + 0.07j
     lhs = wp_lattice(c * v, c * 1.0, c * ed.tau, G4 / c ** 4, G6 / c ** 6)
-    rhs = sf.wp(ed, v) / c ** 2
+    rhs = wp(ed, v) / c ** 2
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
 def test_cubic_residual_grid():
     for z in (0.2, 0.1 + 0.25j, 0.4 * cmath.exp(2.0j)):
-        ed = sf.EllipticData(z=z, b=1)
+        ed = EllipticData(z=z, b=1)
         for v in (0.3 + 0.1j, 0.45 + 0.21j):
-            assert sf.cubic_residual(ed, v) < 1e-8
+            assert cubic_residual(ed, v) < 1e-8
 
 
 def test_cubic_residual_lattice_periodic():
-    ed = sf.EllipticData(z=0.2, b=1)
+    ed = EllipticData(z=0.2, b=1)
     v = 0.3 + 0.1j
-    assert abs(sf.cubic_residual(ed, v) - sf.cubic_residual(ed, v + ed.tau)) < 1e-8
+    assert abs(cubic_residual(ed, v) - cubic_residual(ed, v + ed.tau)) < 1e-8
 
 
 def test_degeneration_limit():
     # z -> 0: g2, g3 -> 0 and the cubic tends to the nodal y^2 = 4x^3 + x^2
     for z in (1e-3, 1e-5):
-        assert abs(sf.g2_series(z)) < 25 * z * 1.1
-        assert abs(sf.g3_series(z)) < 5 * z * 1.1
+        assert abs(g2_series(z)) < 25 * z * 1.1
+        assert abs(g3_series(z)) < 5 * z * 1.1
 
 
 def test_volume_pullback_ratio():
-    ed = sf.EllipticData(z=0.2, b=1)
-    r1 = sf.volume_pullback_ratio(ed, 0.3 + 0.1j)
+    ed = EllipticData(z=0.2, b=1)
+    r1 = volume_pullback_ratio(ed, 0.3 + 0.1j)
     assert abs(r1 - 1.0) < 1e-8
-    r2 = sf.volume_pullback_ratio(ed, 0.52 + 0.17j)
+    r2 = volume_pullback_ratio(ed, 0.52 + 0.17j)
     assert abs(r2 - r1) < 2e-8          # v-independence of the constant form
 
 
 def test_b_cover_sublattice_consistency():
     # the b=2 lattice is the index-2 sublattice {m + 2 n tau} of the b=1 one
-    ed1 = sf.EllipticData(z=0.2, b=1)
-    ed2 = sf.EllipticData(z=0.2, b=2)
+    ed1 = EllipticData(z=0.2, b=1)
+    ed2 = EllipticData(z=0.2, b=2)
     assert abs(ed2.tau - 2 * ed1.tau) < 1e-15
     v = 0.3 + 0.12j
-    ours = sf.wp(ed2, v)
+    ours = wp(ed2, v)
     oracle = brute_wp(v, 1.0, 2 * ed1.tau, 600.0)
     assert abs(ours - oracle) < 1e-7 * max(1.0, abs(ours))
-    assert sf.cubic_residual(ed2, v) < 1e-8
+    assert cubic_residual(ed2, v) < 1e-8
 
 
 def test_pole_and_branch_errors():
-    ed = sf.EllipticData(z=0.2, b=1)
-    with pytest.raises(sf.PolePoint):
-        sf.wp(ed, 1e-10 + 0j)
-    with pytest.raises(sf.PolePoint):
-        sf.wp(ed, 1.0 + ed.tau)          # a lattice point
+    ed = EllipticData(z=0.2, b=1)
+    with pytest.raises(PolePoint):
+        wp(ed, 1e-10 + 0j)
+    with pytest.raises(PolePoint):
+        wp(ed, 1.0 + ed.tau)          # a lattice point
     # wp' vanishes at the half-period 1/2
-    with pytest.raises(sf.BranchPoint):
-        sf.volume_pullback_ratio(ed, 0.5 + 0j)
+    with pytest.raises(BranchPoint):
+        volume_pullback_ratio(ed, 0.5 + 0j)
 
 
 def test_gauss_reduction_and_argument():
