@@ -13,9 +13,9 @@ e.g. ``from semiflat.metric import metric_at``:
     kodaira         fiber-type catalog, local models, fiber products,
                     canonical coefficients, asymptotic classification
     metric          semi-flat metric assembly, periods, Christoffel symbols,
-                    Monge-Ampere residual, fiber volumes
+                    Monge-Ampere residual
     diffgeo         finite differences: closedness, Chern curvature,
-                    Ricci form of the base, positivity
+                    Ricci flatness, positivity
     asymptotics     charts at infinity, decay fits, radial profiles,
                     volume growth, SOB clauses, tangent cones
     eguchi_hanson   EH potential/metric, smooth cutoff, gluing report

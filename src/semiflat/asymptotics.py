@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diffgeo import FDScheme, chern_curvature_norm, first_partial, memoized
+from .diffgeo import FDScheme, chern_curvature_norm, memoized
 from .errors import FitRejected, NoConvergence, Unsupported
 from .kodaira import (Classification, FiberKind, ProductModel, PuncturedPoint,
                       classify_asymptotics)
@@ -132,22 +132,6 @@ class AsymptoticChart:
                       [dc2 * betas[1], 0, c2]], dtype=complex)
         return PuncturedPoint(s=s, d=k), (c1 * betas[0], c2 * betas[1]), J
 
-    def to_base(self, alpha: complex,
-                betas: Sequence[complex]) -> tuple[PuncturedPoint, tuple[complex, complex]]:
-        pt, v, _ = self._pullback(alpha, betas)
-        return pt, v
-
-    def inverse(self, pt: PuncturedPoint) -> complex:
-        # along the chart arg z = -(p or rate)-multiple of arg alpha lies in
-        # (-2 pi, 0); pick that branch of log z
-        z = pt.z
-        lg = cmath.log(z)
-        if lg.imag > 0:
-            lg -= 2j * math.pi
-        if self.kind == "power":
-            return self.alpha0 * cmath.exp(-lg / self.p)
-        return -lg / self.rate
-
     def pulled_h(self, alpha: complex, betas: Sequence[complex]) -> np.ndarray:
         """Hermitian matrix of the ansatz in the (alpha, beta1, beta2) coframe."""
         pt, v, J = self._pullback(alpha, betas)
@@ -155,28 +139,16 @@ class AsymptoticChart:
         return J.T @ sample.h @ J.conj()
 
 
-@dataclass(frozen=True)
-class RadialChart:
-    """Asymptotic description of a star-like model: radial normalization only.
+def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChart:
+    """The flat (alpha, beta) chart of an ALG/ALH model.
 
-    For Istar x Istar the radial distance satisfies r ~ (C_r/2) L^2 with
-    L = -log|z| (the |log z|^2 normalization); for Istar x E-star it grows
-    like a power of |z|^{-1} with a sqrt-log factor.
+    Star-like models have no such chart and raise Unsupported; they are
+    measured through `base_profile`, volume growth and tangent cones.
     """
-
-    model: ProductModel
-    classification: Classification
-    kind: str            # radial
-    profile: "BaseProfile"
-
-
-def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec):
-    """Asymptotic chart: a flat (alpha, beta) chart for ALG/ALH models, the
-    radial profile wrapper for star-like ones."""
     cls = classify_asymptotics(pm)
     if cls.kind not in ("ALG", "ALH"):
-        return RadialChart(model=pm, classification=cls, kind="radial",
-                           profile=base_profile(pm, eps, vf))
+        raise Unsupported(f"{cls.kind} models have no ALG/ALH chart; they are "
+                          "measured through volume growth and cones")
     nu = getattr(pm, "nu", (1, 1))
     i1 = pm.left_model.modulus_limit.imag
     i2 = pm.right_model.modulus_limit.imag
@@ -264,9 +236,6 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     per-radius rows (radius, deviation).
     """
     chart = to_chart(pm, eps, vf)
-    if chart.kind == "radial":
-        raise Unsupported("deviation fits need an ALG/ALH chart; star models "
-                          "are measured through volume growth and cones")
     rng = rng or SplitMix64(0xDECAF)
     betas = _beta_samples(chart, rng, n_beta)
     alphas = _fit_radii(chart, radii)
@@ -277,40 +246,6 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     devs = np.array([d for _, d in rows])
     keep = devs > 1e-13          # below this the deviation is rounding noise
     return fit_decay(chart, radii, devs, keep, flat_below=1e-12), rows
-
-
-def deviation_derivative_exponent(pm: ProductModel, eps: float, vf: VolumeFormSpec,
-                                  radii: Sequence[float],
-                                  beta: tuple[complex, complex] = (0.31 + 0.17j,
-                                                                   0.43 - 0.11j),
-                                  ) -> float:
-    """Fitted power exponent of |d(deviation)/d Re(alpha)| for ALG models.
-
-    The derivative of the base-coefficient deviation gains one inverse
-    power of |alpha|; comparing with the deviation exponent tests the
-    derivative-improvement property.
-    """
-    chart = to_chart(pm, eps, vf)
-    if chart.kind != "power":
-        raise Unsupported("derivative-improvement fits apply to ALG charts")
-    scheme = FDScheme(step=1e-4, order=2, richardson=True)
-    mid = 0.5 * (chart.sector[0] + chart.sector[1])
-    vals = []
-    for r in radii:
-        alpha = r * cmath.exp(1j * mid)
-
-        def dev00(x: np.ndarray) -> np.ndarray:
-            a = complex(x[0], x[1])
-            h = chart.pulled_h(a, beta)
-            return np.array([[h[0, 0].real / chart.flat_h[0, 0].real - 1.0]],
-                            dtype=complex)
-
-        x = np.array([alpha.real, alpha.imag])
-        d = first_partial(dev00, x, 0, scheme, scale=abs(alpha))
-        vals.append(abs(d[0, 0]))
-    slope, _, _ = _ols(np.log(np.asarray(radii, dtype=float)),
-                       np.log(np.asarray(vals)))
-    return slope
 
 
 def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
@@ -328,8 +263,6 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     polynomial in beta, so this costs no truncation).
     """
     chart = to_chart(pm, eps, vf)
-    if chart.kind == "radial":
-        raise Unsupported("curvature fits along a chart need an ALG/ALH model")
     scheme = scheme or FDScheme(step=2e-3, order=2, richardson=True)
     half = FDScheme(step=scheme.step / 2, order=scheme.order,
                     richardson=scheme.richardson)

@@ -16,7 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ScenarioError
-from .scenario import run_scenario
 
 
 def bundled_scenarios() -> list[str]:
@@ -51,6 +50,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command != "run":
         parser.print_help()
         return 2
+
+    # imported here so that --list loads neither numpy nor the checks
+    from .scenario import run_scenario
 
     path = Path(args.scenario)
     if not path.exists():

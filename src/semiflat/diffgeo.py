@@ -1,4 +1,4 @@
-"""Finite-difference checks: closedness, Chern curvature, Ricci form, positivity.
+"""Finite-difference checks: closedness, Chern curvature, Ricci flatness, positivity.
 
 All differentiation happens in real coordinates (Re/Im of each complex
 coordinate) with central stencils; Wirtinger combinations are assembled
@@ -236,34 +236,6 @@ def ricci_scalar_residual(field: Field, x: np.ndarray, scheme: FDScheme,
             val = wirtinger_second(logdet, x, a, b, scheme, scales[a], scales[b])
             res = max(res, abs(val[0, 0]))
     return res
-
-
-def ricci_form_base(zfield: Callable[[complex], np.ndarray], z: complex,
-                    scheme: FDScheme) -> tuple[float, float, float]:
-    """Both sides of the base Ricci identity and their difference.
-
-    lhs: the coefficient c_L with -i d dbar log det Im Z = c_L i dz dzbar,
-    computed by finite differences of z -> log det Im Z.
-    rhs: (1/4) tr((Im Z)^{-1} Z' (Im Z)^{-1} conj(Z')), with Z' by finite
-    differences of Z itself.  Both real; residual is |lhs - rhs|.
-    """
-
-    def logdet(x: np.ndarray) -> np.ndarray:
-        val = np.linalg.slogdet(zfield(complex(x[0], x[1])).imag)[1]
-        return np.array([[val]], dtype=complex)
-
-    x = np.array([z.real, z.imag])
-    ddbar = wirtinger_second(logdet, x, 0, 0, scheme)[0, 0]
-    lhs = -ddbar.real
-
-    def zf(x: np.ndarray) -> np.ndarray:
-        return zfield(complex(x[0], x[1]))
-
-    zp = wirtinger_first(zf, x, 0, scheme)
-    imz = zfield(z).imag
-    iminv = np.linalg.inv(imz)
-    rhs = 0.25 * float(np.trace(iminv @ zp @ iminv @ zp.conj()).real)
-    return lhs, rhs, abs(lhs - rhs)
 
 
 def positivity(h: np.ndarray) -> float:

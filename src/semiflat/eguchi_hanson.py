@@ -54,14 +54,6 @@ def eh_potential(cfg: EHConfig, u: float) -> float:
     return head + (a / 3.0) * logs
 
 
-def eh_potential_derivatives(cfg: EHConfig, u: float) -> tuple[float, float]:
-    """(f', f'') in closed form; f' = (1 + a^3/u^3)^(1/3)."""
-    a = cfg.a
-    phi = (1.0 + (a / u) ** 3) ** (1.0 / 3.0)
-    dphi = u * (a ** 3 + u ** 3) ** (-2.0 / 3.0) - (a ** 3 + u ** 3) ** (1.0 / 3.0) / u ** 2
-    return phi, dphi
-
-
 def eh_metric(cfg: EHConfig, z: Sequence[complex]) -> np.ndarray:
     """Closed-form EH metric matrix at z in C^3 \\ {0}."""
     z = [complex(c) for c in z]
@@ -93,15 +85,8 @@ def cutoff(cfg: EHConfig, u: float) -> float:
     return lo / (lo + hi)
 
 
-def glued_potential(cfg: EHConfig, z: Sequence[complex]) -> float:
-    """Phi_a(u) = u + chi(u) (f_a(u) - u); EH inside, flat outside the annulus."""
-    u = sum(abs(complex(c)) ** 2 for c in z)
-    if u == 0:
-        raise OriginSingular("potential evaluated at the origin")
-    return glued_potential_u(cfg, u)
-
-
 def glued_potential_u(cfg: EHConfig, u: float) -> float:
+    """Phi_a(u) = u + chi(u) (f_a(u) - u); EH inside, flat outside the annulus."""
     chi = cutoff(cfg, u)
     if chi == 0.0:
         return u

@@ -563,17 +563,6 @@ def isotrivial_case13() -> ProductModel:
                         default_k0=-1.0 / 12.0 + 0j)
 
 
-def case13_deck(s: complex, w1: complex, w2: complex) -> tuple[complex, complex, complex]:
-    """Deck generator of the case-13 quotient: (s, w1, w2) -> (z6^5 s, z6 w2, z6 w1)."""
-    z6 = cmath.exp(2j * cmath.pi / 6)
-    return (z6 ** 5 * s, z6 * w2, z6 * w1)
-
-
-def case13_embedding(s: complex, w1: complex, w2: complex) -> tuple[complex, complex, complex]:
-    """Fiberwise-linear map (s, w1, w2) -> (z, v1, v2) of the case-13 model."""
-    return (s ** 6, s * (w1 + w2), s ** 4 * (w1 - w2))
-
-
 def finite_kinds() -> tuple[FiberKind, ...]:
     """The seven finite-monodromy fiber kinds."""
     return (FiberKind.I0star, FiberKind.II, FiberKind.IIstar, FiberKind.III,

@@ -9,7 +9,9 @@ coefficient H with
 
     H^{-1} = 2 conj(R) Im(Z) R^t = i conj(T) Q^{-1} T^t,
 
-computed both ways as a cross-check.
+computed both ways as a cross-check.  Scaled to H(eps), its diagonal is
+the independent oracle of the `fiber_volume` check for the fiber
+coefficients F_j that `metric` assembles.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class PolarizedFamily:
             raise SingularPolarization("Q is singular")
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "Q", Q)
-
-    def stacked(self) -> np.ndarray:
-        """The 2m x 2m matrix (T; conj T)."""
-        return np.vstack([self.T, self.T.conj()])
 
 
 @dataclass(frozen=True)
@@ -130,12 +128,6 @@ def siegel_normalize(fam: PolarizedFamily) -> SiegelData:
     return SiegelData(S=S, R=R, Z=Z)
 
 
-def siegel_residual(fam: PolarizedFamily, sd: SiegelData) -> float:
-    """max-abs reconstruction residual of TS = R (I, Z)."""
-    recon = sd.R @ np.hstack([np.eye(fam.m), sd.Z])
-    return _maxabs(fam.T @ sd.S - recon)
-
-
 def hermitian_h(fam: PolarizedFamily) -> HermitianForm:
     """Fiber metric coefficient H, computed along both routes.
 
@@ -171,27 +163,6 @@ def scaled_h(H: HermitianForm, Q: np.ndarray, eps: float, m: int) -> HermitianFo
     return HermitianForm(H=eps * detq ** (-0.5 / m) * H.H)
 
 
-def reduce_mod_lattice(v: np.ndarray | complex, fam: PolarizedFamily) -> np.ndarray:
-    """Reduce v modulo the lattice spanned by the columns of T.
-
-    Returns v' with v - v' in the integer span and real lattice coordinates
-    of v' in [0, 1).
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=complex))
-    stack = fam.stacked()
-    coeff = np.linalg.solve(stack, np.concatenate([v, v.conj()]))
-    c = coeff.real  # imaginary parts are roundoff by conjugation symmetry
-    frac = c - np.floor(c + 1e-13)
-    return fam.T @ frac
-
-
-def type_one_one_residual(fam: PolarizedFamily) -> float:
-    """max-abs of Pi^t Q Pi, the obstruction to the polarization being (1,1)."""
-    m = fam.m
-    pi = np.linalg.inv(fam.stacked())[:, :m]
-    return _maxabs(pi.T @ fam.Q @ pi)
-
-
 def product_family(taus: tuple[complex, complex, complex, complex]) -> PolarizedFamily:
     """Rank-4 family of a fiber product: block-diagonal T and block J polarization."""
     t1, t2, t3, t4 = taus
@@ -201,24 +172,3 @@ def product_family(taus: tuple[complex, complex, complex, complex]) -> Polarized
     Q[:2, :2] = j2
     Q[2:, 2:] = j2
     return PolarizedFamily(T=T, Q=Q, m=2)
-
-
-def stacked_inverse_block(taus: tuple[complex, complex, complex, complex]) -> np.ndarray:
-    """Closed-form inverse of (T; conj T) for a block product family.
-
-    Gaussian elimination applied once by hand; kept as an independent check
-    against the generic numerical inverse.
-    """
-    t1, t2, t3, t4 = taus
-    i12 = (np.conj(t1) * t2).imag
-    i34 = (np.conj(t3) * t4).imag
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = 1j * np.conj(t2) / (2 * i12)
-    out[1, 0] = -1j * np.conj(t1) / (2 * i12)
-    out[0, 2] = -1j * t2 / (2 * i12)
-    out[1, 2] = 1j * t1 / (2 * i12)
-    out[2, 1] = 1j * np.conj(t4) / (2 * i34)
-    out[3, 1] = -1j * np.conj(t3) / (2 * i34)
-    out[2, 3] = -1j * t4 / (2 * i34)
-    out[3, 3] = 1j * t3 / (2 * i34)
-    return out

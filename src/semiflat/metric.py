@@ -227,44 +227,3 @@ def ma_residual(sample: MetricSample) -> float:
     det = np.linalg.det(sample.h).real
     target = abs(sample.omega_coeff) ** 2
     return abs(c * det - target) / target
-
-
-def fiber_factor_areas(model: Model, pt: PuncturedPoint, eps: float,
-                       grid: int = 8) -> tuple[float, ...]:
-    """omega-area of each elliptic fiber factor by midpoint quadrature.
-
-    The integrand 2 F_j is constant along the fiber, so the midpoint rule
-    over the fundamental parallelogram is exact up to rounding; for a
-    product model each factor area equals eps.
-    """
-    periods = periods_at(model, pt)
-    F, _ = _fiber_terms(model, pt, periods, eps=eps)
-    tau = periods[0]
-    areas = []
-    for j in range(model.m):
-        t1, t2 = tau[2 * j], tau[2 * j + 1]
-        cell = abs(_im_pair(t1, t2)) / grid ** 2
-        total = 0.0
-        for _ in range(grid):
-            for _ in range(grid):
-                total += 2.0 * F[j] * cell
-        areas.append(total)
-    return tuple(areas)
-
-
-def fiber_volume(model: Model, pt: PuncturedPoint, eps: float) -> float:
-    """Riemannian volume of the full fiber (m = 2): equals eps^2.
-
-    The true fundamental domain of a quotient model is index nu_1 nu_2
-    larger than the naive product cell; the stored per-factor factors nu
-    supply exactly that index.
-    """
-    if model.m != 2:
-        raise ValueError("fiber_volume applies to m = 2 models")
-    periods = periods_at(model, pt)
-    F, _ = _fiber_terms(model, pt, periods, eps=eps)
-    tau = periods[0]
-    nu = getattr(model, "nu", (1, 1))
-    index = nu[0] * nu[1]
-    vol_euc = index * abs(_im_pair(tau[0], tau[1])) * abs(_im_pair(tau[2], tau[3]))
-    return 4.0 * F[0] * F[1] * vol_euc

@@ -91,6 +91,16 @@ def test_module_invocation(tmp_path):
     assert json.loads((tmp_path / "elliptic_iv_report.json").read_text())["passed"] is True
 
 
+def test_list_loads_neither_numpy_nor_scenario(tmp_path):
+    # --list prints file names; numpy and the checks load only for `run`
+    out = _python("-X", "importtime", "-m", "semiflat.cli", "--list", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "semiflat.errors" in loaded
+    assert "numpy" not in loaded and "semiflat.scenario" not in loaded
+
+
 def test_exit_code_two_on_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -104,6 +114,19 @@ def test_exit_code_two_on_malformed(tmp_path):
                                    "fiber": "IV", "checks": ["ma"],
                                    "bogus": 1}), encoding="utf-8")
     assert main(["run", str(unknown), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("key,value", [("fd_richardson", False), ("fd_order", 4)])
+def test_fd_scheme_keys_are_unknown(tmp_path, key, value):
+    # closedness always differences at second order without Richardson steps,
+    # so these keys could only be ignored or misreported
+    path = tmp_path / "fd.json"
+    path.write_text(json.dumps({"name": "x", "model_kind": "elliptic", "fiber": "IV",
+                                "checks": ["closedness"], key: value}), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert f"unknown scenario key: {key!r}" in err.getvalue()
 
 
 def test_validate_scenario_rules():

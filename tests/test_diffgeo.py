@@ -1,4 +1,4 @@
-"""Finite-difference battery, closedness, curvature, Ricci form, positivity."""
+"""Finite-difference battery, closedness, curvature, Ricci flatness, positivity."""
 
 import cmath
 import math
@@ -8,13 +8,12 @@ import pytest
 
 from semiflat.asymptotics import to_chart
 from semiflat.diffgeo import (FDScheme, chern_curvature_norm, closedness_residual,
-                              first_partial, memoized, positivity, ricci_form_base,
+                              first_partial, memoized, positivity,
                               ricci_scalar_residual, wirtinger_second)
 from semiflat.eguchi_hanson import EHConfig, eh_metric
 from semiflat.errors import StepTooSmall
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
                               isotrivial_case13)
-from semiflat.lattice import product_family, siegel_normalize
 from semiflat.metric import VolumeFormSpec, metric_at
 
 
@@ -145,29 +144,6 @@ def test_semiflat_ricci_vanishes():
     x0 = np.array([z0.real, z0.imag, 0.1, 0.02, 0.05, -0.03])
     assert ricci_scalar_residual(field, x0, FDScheme(step=1e-3),
                                  (abs(z0), 1.0, 1.0)) < 1e-6
-
-
-def test_ricci_form_base_constant_and_linear():
-    const = lambda z: np.array([[2j, 0], [0, 1j + 0.3]])
-    lhs, rhs, resid = ricci_form_base(const, 0.1 + 0.05j, FDScheme(step=1e-4))
-    assert abs(lhs) < 1e-9 and abs(rhs) < 1e-9 and resid < 1e-9
-
-    zf = lambda z: np.array([[1j + z, 0], [0, 1j - z]])
-    lhs, rhs, resid = ricci_form_base(zf, 0.05 + 0.02j, FDScheme(step=1e-4))
-    assert resid < 1e-6
-    assert abs(lhs - 0.5) < 0.01       # hand value at z = 0 is exactly 1/2
-
-
-def test_ricci_form_base_product_model_siegel():
-    # Z(z) from normalizing the product family along a z-path
-    taus0 = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-
-    def zfield(z: complex) -> np.ndarray:
-        taus = (taus0[0], taus0[1] + 0.3 * z, taus0[2], taus0[3] + 0.2 * z * z)
-        return siegel_normalize(product_family(taus)).Z
-
-    _, _, resid = ricci_form_base(zfield, 0.05 + 0.1j, FDScheme(step=1e-4))
-    assert resid < 1e-6
 
 
 def test_positivity_examples():

@@ -8,8 +8,8 @@ import pytest
 
 from semiflat.diffgeo import FDScheme
 from semiflat.eguchi_hanson import (EHConfig, a_max, cutoff, eh_metric, eh_potential,
-                                    eh_potential_derivatives, glued_metric_eigenvalues,
-                                    glued_potential, glued_potential_u, gluing_report)
+                                    glued_metric_eigenvalues, glued_potential_u,
+                                    gluing_report)
 from semiflat.errors import OriginSingular
 from semiflat.rng import SplitMix64
 
@@ -99,11 +99,10 @@ def test_glued_potential_regions():
     assert cutoff(cfg, 1.6) == 0.0
     assert abs(glued_potential_u(cfg, 0.7) - eh_potential(cfg, 0.7)) < 1e-15
     assert glued_potential_u(cfg, 1.7) == 1.7
-    z = (0.6 + 0j, 0.6 + 0j, 0.6 + 0j)       # u = 1.08, inside the annulus
-    u = sum(abs(c) ** 2 for c in z)
+    u = 1.08                                  # inside the annulus
     chi = cutoff(cfg, u)
     assert 0 < chi < 1
-    assert abs(glued_potential(cfg, z)
+    assert abs(glued_potential_u(cfg, u)
                - (u + chi * (eh_potential(cfg, u) - u))) < 1e-15
 
 
@@ -117,7 +116,10 @@ def test_positivity_sweep_and_a_max():
 def test_radial_derivative_closed_forms():
     cfg = EHConfig(a=0.23)
     u = 0.9
-    phi, dphi = eh_potential_derivatives(cfg, u)
+    # f' = (1 + a^3/u^3)^(1/3), the conformal factor of eh_metric, and its derivative
+    phi = (1.0 + (cfg.a / u) ** 3) ** (1.0 / 3.0)
+    dphi = (u * (cfg.a ** 3 + u ** 3) ** (-2.0 / 3.0)
+            - (cfg.a ** 3 + u ** 3) ** (1.0 / 3.0) / u ** 2)
     h = 1e-6
     fd1 = (eh_potential(cfg, u + h) - eh_potential(cfg, u - h)) / (2 * h)
     assert abs(fd1 - phi) < 1e-9

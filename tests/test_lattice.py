@@ -1,4 +1,4 @@
-"""Siegel normalization, Hermitian metric coefficient, lattice reduction."""
+"""Siegel normalization and the Hermitian metric coefficient."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 
 from semiflat.errors import NotPositive, SingularPolarization
 from semiflat.lattice import (HermitianForm, PolarizedFamily, hermitian_h, product_family,
-                              reduce_mod_lattice, scaled_h, siegel_normalize,
-                              siegel_residual, stacked_inverse_block,
-                              type_one_one_residual)
+                              scaled_h, siegel_normalize)
 from semiflat.rng import SplitMix64
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -57,7 +55,8 @@ def test_siegel_random_reconstruction_residual():
         fam = PolarizedFamily(T=np.array([[t1, t2]]), Q=J2, m=1)
         sd = siegel_normalize(fam)
         assert sd.Z[0, 0].imag > 0
-        assert siegel_residual(fam, sd) < 1e-12
+        recon = sd.R @ np.hstack([np.eye(fam.m), sd.Z])      # TS = R (I, Z)
+        assert np.max(np.abs(fam.T @ sd.S - recon)) < 1e-12
 
 
 def test_hermitian_h_unit_square():
@@ -107,40 +106,6 @@ def test_scaled_h_direct_arithmetic():
     assert abs(out.H[0, 0] - 1.0) < 1e-15
 
 
-def test_reduce_mod_lattice():
-    fam = unit_square()
-    assert abs(reduce_mod_lattice(1.0 + 0j, fam)[0]) < 1e-12          # tau1 -> 0
-    v = 0.5 + 0.5j
-    assert abs(reduce_mod_lattice(v, fam)[0] - v) < 1e-12             # interior fixed
-    out = reduce_mod_lattice(1.25 - 0.75j, fam)[0]
-    assert abs(out - (0.25 + 0.25j)) < 1e-12
-
-
-def test_reduce_mod_lattice_rank4():
-    taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-    fam = product_family(taus)
-    v = np.array([2.25 * taus[0] - 0.5 * taus[1], 1.75 * taus[3]])
-    out = reduce_mod_lattice(v, fam)
-    expect = np.array([0.25 * taus[0] + 0.5 * taus[1], 0.75 * taus[3]])
-    assert np.max(np.abs(out - expect)) < 1e-12
-
-
-def test_block_inverse_formula():
-    rng = SplitMix64(99)
-    for _ in range(6):
-        t1 = rng.complex_annulus(0.5, 1.5)
-        t2 = rng.complex_annulus(0.5, 1.5)
-        t3 = rng.complex_annulus(0.5, 1.5)
-        t4 = rng.complex_annulus(0.5, 1.5)
-        if (np.conj(t1) * t2).imag < 0.1 or (np.conj(t3) * t4).imag < 0.1:
-            continue
-        taus = (t1, t2, t3, t4)
-        fam = product_family(taus)
-        err = np.max(np.abs(np.linalg.inv(fam.stacked())
-                            - stacked_inverse_block(taus)))
-        assert err < 1e-10
-
-
 def _random_sl2z(rng: SplitMix64) -> np.ndarray:
     gens = [np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]]),
             np.array([[0, -1], [1, 0]])]
@@ -177,8 +142,11 @@ def test_h_invariant_under_symplectic_basis_change(seed):
 
 
 def test_type_one_one_criterion():
-    taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
-    assert type_one_one_residual(product_family(taus)) < 1e-12
+    # Pi^t Q Pi = 0 with Pi the first m columns of (T; conj T)^{-1}: the
+    # polarization of a product family is of type (1, 1)
+    fam = product_family((1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j))
+    pi = np.linalg.inv(np.vstack([fam.T, fam.T.conj()]))[:, :fam.m]
+    assert np.max(np.abs(pi.T @ fam.Q @ pi)) < 1e-12
 
 
 def test_singular_polarization_rejected():

@@ -1,6 +1,7 @@
 """Semi-flat metric assembly, Christoffel symbols, Monge-Ampere identity."""
 
 import cmath
+import io
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from semiflat.diffgeo import positivity
 from semiflat.errors import DegenerateLattice, SingularPeriods
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
                               finite_kinds, isotrivial_case13, local_model)
-from semiflat.metric import (VolumeFormSpec, calibration_constant, christoffel_closed,
-                             christoffel_general, elliptic_metric_at, fiber_factor_areas,
-                             fiber_volume, ma_residual, metric_at, periods_at)
+from semiflat.lattice import hermitian_h, product_family, scaled_h
+from semiflat.metric import (VolumeFormSpec, _fiber_terms, calibration_constant,
+                             christoffel_closed, christoffel_general, elliptic_metric_at,
+                             ma_residual, metric_at, periods_at)
 from semiflat.rng import SplitMix64
 
 FK = FiberKind
@@ -212,16 +214,38 @@ def test_eps_scaling():
 
 
 def test_fiber_areas_and_volume():
-    vf = VolumeFormSpec()
+    # H(eps) of the Siegel route gives each factor of the period lattice area
+    # eps; F_j is its diagonal over nu_j, so the quotient fiber has volume eps^2
     eps = 1.7
-    pm = fiber_product(FiberType(FK.II), FiberType(FK.IVstar))
-    pt = PuncturedPoint(s=0.8 * cmath.exp(0.2j), d=pm.k)
-    areas = fiber_factor_areas(pm, pt, eps)
-    assert all(abs(a / eps - 1) < 1e-8 for a in areas)
-    assert abs(fiber_volume(pm, pt, eps) / eps ** 2 - 1) < 1e-8
-    c13 = isotrivial_case13()
-    pt13 = PuncturedPoint(s=0.5 * cmath.exp(1.0j), d=6)
-    assert abs(fiber_volume(c13, pt13, eps) / eps ** 2 - 1) < 1e-8
+    for model, s in ((fiber_product(FiberType(FK.II), FiberType(FK.IVstar)),
+                      0.8 * cmath.exp(0.2j)),
+                     (isotrivial_case13(), 0.5 * cmath.exp(1.0j))):
+        pt = PuncturedPoint(s=s, d=model.k)
+        periods = periods_at(model, pt)
+        tau = periods[0]
+        F, _ = _fiber_terms(model, pt, periods, eps=eps)
+        fam = product_family(tau)
+        H = scaled_h(hermitian_h(fam), fam.Q, eps, 2).H
+        nu = getattr(model, "nu", (1, 1))
+        for j in range(2):
+            area = 2 * H[j, j].real * (tau[2 * j].conjugate() * tau[2 * j + 1]).imag
+            assert abs(area / eps - 1) < 1e-12
+            assert abs(F[j] * nu[j] / H[j, j].real - 1) < 1e-12
+        assert abs(H[0, 1]) < 1e-12 * H[0, 0].real
+
+
+def test_fiber_volume_check_fails_on_a_wrong_pairing(monkeypatch):
+    # the Siegel oracle does not go through _im_pair, so a 1 % error in the
+    # pairing that builds F_j must show
+    from semiflat import metric
+    from semiflat.cli import bundled_path
+    from semiflat.scenario import run_scenario
+    pairing = metric._im_pair
+    monkeypatch.setattr(metric, "_im_pair", lambda a, b: 1.01 * pairing(a, b))
+    report = run_scenario(bundled_path("pair_istar_x_ivstar.json"), log=io.StringIO())
+    (fv,) = [r for r in report.results if r.name == "fiber_volume"]
+    assert not fv.passed
+    assert fv.measured["max_fiber_coeff_rel_err"] > 5e-3
 
 
 def test_degenerate_lattice_raises():
