@@ -19,6 +19,13 @@ off-diagonal Christoffel residue carries a separate, slower channel
 (|z|^{m/2} from the period Wronskian) which is reported by the curvature
 fit but deliberately not mixed into the error fit.
 
+`AsymptoticChart.pulled_h` takes one point or a batch of points.  A batch
+gives the stack of the matrices that one-point calls give, bit for bit,
+and computes the terms that depend on alpha alone once per distinct alpha.
+The curvature fit evaluates both stencils of a radius as one batch
+(`AsymptoticChart.field_on`), because its values reproduce only bit for
+bit (docs/decisions.md).
+
 Radial geometry of the star-like models is handled entirely in
 L = -log|z| to avoid under/overflow: the base coefficients reduce to
 closed forms C L^w e^{q L} with small exponents.  For Istar x Istar they
@@ -39,11 +46,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diffgeo import FDScheme, chern_curvature_norm, memoized
+from .diffgeo import ChernStencil, FDScheme, Field, chern_curvature_norm, distinct_points
 from .errors import FitRejected, NoConvergence, Unsupported
 from .kodaira import (Classification, FiberKind, ProductModel, PuncturedPoint,
                       classify_asymptotics)
-from .metric import VolumeFormSpec, metric_at
+from .metric import VolumeFormSpec, base_terms, hermitian_entries
 from .rng import SplitMix64
 
 
@@ -104,13 +111,9 @@ class AsymptoticChart:
             ph += 2 * math.pi
         return complex(math.log(abs(w)), ph)
 
-    def _pullback(self, alpha: complex, betas: Sequence[complex],
-                  ) -> tuple[PuncturedPoint, tuple[complex, complex], np.ndarray]:
-        """Base point, fiber coordinates and Jacobian at (alpha, betas).
-
-        The cover coordinate s and the fiber scales c_j are computed once
-        and shared by all three.
-        """
+    def _alpha_terms(self, alpha: complex) -> tuple:
+        """Base point, fiber scales c_j and Jacobian entries at alpha:
+        (pt, c1, c2, dz, dc1, dc2), with v_j = c_j beta_j."""
         k, a1, a2 = self.model.k, self.model.a1, self.model.a2
         if self.kind == "power":
             lw = self._log_w(alpha)
@@ -127,16 +130,52 @@ class AsymptoticChart:
             dz = -self.rate * s ** k
             dc1 = -(self.rate * a1 / k) * c1
             dc2 = -(self.rate * a2 / k) * c2
-        J = np.array([[dz, 0, 0],
-                      [dc1 * betas[0], c1, 0],
-                      [dc2 * betas[1], 0, c2]], dtype=complex)
-        return PuncturedPoint(s=s, d=k), (c1 * betas[0], c2 * betas[1]), J
+        return PuncturedPoint(s=s, d=k), c1, c2, dz, dc1, dc2
 
-    def pulled_h(self, alpha: complex, betas: Sequence[complex]) -> np.ndarray:
-        """Hermitian matrix of the ansatz in the (alpha, beta1, beta2) coframe."""
-        pt, v, J = self._pullback(alpha, betas)
-        sample = metric_at(self.model, self.eps, self.vf, pt, v)
-        return J.T @ sample.h @ J.conj()
+    def pulled_h(self, alpha, betas) -> np.ndarray:
+        """Hermitian matrix of the ansatz in the (alpha, beta1, beta2) coframe.
+
+        A complex alpha and a pair of complex betas give one 3 x 3 matrix.
+        A 1-D array of alphas and a pair of arrays of betas give the (N, 3, 3)
+        stack of the same matrices, bit for bit: each point is computed with
+        Python complex arithmetic, and the terms that depend on alpha alone
+        (chart scales, periods, fiber and base coefficients) once per
+        distinct alpha.  Raises DegenerateLattice if any point lies outside
+        the validity disk.
+        """
+        if not isinstance(alpha, np.ndarray):
+            return self._pulled([alpha], [None], [betas[0]], [betas[1]])[0]
+        alphas = np.ascontiguousarray(alpha, dtype=complex)
+        raw = alphas.tobytes()          # keyed on bits: 0.0 and -0.0 differ
+        keys = [raw[i:i + 16] for i in range(0, len(raw), 16)]
+        return self._pulled(alphas.tolist(), keys,
+                            np.asarray(betas[0], dtype=complex).tolist(),
+                            np.asarray(betas[1], dtype=complex).tolist())
+
+    def _pulled(self, alphas, keys, b1s, b2s) -> np.ndarray:
+        terms: dict = {}
+        J, h = [], []          # the entries of each matrix, row by row
+        for alpha, key, b1, b2 in zip(alphas, keys, b1s, b2s):
+            t = terms.get(key)
+            if t is None:
+                pt, c1, c2, dz, dc1, dc2 = self._alpha_terms(alpha)
+                t = terms[key] = (c1, c2, dz, dc1, dc2,
+                                  base_terms(self.model, self.eps, self.vf, pt))
+            c1, c2, dz, dc1, dc2, base = t
+            J += (dz, 0, 0, dc1 * b1, c1, 0, dc2 * b2, 0, c2)
+            h += hermitian_entries(base, (c1 * b1, c2 * b2))
+        Js = np.array(J, dtype=complex).reshape(-1, 3, 3)
+        return Js.transpose(0, 2, 1) @ np.array(h, dtype=complex).reshape(-1, 3, 3) @ Js.conj()
+
+    def field_on(self, points: np.ndarray) -> Field:
+        """A field that looks up pulled_h at `points` (rows of the 6 real
+        coordinates of (alpha, beta1, beta2)), evaluated as one batch; any
+        other point raises KeyError."""
+        points, _ = distinct_points(points)
+        z = points.view(complex)
+        table = dict(zip([p.tobytes() for p in points],
+                         self.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))))
+        return lambda x: table[x.tobytes()]
 
 
 def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChart:
@@ -272,18 +311,13 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     rows = []
     trusted = []
     for r, alpha in zip(radii, alphas):
-
-        # one memo per radius: the h/2 stencil points of the `scheme` norm
-        # are the h points of the `half` norm
-        @memoized
-        def field(x: np.ndarray) -> np.ndarray:
-            a = complex(x[0], x[1])
-            b = (complex(x[2], x[3]), complex(x[4], x[5]))
-            return chart.pulled_h(a, b)
-
         x = np.array([alpha.real, alpha.imag, beta[0].real, beta[0].imag,
                       beta[1].real, beta[1].imag])
         scales = (abs(alpha), 4.0, 4.0)
+        # the h/2 stencil points of the `scheme` norm are the h points of
+        # the `half` norm: one batch holds both stencils
+        field = chart.field_on(np.concatenate([ChernStencil(x, s, scales).points
+                                               for s in (scheme, half)]))
         v1 = chern_curvature_norm(field, x, scheme, scales)
         v2 = chern_curvature_norm(field, x, half, scales)
         rows.append((float(r), v2))
@@ -325,37 +359,37 @@ def _gauss(fn: Callable, a: float, b: float) -> float:
 class _PanelTable:
     """Cumulative integrals of a profile's two integrands over fixed panels.
 
-    Panel j spans [L0 + j h, L0 + (j+1) h]; `dist[j]` and `area[j]` integrate
-    sqrt_g_radial and area_density from L0 to its left edge.  The table
-    doubles its panel count until it covers what is asked, so its entries do
-    not depend on the order of the requests.
+    Panel j spans [L0 + j h, L0 + (j+1) h]; `cum_dist[j]` and `cum_area[j]`
+    integrate sqrt_g_radial and area_density from L0 to its left edge.  The
+    table doubles its panel count until it covers what is asked, so its
+    entries do not depend on the order of the requests.
     """
 
     def __init__(self, profile: "BaseProfile", width: float):
         self.profile, self.h = profile, width
-        self.dist = np.zeros(1)
-        self.area = np.zeros(1)
+        self.cum_dist = np.zeros(1)
+        self.cum_area = np.zeros(1)
 
     @property
     def panels(self) -> int:
-        return len(self.dist) - 1
+        return len(self.cum_dist) - 1
 
     def _grow(self) -> None:
         n = self.panels
         m = max(2 * n, _FIRST_PANELS)
         if m > _MAX_PANELS:
-            raise NoConvergence(f"radial distance stays under {self.dist[-1]:.6g} "
+            raise NoConvergence(f"radial distance stays under {self.cum_dist[-1]:.6g} "
                                 f"up to L = {self.profile.L0 + n * self.h:g}")
         half = 0.5 * self.h
         mids = self.profile.L0 + self.h * np.arange(n, m) + half
         nodes = mids[:, None] + half * _GL_X
-        d = self.dist[-1] + np.cumsum(half * (self.profile.sqrt_g_radial(nodes) @ _GL_W))
-        a = self.area[-1] + np.cumsum(half * (self.profile.area_density(nodes) @ _GL_W))
+        d = self.cum_dist[-1] + np.cumsum(half * (self.profile.sqrt_g_radial(nodes) @ _GL_W))
+        a = self.cum_area[-1] + np.cumsum(half * (self.profile.area_density(nodes) @ _GL_W))
         if not (np.isfinite(d).all() and np.isfinite(a).all()):
             raise NoConvergence("radial integrand not finite on "
                                 f"[{mids[0] - half:g}, {mids[-1] + half:g}]")
-        self.dist = np.concatenate([self.dist, d])
-        self.area = np.concatenate([self.area, a])
+        self.cum_dist = np.concatenate([self.cum_dist, d])
+        self.cum_area = np.concatenate([self.cum_area, a])
 
     def _panel(self, L: float) -> tuple[int, float]:
         """Index and left edge of the panel holding L, growing the table to it."""
@@ -366,22 +400,22 @@ class _PanelTable:
 
     def dist_at(self, L: float) -> float:
         j, edge = self._panel(L)
-        return float(self.dist[j]) + _gauss(self.profile.sqrt_g_radial, edge, L)
+        return float(self.cum_dist[j]) + _gauss(self.profile.sqrt_g_radial, edge, L)
 
     def area_at(self, L: float) -> float:
         j, edge = self._panel(L)
-        return float(self.area[j]) + _gauss(self.profile.area_density, edge, L)
+        return float(self.cum_area[j]) + _gauss(self.profile.area_density, edge, L)
 
     def invert(self, r: float) -> float:
         """L with dist_at(L) = r: linear interpolation between the panel edges
         around r, then Newton steps kept inside that panel."""
-        while self.dist[-1] < r:
+        while self.cum_dist[-1] < r:
             self._grow()
-        j = min(max(int(np.searchsorted(self.dist, r, side="right")) - 1, 0),
+        j = min(max(int(np.searchsorted(self.cum_dist, r, side="right")) - 1, 0),
                 self.panels - 1)
         lo = self.profile.L0 + j * self.h
         hi = lo + self.h
-        d0, d1 = float(self.dist[j]), float(self.dist[j + 1])
+        d0, d1 = float(self.cum_dist[j]), float(self.cum_dist[j + 1])
         L = lo + self.h * (r - d0) / (d1 - d0) if d1 > d0 else lo
         for _ in range(_NEWTON_STEPS):
             slope = float(self.profile.sqrt_g_radial(L))

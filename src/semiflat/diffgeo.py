@@ -8,14 +8,21 @@ even and the complex coordinates are (x[0] + i x[1], x[2] + i x[3], ...).
 
 The stencils of one closedness residual or one Chern-curvature norm share
 points (d and dbar take the same partials, the mixed partial (i, j) repeats
-(j, i)), so both checks evaluate their field once per distinct point
-(`memoized`).  A field must therefore be pure: its value depends on x only.
+(j, i)), so both checks evaluate their field once per distinct point.  A
+field must therefore be pure: its value depends on x only.  Closedness
+evaluates its stencils pointwise through `memoized`.  A Chern norm lists
+its distinct points first (`ChernStencil`), so a caller can evaluate them
+in one batch, and forms every difference from the stacked values with the
+floating-point operations of the pointwise formulas: the norm does not
+depend, to the last bit, on which way it was evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -179,45 +186,173 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     return r[2], fitted
 
 
-def chern_curvature(field: Field, x: np.ndarray, scheme: FDScheme,
-                    scales: Sequence[float] | None = None) -> np.ndarray:
-    """Chern curvature tensor R[i, jbar, k, lbar] of the Hermitian field.
+@lru_cache(maxsize=8)
+def _chern_layout(n: int, order: int, richardson: bool) -> SimpleNamespace:
+    """Stencil rows of one Chern-curvature norm, in the order the pointwise
+    formulas evaluate them, and where each difference reads its rows.
 
-    R_{i jbar k lbar} = -d_k dbar_l h_{i jbar}
-                        + h^{q pbar} (d_k h_{i pbar}) (dbar_l h_{q jbar}).
+    Row r is x, shifted by `mult1[r]` times step `slot[r]` along `dir1[r]`
+    and then by `mult2[r]` times that step along `dir2[r]` (a multiplier 0
+    adds nothing).  Row 0 is x itself.  The steps of one level are the
+    first-partial steps [i] of the 2n real directions, then the
+    second-partial steps [k, l] of the coordinate pairs; level 1 halves
+    level 0 when Richardson is on.  `first` (levels, 2n, 2 or 4) holds the
+    rows of each first difference; `pure` (P, 3) the rows x+e, x, x-e and
+    `mixed` (Q, 4) the rows ++, +-, -+, -- of each second difference, and
+    `pure_at`, `mixed_at` its place in the (levels, n, n, 4) stack of
+    second partials.
     """
-    n = x.size // 2
-    scales = tuple(scales) if scales is not None else (1.0,) * n
-    h0 = field(x)
-    hinv = np.linalg.inv(h0)
-    d = [wirtinger_first(field, x, a, scheme, scales[a]) for a in range(n)]
-    dbar = [wirtinger_first(field, x, a, scheme, scales[a], bar=True) for a in range(n)]
-    dim = h0.shape[0]
-    R = np.zeros((dim, dim, dim, dim), dtype=complex)
-    for k in range(dim):
-        for l in range(dim):
-            dd = wirtinger_second(field, x, k, l, scheme, scales[k], scales[l])
-            # sum_{p,q} d_k h_{i pbar} hinv[pbar, q] dbar_l h_{q jbar}
-            corr = d[k] @ hinv @ dbar[l]
-            R[:, :, k, l] = -dd + corr
-    return R
+    levels = 2 if richardson else 1
+    dim = 2 * n
+    per_level = dim + n * n
+    rows = {(0, 0, 0, 0, 0): 0}
+
+    def row(d1: int, m1: int, slot: int, d2: int = 0, m2: int = 0) -> int:
+        # (x + e_i) + e_j and (x + e_j) + e_i have the same bytes for every x
+        key = (d1, m1, d2, m2, slot) if m2 == 0 or d1 < d2 else (d2, m2, d1, m1, slot)
+        return rows.setdefault(key, len(rows))
+
+    first = np.array([[[row(i, mult, t * per_level + i)
+                        for mult in ((1, -1) if order == 2 else (2, 1, -1, -2))]
+                       for i in range(dim)] for t in range(levels)])
+    pure, pure_at, mixed, mixed_at = [], [], [], []
+    for k in range(n):
+        for l in range(n):
+            pairs = ((2 * k, 2 * l), (2 * k + 1, 2 * l + 1),
+                     (2 * k, 2 * l + 1), (2 * k + 1, 2 * l))
+            for c, (i, j) in enumerate(pairs):
+                for t in range(levels):
+                    # sqrt(s_k s_l) = sqrt(s_l s_k): (k, l) and (l, k) share a step
+                    slot = t * per_level + dim + min(k, l) * n + max(k, l)
+                    at = ((t * n + k) * n + l) * 4 + c
+                    if i == j:
+                        pure.append([row(i, 1, slot), 0, row(i, -1, slot)])
+                        pure_at.append(at)
+                    else:
+                        mixed.append([row(i, s1, slot, j, s2)
+                                      for s1 in (1, -1) for s2 in (1, -1)])
+                        mixed_at.append(at)
+    dir1, mult1, dir2, mult2, slot = (np.array(col) for col in zip(*rows))
+    layout = SimpleNamespace(dir1=dir1, mult1=mult1, dir2=dir2, mult2=mult2, slot=slot,
+                             first=first, pure=np.array(pure), pure_at=np.array(pure_at),
+                             mixed=np.array(mixed), mixed_at=np.array(mixed_at))
+    for a in vars(layout).values():      # shared by every stencil of this shape
+        a.flags.writeable = False
+    return layout
+
+
+def distinct_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `points`, in order of first appearance, and the
+    index of each row among them.  Rows are compared by their bytes, so
+    0.0 and -0.0 differ."""
+    points = np.ascontiguousarray(points, dtype=float)
+    width = points.shape[1] * points.itemsize
+    raw = points.tobytes()
+    ids: dict[bytes, int] = {}
+    index = [ids.setdefault(raw[a:a + width], len(ids)) for a in range(0, len(raw), width)]
+    distinct = np.frombuffer(b"".join(ids), dtype=float).reshape(len(ids), -1)
+    return distinct.copy(), np.array(index, dtype=int)
+
+
+class ChernStencil:
+    """The stencil of one Chern-curvature norm at x, each point listed once.
+
+    `points` holds the distinct stencil points, in the order the pointwise
+    formulas first evaluate them; `norm` takes the field's matrices at
+    those points.  Every point is formed with the float operations of the
+    pointwise formulas (x + e, (x + e_i) - e_j, ...), signed zeros
+    included, and every difference, Richardson step, Wirtinger combination
+    and product is a stacked array expression in their operation order, so
+    the norm is bit for bit the one the pointwise formulas give.
+    """
+
+    def __init__(self, x: np.ndarray, scheme: FDScheme,
+                 scales: Sequence[float] | None = None):
+        x = np.asarray(x, dtype=float)
+        n = x.size // 2
+        scales = tuple(scales) if scales is not None else (1.0,) * n
+        self.scheme, self.n = scheme, n
+        lay = self._layout = _chern_layout(n, scheme.order, scheme.richardson)
+        steps = [scheme.step * scales[i // 2] for i in range(2 * n)]
+        steps += [scheme.step * math.sqrt(scales[k] * scales[l])
+                  for k in range(n) for l in range(n)]
+        if scheme.richardson:
+            steps += [h / 2 for h in steps]
+        self._steps = np.array(steps)
+        h = self._steps[lay.slot]
+        rows = np.arange(len(h))
+        e1 = np.zeros((len(h), x.size))
+        e1[rows, lay.dir1] = np.abs(lay.mult1) * h
+        e2 = np.zeros((len(h), x.size))
+        e2[rows, lay.dir2] = h
+        p = np.where((lay.mult1 > 0)[:, None], x + e1,
+                     np.where((lay.mult1 < 0)[:, None], x - e1, x))
+        p = np.where((lay.mult2 > 0)[:, None], p + e2,
+                     np.where((lay.mult2 < 0)[:, None], p - e2, p))
+        self.points, self._index = distinct_points(p)
+
+    def norm(self, values: np.ndarray) -> float:
+        """|Rm| from the stack of the field's matrices at `points`.
+
+        Computed as the Frobenius norm of the curvature tensor
+        R_{i jbar k lbar} = -d_k dbar_l h_{i jbar}
+                            + h^{q pbar} (d_k h_{i pbar}) (dbar_l h_{q jbar})
+        in an h-orthonormal frame (Cholesky transform), which is manifestly
+        nonnegative and frame-independent.
+        """
+        # each expression repeats the float operations of its pointwise
+        # counterpart: _d1 and first_partial, wirtinger_first, _d2_pure,
+        # _d2_mixed and second_partial, wirtinger_second
+        lay, n, scheme = self._layout, self.n, self.scheme
+        f = np.asarray(values)[self._index]
+        h0 = f[0]
+        if h0.shape != (n, n):
+            raise ValueError(f"field matrices are {h0.shape}, need {(n, n)}")
+        levels = 2 if scheme.richardson else 1
+        h1 = self._steps.reshape(levels, -1)[:, :2 * n, None, None]
+        fp = lay.first
+        if scheme.order == 2:
+            d1 = (f[fp[..., 0]] - f[fp[..., 1]]) / (2 * h1)
+        else:
+            d1 = (-f[fp[..., 0]] + 8 * f[fp[..., 1]]
+                  - 8 * f[fp[..., 2]] + f[fp[..., 3]]) / (12 * h1)
+        if scheme.richardson:
+            p = scheme.order
+            d1 = (2 ** p * d1[1] - d1[0]) / (2 ** p - 1)
+        else:
+            d1 = d1[0]
+        dx, dy = d1[0::2], d1[1::2]
+        d = 0.5 * (dx - 1j * dy)
+        dbar = 0.5 * (dx + 1j * dy)
+        hp = self._steps[lay.slot[lay.pure[:, 0]]][:, None, None]
+        pure = (f[lay.pure[:, 0]] - 2 * f[lay.pure[:, 1]] + f[lay.pure[:, 2]]) / (hp * hp)
+        hm = self._steps[lay.slot[lay.mixed[:, 0]]][:, None, None]
+        mixed = (f[lay.mixed[:, 0]] - f[lay.mixed[:, 1]]
+                 - f[lay.mixed[:, 2]] + f[lay.mixed[:, 3]]) / (4 * hm * hm)
+        d2 = np.empty((levels * n * n * 4, n, n), dtype=np.result_type(pure, mixed))
+        d2[lay.pure_at] = pure
+        d2[lay.mixed_at] = mixed
+        d2 = d2.reshape(levels, n, n, 4, n, n)
+        d2 = (4 * d2[1] - d2[0]) / 3 if scheme.richardson else d2[0]
+        # [k, l]: dxx, dyy, dxy, dyx of the pair (xi_k, conj xi_l)
+        dd = 0.25 * (d2[:, :, 0] + d2[:, :, 1] + 1j * (d2[:, :, 2] - d2[:, :, 3]))
+        corr = (d @ np.linalg.inv(h0))[:, None] @ dbar[None, :]
+        R = np.ascontiguousarray((-dd + corr).transpose(2, 3, 0, 1))
+        L = np.linalg.cholesky(0.5 * (h0 + h0.conj().T))
+        A = np.linalg.inv(L.conj().T)        # A^dagger h A = I
+        T = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, A, A.conj(), A, A.conj())
+        return float(np.sqrt(np.sum(np.abs(T) ** 2)))
 
 
 def chern_curvature_norm(field: Field, x: np.ndarray, scheme: FDScheme,
                          scales: Sequence[float] | None = None) -> float:
     """Pointwise norm |Rm| of the Chern curvature with respect to the field.
 
-    Computed as the Frobenius norm of the curvature tensor in an
-    h-orthonormal frame (Cholesky transform), which is manifestly
-    nonnegative and frame-independent.
+    The field is called once per distinct point of the stencil
+    (`ChernStencil`); its matrices are n x n for x in R^{2n}.
     """
-    field = memoized(field)
-    h0 = field(x)
-    L = np.linalg.cholesky(0.5 * (h0 + h0.conj().T))
-    A = np.linalg.inv(L.conj().T)        # A^dagger h A = I
-    R = chern_curvature(field, x, scheme, scales)
-    T = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, A, A.conj(), A, A.conj())
-    return float(np.sqrt(np.sum(np.abs(T) ** 2)))
+    stencil = ChernStencil(x, scheme, scales)
+    return stencil.norm(np.array([field(p) for p in stencil.points]))
 
 
 def ricci_scalar_residual(field: Field, x: np.ndarray, scheme: FDScheme,

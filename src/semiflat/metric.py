@@ -15,6 +15,11 @@ rederiving sign conventions (the m = 1 and m = 2 normalizations of the
 source construction differ, and calibration removes that risk).  For m = 1
 the effective volume coefficient is g/sqrt(2), matching the hyperkahler
 normalization omega^2 = Omega wedge conj(Omega) built from Omega/sqrt(2).
+
+The periods, F_j, g_eff and B depend on the base point alone
+(`base_terms`); Gamma^j and the entries of h also depend on v
+(`hermitian_entries`).  A caller that evaluates many fiber points over one
+base point computes the first part once.
 """
 
 from __future__ import annotations
@@ -95,31 +100,36 @@ def _im_pair(a: complex, b: complex) -> float:
 
 
 def _fiber_terms(model: Model, pt: PuncturedPoint, periods, eps: float | None = None,
-                 v: Sequence[complex] | None = None,
-                 ) -> tuple[tuple[float, ...], tuple[complex, ...]]:
+                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Fiber coefficients F_j = eps / (2 nu_j Im(conj(tau_1) tau_2)_j) when
-    eps is given, Christoffel symbols Gamma^j when v is given.
+    eps is given, and the pairings Im(conj(tau_1) tau_2)_j.
 
     `periods` is the (tau, dtau/dz) pair of periods_at at pt, computed once
-    by the caller.  Raises DegenerateLattice unless every Im pairing is
+    by the caller.  Raises DegenerateLattice unless every pairing is
     positive.
     """
     if eps is not None and eps <= 0:
         raise ValueError("eps must be positive")
-    tau, dt = periods
+    tau = periods[0]
     nu = getattr(model, "nu", (1,) * model.m)
-    F, gamma = [], []
+    F, imp = [], []
     for j in range(model.m):
-        t1, t2 = tau[2 * j], tau[2 * j + 1]
-        imp = _im_pair(t1, t2)
-        if imp <= 0:
+        p = _im_pair(tau[2 * j], tau[2 * j + 1])
+        if p <= 0:
             raise DegenerateLattice(f"Im pairing {j} non-positive at s={pt.s}")
+        imp.append(p)
         if eps is not None:
-            F.append(eps / (2.0 * nu[j] * imp))
-        if v is not None:
-            d1, d2 = dt[2 * j], dt[2 * j + 1]
-            gamma.append((_im_pair(t1, v[j]) * d2 - _im_pair(t2, v[j]) * d1) / imp)
-    return tuple(F), tuple(gamma)
+            F.append(eps / (2.0 * nu[j] * p))
+    return tuple(F), tuple(imp)
+
+
+def _christoffel(periods, imp: Sequence[float], v: Sequence[complex]) -> list[complex]:
+    tau, dt = periods
+    gamma = []
+    for j, p in enumerate(imp):
+        gamma.append((_im_pair(tau[2 * j], v[j]) * dt[2 * j + 1]
+                      - _im_pair(tau[2 * j + 1], v[j]) * dt[2 * j]) / p)
+    return gamma
 
 
 def christoffel_closed(model: Model, pt: PuncturedPoint,
@@ -129,7 +139,8 @@ def christoffel_closed(model: Model, pt: PuncturedPoint,
     Gamma^j = [Im(conj(tau_1) v_j) tau_2' - Im(conj(tau_2) v_j) tau_1'] /
     Im(conj(tau_1) tau_2), per fiber factor.
     """
-    return _fiber_terms(model, pt, periods_at(model, pt), v=v)[1]
+    periods = periods_at(model, pt)
+    return tuple(_christoffel(periods, _fiber_terms(model, pt, periods)[1], v))
 
 
 def christoffel_general(tau: Sequence[complex], dtau_dz: Sequence[complex],
@@ -155,6 +166,36 @@ def effective_g(model: Model, vf: VolumeFormSpec, z: complex) -> complex:
     return g / math.sqrt(2.0) if model.m == 1 else g
 
 
+def base_terms(model: Model, eps: float, vf: VolumeFormSpec, pt: PuncturedPoint) -> tuple:
+    """The terms of metric_at that depend on the base point alone:
+    (periods, pairings, F, g_eff, B), with the periods of periods_at, the
+    pairings Im(conj(tau_1) tau_2)_j, the fiber coefficients F_j and the
+    base coefficient B = |g_eff|^2 / prod_j F_j.
+
+    Raises DegenerateLattice outside the model's validity disk.
+    """
+    periods = periods_at(model, pt)
+    F, imp = _fiber_terms(model, pt, periods, eps)
+    g_eff = effective_g(model, vf, pt.z)
+    return periods, imp, F, g_eff, abs(g_eff) ** 2 / math.prod(F)
+
+
+def hermitian_entries(base: tuple, v: Sequence[complex]) -> list[complex]:
+    """Entries of the Hermitian matrix h at fiber coordinates v, row by row,
+    as Python numbers; `base` is what base_terms gives at the base point."""
+    periods, imp, F, _, B = base
+    m = len(F)
+    h = [0] * ((m + 1) * (m + 1))
+    fiber = []
+    for j, gamma in enumerate(_christoffel(periods, imp, v)):
+        fiber.append(F[j] * abs(gamma) ** 2)
+        h[j + 1] = -F[j] * gamma
+        h[(j + 1) * (m + 1)] = -F[j] * gamma.conjugate()
+        h[(j + 1) * (m + 2)] = F[j]
+    h[0] = B + sum(fiber)
+    return h
+
+
 def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
               pt: PuncturedPoint, v: Sequence[complex]) -> MetricSample:
     """Assemble the semi-flat Hermitian matrix at a cover point.
@@ -165,16 +206,9 @@ def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
     m = model.m
     if len(v) != m:
         raise ValueError(f"need {m} fiber coordinates")
-    F, gamma = _fiber_terms(model, pt, periods_at(model, pt), eps=eps, v=v)
-    g_eff = effective_g(model, vf, pt.z)
-    B = abs(g_eff) ** 2 / math.prod(F)
-    h = np.zeros((m + 1, m + 1), dtype=complex)
-    h[0, 0] = B + sum(F[j] * abs(gamma[j]) ** 2 for j in range(m))
-    for j in range(m):
-        h[0, j + 1] = -F[j] * gamma[j]
-        h[j + 1, 0] = -F[j] * gamma[j].conjugate()
-        h[j + 1, j + 1] = F[j]
-    return MetricSample(point=pt, v=tuple(v), h=h, omega_coeff=g_eff, eps=eps, m=m)
+    base = base_terms(model, eps, vf, pt)
+    h = np.array(hermitian_entries(base, v), dtype=complex).reshape(m + 1, m + 1)
+    return MetricSample(point=pt, v=tuple(v), h=h, omega_coeff=base[3], eps=eps, m=m)
 
 
 def elliptic_metric_at(model: LocalModel, eps: float, vf: VolumeFormSpec,

@@ -26,7 +26,7 @@ import numpy as np
 # Every metric scenario needs these.  asymptotics, eguchi_hanson, lattice
 # and weierstrass are imported inside the checks that call them, so a CLI
 # run loads (and, without a bytecode cache, compiles) only what its checks use.
-from .diffgeo import FDScheme, chern_curvature_norm, closedness_residual
+from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
 from .errors import BranchPoint, PolePoint, ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint,
                       canonical_coefficient, classify_asymptotics, fiber_product,
@@ -313,24 +313,19 @@ def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckRes
     chart = asy.to_chart(ctx.model, ctx.eps, ctx.vf)
     dev = 0.0
     mid = 0.5 * sum(chart.sector)
-    betas = []
+    b1, b2 = [], []
     for _ in range(6):
-        b1 = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * chart.limit_moduli[0]
-        b2 = rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * chart.limit_moduli[1]
-        betas.append((b1, b2))
-    for i, beta in enumerate(betas):
-        alpha = (2.0 + 5.0 * i) * chart.alpha0 * cmath.exp(1j * mid)
-        h = chart.pulled_h(alpha, beta)
+        b1.append(rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * chart.limit_moduli[0])
+        b2.append(rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * chart.limit_moduli[1])
+    alphas = [(2.0 + 5.0 * i) * chart.alpha0 * cmath.exp(1j * mid) for i in range(6)]
+    for h in chart.pulled_h(np.array(alphas), (np.array(b1), np.array(b2))):
         dev = max(dev, float(np.max(np.abs(h - chart.flat_h))))
     alpha = 4.0 * chart.alpha0 * cmath.exp(1j * mid)
-
-    def fld(x: np.ndarray) -> np.ndarray:
-        return chart.pulled_h(complex(x[0], x[1]),
-                              (complex(x[2], x[3]), complex(x[4], x[5])))
-
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
-    curv = chern_curvature_norm(fld, x, FDScheme(step=2e-3, order=2, richardson=True),
-                                (abs(alpha), 1.0, 1.0))
+    scheme = FDScheme(step=2e-3, order=2, richardson=True)
+    scales = (abs(alpha), 1.0, 1.0)
+    fld = chart.field_on(ChernStencil(x, scheme, scales).points)
+    curv = chern_curvature_norm(fld, x, scheme, scales)
     tol_dev = 1e-12 * tol_scale
     tol_curv = 1e-6 * tol_scale
     return CheckResult(

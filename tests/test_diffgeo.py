@@ -9,7 +9,7 @@ import pytest
 from semiflat.asymptotics import to_chart
 from semiflat.diffgeo import (FDScheme, chern_curvature_norm, closedness_residual,
                               first_partial, memoized, positivity,
-                              ricci_scalar_residual, wirtinger_second)
+                              ricci_scalar_residual, wirtinger_first, wirtinger_second)
 from semiflat.eguchi_hanson import EHConfig, eh_metric
 from semiflat.errors import StepTooSmall
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
@@ -202,6 +202,54 @@ def test_chern_norm_evaluates_each_point_once():
     assert calls[0] <= 145
 
 
+def _pointwise_chern_norm(field, x, scheme, scales):
+    """|Rm| from the pointwise stencil formulas, one matrix at a time: the
+    reference for the stacked ChernStencil."""
+    n = x.size // 2
+    h0 = field(x)
+    hinv = np.linalg.inv(h0)
+    d = [wirtinger_first(field, x, a, scheme, scales[a]) for a in range(n)]
+    dbar = [wirtinger_first(field, x, a, scheme, scales[a], bar=True) for a in range(n)]
+    R = np.zeros((n,) * 4, dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            dd = wirtinger_second(field, x, k, l, scheme, scales[k], scales[l])
+            R[:, :, k, l] = -dd + d[k] @ hinv @ dbar[l]
+    L = np.linalg.cholesky(0.5 * (h0 + h0.conj().T))
+    A = np.linalg.inv(L.conj().T)
+    T = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, A, A.conj(), A, A.conj())
+    return float(np.sqrt(np.sum(np.abs(T) ** 2)))
+
+
+@pytest.mark.parametrize("order, richardson", [(2, True), (2, False), (4, True), (4, False)])
+def test_chern_norm_equals_the_pointwise_formulas_bit_for_bit(order, richardson):
+    cfg = EHConfig(a=0.3)
+
+    def ehf(x):
+        return eh_metric(cfg, (complex(x[0], x[1]), complex(x[2], x[3]),
+                               complex(x[4], x[5])))
+
+    chart = to_chart(fiber_product(FiberType(FiberKind.IIstar),
+                                   FiberType(FiberKind.IIIstar)), 1.0, VolumeFormSpec(k0=0.9))
+    alpha = 500 * cmath.exp(0.5j * sum(chart.sector))
+
+    def pulled(x):
+        return chart.pulled_h(complex(x[0], x[1]), (complex(x[2], x[3]), complex(x[4], x[5])))
+
+    def real2(x):
+        return np.array([[2 + x[0] ** 2, 0.1 * x[1]], [0.1 * x[1], 1 + x[2] ** 2 * x[3]]])
+
+    scheme = FDScheme(step=1e-3, order=order, richardson=richardson)
+    cases = [(ehf, np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4]), (1.7, 4.0, 4.0)),
+             (ehf, np.array([0.5, -0.0, 0.0, 0.2, -0.0, -0.4]), (1.0, 1.0, 1.0)),
+             (pulled, np.array([alpha.real, alpha.imag, 0.3, 0.1, 0.2, 0.4]),
+              (abs(alpha), 4.0, 4.0)),
+             (real2, np.array([0.3, 0.2, 0.7, -0.1]), (2.0, 0.5))]
+    for field, x, scales in cases:
+        assert (chern_curvature_norm(field, x, scheme, scales)
+                == _pointwise_chern_norm(field, x, scheme, scales))
+
+
 def test_closedness_evaluates_each_point_once():
     # d and dbar share their first partials: 3 steps x 3 coordinates x
     # 2 real directions x 2 points, where the stencils make 72 calls
@@ -220,3 +268,35 @@ def test_memoized_values_are_read_only():
         out[0, 0] = 2.0
     memo(np.array([0.5, 0.5]))
     assert calls[0] == 2
+
+
+def _bits_equal(a, b) -> bool:
+    return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+
+
+def test_stacked_numpy_ops_are_bit_identical():
+    # ChernStencil and the batched pulled_h compute on stacks what the
+    # pointwise formulas compute matrix by matrix; the curvature fits
+    # reproduce only bit for bit, so each stacked op must round like the
+    # per-matrix one at every position of the stack
+    why = ("numpy/BLAS rounds a stacked op differently from the per-matrix one; "
+           "see docs/decisions.md, 'curvature_decay reproduces only bit for bit'")
+    rng = np.random.default_rng(8)
+
+    def cplx(*shape):
+        return (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+                + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape))
+
+    A, B = cplx(37, 3, 3), cplx(37, 3, 3)
+    assert _bits_equal(A.transpose(0, 2, 1) @ B @ A.conj(),
+                       [a.T @ b @ a.conj() for a, b in zip(A, B)]), why
+    assert _bits_equal((A @ B[0])[:, None] @ B[None, :5],
+                       [[a @ B[0] @ b for b in B[:5]] for a in A]), why
+    steps = rng.uniform(1e-4, 1e-2, (37, 1, 1))
+    for op in (np.add, np.subtract, np.multiply, np.divide):
+        whole = op(A, B)
+        assert _bits_equal(whole, [op(a, b) for a, b in zip(A, B)]), why
+        assert _bits_equal(op(A[1::2], B[1::2]), whole[1::2]), why
+        assert _bits_equal(op(A, steps), [op(a, float(h[0, 0])) for a, h in zip(A, steps)]), why
+        assert _bits_equal(op(0.5, A), [op(0.5, a) for a in A]), why
+        assert _bits_equal(op(1j, A), [op(1j, a) for a in A]), why
