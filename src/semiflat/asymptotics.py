@@ -48,8 +48,7 @@ import numpy as np
 
 from .diffgeo import ChernStencil, FDScheme, Field, chern_curvature_norm, distinct_points
 from .errors import FitRejected, NoConvergence, Unsupported
-from .kodaira import (Classification, FiberKind, ProductModel, PuncturedPoint,
-                      classify_asymptotics)
+from .kodaira import FiberKind, ProductModel, PuncturedPoint, classify_asymptotics
 from .metric import VolumeFormSpec, base_terms, hermitian_entries
 from .rng import SplitMix64
 
@@ -58,7 +57,7 @@ from .rng import SplitMix64
 class DecayFit:
     """Fitted power exponent or exponential rate with its regression residual."""
 
-    kind: str                    # power | exponential | flat | exp_sqrt
+    kind: str                    # power | exponential | flat
     exponent_or_rate: float
     window: tuple[float, float]
     r2: float                    # residual measure: SS_res / SS_tot of the fit
@@ -91,7 +90,6 @@ class AsymptoticChart:
     """Coordinate change to the asymptotically flat frame of a classified model."""
 
     model: ProductModel
-    classification: Classification
     kind: str                  # power | exp
     eps: float
     vf: VolumeFormSpec
@@ -197,14 +195,14 @@ def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChar
         p = pm.k / (pm.alpha + pm.beta - pm.k)
         alpha0 = p * anchor
         sector = (0.0, float(cls.angle_over_pi) * math.pi)
-        return AsymptoticChart(model=pm, classification=cls, kind="power", eps=eps,
+        return AsymptoticChart(model=pm, kind="power", eps=eps,
                                vf=vf, p=p, rate=0.0, alpha0=alpha0, sector=sector,
                                flat_h=flat,
                                limit_moduli=(pm.left_model.modulus_limit,
                                              pm.right_model.modulus_limit))
     rate = 1.0 / anchor
     sector = (0.0, 2 * math.pi / rate)
-    return AsymptoticChart(model=pm, classification=cls, kind="exp", eps=eps, vf=vf,
+    return AsymptoticChart(model=pm, kind="exp", eps=eps, vf=vf,
                            p=0.0, rate=rate, alpha0=0.0, sector=sector, flat_h=flat,
                            limit_moduli=(pm.left_model.modulus_limit,
                                          pm.right_model.modulus_limit))
@@ -265,18 +263,19 @@ def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray
 
 
 def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
-                    radii: Sequence[float], rng: SplitMix64 | None = None,
-                    n_beta: int = 3) -> tuple[DecayFit, list[tuple[float, float]]]:
+                    radii: Sequence[float], rng: SplitMix64 | None = None
+                    ) -> tuple[DecayFit, list[tuple[float, float]]]:
     """Decay of the relative diagonal deviation from the flat limit model.
 
     For ALG models the fit is log-deviation against log|alpha| (power
     exponent); for ALH models against Re(alpha) in rate-normalized units
-    (radii are interpreted as rate * Re(alpha)).  Returns the fit and the
+    (radii are interpreted as rate * Re(alpha)); the deviation at a radius
+    is the largest over three fiber points.  Returns the fit and the
     per-radius rows (radius, deviation).
     """
     chart = to_chart(pm, eps, vf)
     rng = rng or SplitMix64(0xDECAF)
-    betas = _beta_samples(chart, rng, n_beta)
+    betas = _beta_samples(chart, rng, 3)
     alphas = _fit_radii(chart, radii)
     rows = []
     for r, alpha in zip(radii, alphas):
@@ -289,22 +288,19 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
 
 def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
                         radii: Sequence[float], rng: SplitMix64 | None = None,
-                        scheme: FDScheme | None = None,
                         ) -> tuple[DecayFit, list[tuple[float, float]]]:
     """Decay of the Chern curvature norm along the asymptotic chart.
 
-    Each point is measured at two step sizes; points where the two disagree
-    by more than 15%, or that do not fall below 0.8 of the smallest trusted
-    value before them, sit on the rounding-noise floor of the second
+    Each point is measured at the steps 2e-3 and 1e-3; points where the two
+    disagree by more than 15%, or that do not fall below 0.8 of the smallest
+    trusted value before them, sit on the rounding-noise floor of the second
     differences and are excluded from the regression (they remain in the
     returned rows); FitRejected is raised when none is left.  The
     fiber-direction steps are taken wide (the chart metric is low-degree
     polynomial in beta, so this costs no truncation).
     """
     chart = to_chart(pm, eps, vf)
-    scheme = scheme or FDScheme(step=2e-3, order=2, richardson=True)
-    half = FDScheme(step=scheme.step / 2, order=scheme.order,
-                    richardson=scheme.richardson)
+    scheme, half = FDScheme(step=2e-3), FDScheme(step=1e-3)
     rng = rng or SplitMix64(0xCAFE)
     beta = _beta_samples(chart, rng, 1)[0]
     alphas = _fit_radii(chart, radii)
@@ -453,7 +449,6 @@ class BaseProfile:
     sqrt_g_radial: Callable[[np.ndarray], np.ndarray]
     area_density: Callable[[np.ndarray], np.ndarray]
     eps: float
-    angular_extent: float = 2 * math.pi
     power_law: Optional[tuple[float, float, float, float]] = None
 
     @cached_property
@@ -472,7 +467,7 @@ class BaseProfile:
         else:
             _, _, ca, n = self.power_law
             area = ca * (L ** (n + 1) - self.L0 ** (n + 1)) / (n + 1)
-        return self.eps * self.angular_extent * area
+        return self.eps * (2 * math.pi) * area
 
     def invert_dist(self, r: float) -> float:
         if self.power_law is None:
@@ -501,8 +496,6 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
     """Closed-form radial profile of a star-like product model."""
     cls = classify_asymptotics(pm)
     k0 = abs(vf.k0)
-    if vf.coeffs:
-        raise Unsupported("radial profiles assume a constant volume coefficient k")
     L0 = math.log(2.0)
     if cls.kind == "ALH_star":
         b1, b2 = pm.left.b, pm.right.b
@@ -544,9 +537,9 @@ def factor_correction_exponent(lm) -> float:
     return float(m)
 
 
-def euclidean_profile(eps: float = 1.0) -> BaseProfile:
-    """Flat-disk-complement sanity profile: g = |dz|^2 in direct radius."""
-    return _power_profile("euclidean", 0.0, eps, 1.0, 0, 1.0, 1)
+def euclidean_profile() -> BaseProfile:
+    """Flat-disk-complement sanity profile: g = |dz|^2 in direct radius, eps = 1."""
+    return _power_profile("euclidean", 0.0, 1.0, 1.0, 0, 1.0, 1)
 
 
 def volume_growth_fit(profile: BaseProfile,
@@ -563,8 +556,12 @@ def volume_growth_fit(profile: BaseProfile,
     return fit, rows
 
 
-def sob_check(profile: BaseProfile, beta: float,
-              radii: Sequence[float], shrink: float = 0.1) -> dict:
+# width of the clause-2 containment regions: the annulus ((1 - w) L, L) of a
+# ray-collapse model, the radial depth log(1 + w) and angle 2 w of a cone
+_SOB_SHRINK = 0.1
+
+
+def sob_check(profile: BaseProfile, beta: float, radii: Sequence[float]) -> dict:
     """Numeric check of the volume-growth clauses of the SOB(beta) condition.
 
     Clause (1): Vol(B(x0, R)) <= C R^beta -- reports sup of Vol/R^beta.
@@ -583,12 +580,12 @@ def sob_check(profile: BaseProfile, beta: float,
             inner = profile.invert_dist(max(float(r) / 2, profile.L0 + 1e-6))
             region = profile.volume(L) - profile.volume(inner)
         elif beta < 1.75:       # ray collapse: full annulus (1-shrink) L .. L
-            Ls = np.linspace((1 - shrink) * L, L, 800)
-            region = profile.eps * profile.angular_extent * float(
+            Ls = np.linspace((1 - _SOB_SHRINK) * L, L, 800)
+            region = profile.eps * (2 * math.pi) * float(
                 np.trapezoid(profile.area_density(Ls), Ls))
         else:                   # cone: thin annulus, angular fraction shrink/pi
-            Ls = np.linspace(L - math.log(1 + shrink), L, 400)
-            region = profile.eps * 2 * shrink * float(
+            Ls = np.linspace(L - math.log(1 + _SOB_SHRINK), L, 400)
+            region = profile.eps * 2 * _SOB_SHRINK * float(
                 np.trapezoid(profile.area_density(Ls), Ls))
         c2.append(region / float(r) ** beta)
     return {
@@ -620,14 +617,16 @@ def _cauchy_ok(vals: Sequence[float], tol: float = 0.02) -> bool:
     return all(abs(vals[i + 1] / vals[i] - 1.0) < tol for i in range(len(vals) - 1))
 
 
-def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec,
-                 decades: int = 4) -> ConeDescription:
+_CONE_DECADES = 4           # rescalings a tangent cone is read from
+
+
+def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescription:
     """Tangent cone at infinity via the model's rescaling maps.
 
     ALG models: exact cone of angle 2 (alpha+beta-k) pi / k, read off the
     chart sector; the pulled base coefficient is verified to converge to
     its flat value 1/2.  ALH models: ray.  Star-like models: the explicit
-    rescaling maps are evaluated across `decades` decades of the scale
+    rescaling maps are evaluated at four decades of the scale
     parameter and the rescaled coefficient must be Cauchy.
     """
     cls = classify_asymptotics(pm)
@@ -636,7 +635,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec,
         chart = to_chart(pm, eps, vf)
         mid = 0.5 * (chart.sector[0] + chart.sector[1])
         vals = []
-        for i in range(decades):
+        for i in range(_CONE_DECADES):
             if chart.kind == "power":
                 alpha = 10.0 ** (2 + i) * cmath.exp(1j * mid)
             else:
@@ -654,7 +653,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec,
         s_par = 1.7
         ca = 2.0 * b1 * b2 * k0 ** 2 / (math.pi ** 2 * eps ** 2)  # 2 B |z|^2 = ca L^2
         vals = []
-        for i in range(decades):
+        for i in range(_CONE_DECADES):
             lam = 10.0 ** (-4 - 2 * i)
             t = math.sqrt(s_par / lam)
             L = t + math.log(2.0)
@@ -673,7 +672,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     a0 = 2.0
     vals = []
     xs = []
-    for i in range(decades):
+    for i in range(_CONE_DECADES):
         al = 10.0 ** (-(5 + 8 * i))
         L = P * (math.log(a0) - math.log(al))
         Bz2 = 0.5 * profile.area_density(L)          # B e^{-2L}

@@ -1,10 +1,19 @@
 """Finite-difference checks: closedness, Chern curvature, Ricci flatness, positivity.
 
 All differentiation happens in real coordinates (Re/Im of each complex
-coordinate) with central stencils; Wirtinger combinations are assembled
-afterwards, which keeps the schemes standard and avoids branch crossings.
-A field is any callable x in R^n -> complex Hermitian matrix, where n is
-even and the complex coordinates are (x[0] + i x[1], x[2] + i x[3], ...).
+coordinate) with central second-order stencils; Wirtinger combinations are
+assembled afterwards, which keeps the schemes standard and avoids branch
+crossings.  A field is any callable x in R^n -> complex Hermitian matrix,
+where n is even and the complex coordinates are (x[0] + i x[1],
+x[2] + i x[3], ...).
+
+Two schemes are fixed, and only their step is set:
+
+- closedness takes plain central differences at steps h, h/2 and h/4, and
+  reads the convergence order off the three residuals;
+- the Chern curvature norm (and the Ricci residual) takes central
+  differences at steps h and h/2 and combines them with one Richardson
+  step (`richardson`), which cancels the h^2 error term.
 
 The stencils of one closedness residual or one Chern-curvature norm share
 points (d and dbar take the same partials, the mixed partial (i, j) repeats
@@ -34,17 +43,13 @@ Field = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central-difference configuration."""
+    """The finite-difference step h, in units of each coordinate's scale."""
 
     step: float = 1e-4
-    order: int = 2
-    richardson: bool = True
 
     def __post_init__(self):
         if not (1e-8 <= self.step <= 1e-2):
             raise ValueError("step must lie in [1e-8, 1e-2]")
-        if self.order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
 
 
 def memoized(field: Field) -> Field:
@@ -68,79 +73,54 @@ def memoized(field: Field) -> Field:
     return memo
 
 
-def _d1(field: Field, x: np.ndarray, i: int, h: float, order: int) -> np.ndarray:
+def first_partial(field: Field, x: np.ndarray, i: int, h: float) -> np.ndarray:
+    """d/dx_i of the field at x by the central difference of step h."""
     e = np.zeros_like(x)
     e[i] = h
-    if order == 2:
-        return (field(x + e) - field(x - e)) / (2 * h)
-    return (-field(x + 2 * e) + 8 * field(x + e)
-            - 8 * field(x - e) + field(x - 2 * e)) / (12 * h)
+    return (field(x + e) - field(x - e)) / (2 * h)
 
 
-def first_partial(field: Field, x: np.ndarray, i: int, scheme: FDScheme,
-                  scale: float = 1.0) -> np.ndarray:
-    h = scheme.step * scale
-    d = _d1(field, x, i, h, scheme.order)
-    if scheme.richardson:
-        d2 = _d1(field, x, i, h / 2, scheme.order)
-        p = scheme.order
-        d = (2 ** p * d2 - d) / (2 ** p - 1)
-    return d
-
-
-def _d2_pure(field: Field, x: np.ndarray, i: int, h: float) -> np.ndarray:
-    e = np.zeros_like(x)
-    e[i] = h
-    return (field(x + e) - 2 * field(x) + field(x - e)) / (h * h)
-
-
-def _d2_mixed(field: Field, x: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
+def second_partial(field: Field, x: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
+    """d^2/(dx_i dx_j) of the field at x by the central difference of step h."""
     ei = np.zeros_like(x)
-    ej = np.zeros_like(x)
     ei[i] = h
+    if i == j:
+        return (field(x + ei) - 2 * field(x) + field(x - ei)) / (h * h)
+    ej = np.zeros_like(x)
     ej[j] = h
     return (field(x + ei + ej) - field(x + ei - ej)
             - field(x - ei + ej) + field(x - ei - ej)) / (4 * h * h)
 
 
-def second_partial(field: Field, x: np.ndarray, i: int, j: int, scheme: FDScheme,
-                   scale: float = 1.0) -> np.ndarray:
-    h = scheme.step * scale
-    f = _d2_pure if i == j else _d2_mixed
-    args = (field, x, i) if i == j else (field, x, i, j)
-    d = f(*args, h)
-    if scheme.richardson:
-        d2 = f(*args, h / 2)
-        d = (4 * d2 - d) / 3
-    return d
+def richardson(difference: Callable[[float], np.ndarray], h: float) -> np.ndarray:
+    """One Richardson step on a second-order difference taken at steps h
+    and h/2: (4 D(h/2) - D(h)) / 3, which cancels the h^2 error term."""
+    return (4 * difference(h / 2) - difference(h)) / 3
 
 
-def wirtinger_first(field: Field, x: np.ndarray, a: int, scheme: FDScheme,
-                    scale: float = 1.0, bar: bool = False) -> np.ndarray:
-    """d/dxi_a (or d/d conj(xi_a)) of the field at x."""
-    dx = first_partial(field, x, 2 * a, scheme, scale)
-    dy = first_partial(field, x, 2 * a + 1, scheme, scale)
+def wirtinger_first(field: Field, x: np.ndarray, a: int, h: float,
+                    bar: bool = False) -> np.ndarray:
+    """d/dxi_a (or d/d conj(xi_a)) of the field at x, step h."""
+    dx = first_partial(field, x, 2 * a, h)
+    dy = first_partial(field, x, 2 * a + 1, h)
     return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
 
 
-def wirtinger_second(field: Field, x: np.ndarray, a: int, b: int, scheme: FDScheme,
-                     scale_a: float = 1.0, scale_b: float = 1.0) -> np.ndarray:
-    """d^2 / (dxi_a d conj(xi_b)) of the field at x."""
+def wirtinger_second(field: Field, x: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
+    """d^2 / (dxi_a d conj(xi_b)) of the field at x, step h."""
     i, j = 2 * a, 2 * b
-    s = math.sqrt(scale_a * scale_b)
-    dxx = second_partial(field, x, i, j, scheme, s)
-    dyy = second_partial(field, x, i + 1, j + 1, scheme, s)
-    dxy = second_partial(field, x, i, j + 1, scheme, s)
-    dyx = second_partial(field, x, i + 1, j, scheme, s)
+    dxx = second_partial(field, x, i, j, h)
+    dyy = second_partial(field, x, i + 1, j + 1, h)
+    dxy = second_partial(field, x, i, j + 1, h)
+    dyx = second_partial(field, x, i + 1, j, h)
     return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
 
 
-def _closedness_at_step(field: Field, x: np.ndarray, h: float, order: int,
+def _closedness_at_step(field: Field, x: np.ndarray, h: float,
                         scales: Sequence[float]) -> tuple[float, float]:
     n = x.size // 2
-    sub = FDScheme(step=min(h, 1e-2), order=order, richardson=False)
-    d = [wirtinger_first(field, x, a, sub, scales[a]) for a in range(n)]
-    dbar = [wirtinger_first(field, x, a, sub, scales[a], bar=True) for a in range(n)]
+    d = [wirtinger_first(field, x, a, h * scales[a]) for a in range(n)]
+    dbar = [wirtinger_first(field, x, a, h * scales[a], bar=True) for a in range(n)]
     scale = max(float(np.max(np.abs(m))) for m in d + dbar)
     res = 0.0
     # d omega = 0: (d_l h_{jk} - d_j h_{lk}) and (dbar_l h_{jk} - dbar_k h_{jl})
@@ -160,9 +140,9 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     """Relative |d omega| residual and the fitted convergence order.
 
     The residual is the largest d-omega component divided by the largest
-    first-derivative component, measured at steps h, h/2, h/4.  The form is
-    exactly closed, so the residual is pure truncation and must shrink at
-    the scheme's nominal order until rounding noise takes over; when the
+    first-derivative component, measured with plain central differences at
+    steps h, h/2, h/4.  The form is exactly closed, so the residual is pure
+    truncation and must shrink at second order until rounding noise takes over; when the
     first residual already sits at the noise floor the order is reported as
     infinity, and StepTooSmall is raised if shrinking the step makes things
     worse above that floor.
@@ -171,8 +151,7 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     scales = tuple(scales) if scales is not None else (1.0,) * n
     field = memoized(field)
     h = scheme.step
-    pairs = [_closedness_at_step(field, x, h / 2 ** k, scheme.order, scales)
-             for k in range(3)]
+    pairs = [_closedness_at_step(field, x, h / 2 ** k, scales) for k in range(3)]
     r = [res / scl for res, scl in pairs]
     if r[0] < 1e-10:
         return r[0], math.inf
@@ -187,7 +166,7 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
 
 
 @lru_cache(maxsize=8)
-def _chern_layout(n: int, order: int, richardson: bool) -> SimpleNamespace:
+def _chern_layout(n: int) -> SimpleNamespace:
     """Stencil rows of one Chern-curvature norm, in the order the pointwise
     formulas evaluate them, and where each difference reads its rows.
 
@@ -196,13 +175,12 @@ def _chern_layout(n: int, order: int, richardson: bool) -> SimpleNamespace:
     adds nothing).  Row 0 is x itself.  The steps of one level are the
     first-partial steps [i] of the 2n real directions, then the
     second-partial steps [k, l] of the coordinate pairs; level 1 halves
-    level 0 when Richardson is on.  `first` (levels, 2n, 2 or 4) holds the
-    rows of each first difference; `pure` (P, 3) the rows x+e, x, x-e and
-    `mixed` (Q, 4) the rows ++, +-, -+, -- of each second difference, and
-    `pure_at`, `mixed_at` its place in the (levels, n, n, 4) stack of
-    second partials.
+    level 0, for the Richardson step.  `first` (2, 2n, 2) holds the rows
+    x+e, x-e of each first difference; `pure` (P, 3) the rows x+e, x, x-e
+    and `mixed` (Q, 4) the rows ++, +-, -+, -- of each second difference,
+    and `pure_at`, `mixed_at` its place in the (2, n, n, 4) stack of second
+    partials.
     """
-    levels = 2 if richardson else 1
     dim = 2 * n
     per_level = dim + n * n
     rows = {(0, 0, 0, 0, 0): 0}
@@ -212,16 +190,15 @@ def _chern_layout(n: int, order: int, richardson: bool) -> SimpleNamespace:
         key = (d1, m1, d2, m2, slot) if m2 == 0 or d1 < d2 else (d2, m2, d1, m1, slot)
         return rows.setdefault(key, len(rows))
 
-    first = np.array([[[row(i, mult, t * per_level + i)
-                        for mult in ((1, -1) if order == 2 else (2, 1, -1, -2))]
-                       for i in range(dim)] for t in range(levels)])
+    first = np.array([[[row(i, mult, t * per_level + i) for mult in (1, -1)]
+                       for i in range(dim)] for t in range(2)])
     pure, pure_at, mixed, mixed_at = [], [], [], []
     for k in range(n):
         for l in range(n):
             pairs = ((2 * k, 2 * l), (2 * k + 1, 2 * l + 1),
                      (2 * k, 2 * l + 1), (2 * k + 1, 2 * l))
             for c, (i, j) in enumerate(pairs):
-                for t in range(levels):
+                for t in range(2):
                     # sqrt(s_k s_l) = sqrt(s_l s_k): (k, l) and (l, k) share a step
                     slot = t * per_level + dim + min(k, l) * n + max(k, l)
                     at = ((t * n + k) * n + l) * 4 + c
@@ -263,7 +240,10 @@ class ChernStencil:
     pointwise formulas (x + e, (x + e_i) - e_j, ...), signed zeros
     included, and every difference, Richardson step, Wirtinger combination
     and product is a stacked array expression in their operation order, so
-    the norm is bit for bit the one the pointwise formulas give.
+    the norm is bit for bit the one the pointwise formulas give:
+    `first_partial` and `second_partial` at steps h and h/2, `richardson`,
+    then the Wirtinger combinations of `wirtinger_first` and
+    `wirtinger_second`.
     """
 
     def __init__(self, x: np.ndarray, scheme: FDScheme,
@@ -271,14 +251,12 @@ class ChernStencil:
         x = np.asarray(x, dtype=float)
         n = x.size // 2
         scales = tuple(scales) if scales is not None else (1.0,) * n
-        self.scheme, self.n = scheme, n
-        lay = self._layout = _chern_layout(n, scheme.order, scheme.richardson)
+        self.n = n
+        lay = self._layout = _chern_layout(n)
         steps = [scheme.step * scales[i // 2] for i in range(2 * n)]
         steps += [scheme.step * math.sqrt(scales[k] * scales[l])
                   for k in range(n) for l in range(n)]
-        if scheme.richardson:
-            steps += [h / 2 for h in steps]
-        self._steps = np.array(steps)
+        self._steps = np.array(steps + [h / 2 for h in steps])
         h = self._steps[lay.slot]
         rows = np.arange(len(h))
         e1 = np.zeros((len(h), x.size))
@@ -300,27 +278,15 @@ class ChernStencil:
         in an h-orthonormal frame (Cholesky transform), which is manifestly
         nonnegative and frame-independent.
         """
-        # each expression repeats the float operations of its pointwise
-        # counterpart: _d1 and first_partial, wirtinger_first, _d2_pure,
-        # _d2_mixed and second_partial, wirtinger_second
-        lay, n, scheme = self._layout, self.n, self.scheme
+        lay, n = self._layout, self.n
         f = np.asarray(values)[self._index]
         h0 = f[0]
         if h0.shape != (n, n):
             raise ValueError(f"field matrices are {h0.shape}, need {(n, n)}")
-        levels = 2 if scheme.richardson else 1
-        h1 = self._steps.reshape(levels, -1)[:, :2 * n, None, None]
+        h1 = self._steps.reshape(2, -1)[:, :2 * n, None, None]
         fp = lay.first
-        if scheme.order == 2:
-            d1 = (f[fp[..., 0]] - f[fp[..., 1]]) / (2 * h1)
-        else:
-            d1 = (-f[fp[..., 0]] + 8 * f[fp[..., 1]]
-                  - 8 * f[fp[..., 2]] + f[fp[..., 3]]) / (12 * h1)
-        if scheme.richardson:
-            p = scheme.order
-            d1 = (2 ** p * d1[1] - d1[0]) / (2 ** p - 1)
-        else:
-            d1 = d1[0]
+        d1 = (f[fp[..., 0]] - f[fp[..., 1]]) / (2 * h1)
+        d1 = (4 * d1[1] - d1[0]) / 3
         dx, dy = d1[0::2], d1[1::2]
         d = 0.5 * (dx - 1j * dy)
         dbar = 0.5 * (dx + 1j * dy)
@@ -329,11 +295,11 @@ class ChernStencil:
         hm = self._steps[lay.slot[lay.mixed[:, 0]]][:, None, None]
         mixed = (f[lay.mixed[:, 0]] - f[lay.mixed[:, 1]]
                  - f[lay.mixed[:, 2]] + f[lay.mixed[:, 3]]) / (4 * hm * hm)
-        d2 = np.empty((levels * n * n * 4, n, n), dtype=np.result_type(pure, mixed))
+        d2 = np.empty((2 * n * n * 4, n, n), dtype=np.result_type(pure, mixed))
         d2[lay.pure_at] = pure
         d2[lay.mixed_at] = mixed
-        d2 = d2.reshape(levels, n, n, 4, n, n)
-        d2 = (4 * d2[1] - d2[0]) / 3 if scheme.richardson else d2[0]
+        d2 = d2.reshape(2, n, n, 4, n, n)
+        d2 = (4 * d2[1] - d2[0]) / 3
         # [k, l]: dxx, dyy, dxy, dyx of the pair (xi_k, conj xi_l)
         dd = 0.25 * (d2[:, :, 0] + d2[:, :, 1] + 1j * (d2[:, :, 2] - d2[:, :, 3]))
         corr = (d @ np.linalg.inv(h0))[:, None] @ dbar[None, :]
@@ -368,7 +334,8 @@ def ricci_scalar_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     res = 0.0
     for a in range(n):
         for b in range(n):
-            val = wirtinger_second(logdet, x, a, b, scheme, scales[a], scales[b])
+            h = scheme.step * math.sqrt(scales[a] * scales[b])
+            val = richardson(lambda s: wirtinger_second(logdet, x, a, b, s), h)
             res = max(res, abs(val[0, 0]))
     return res
 

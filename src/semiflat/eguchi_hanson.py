@@ -34,7 +34,6 @@ class EHConfig:
 
     a: float
     delta: float = 1.0
-    k_max: int = 2
 
     def __post_init__(self):
         if self.a <= 0:
@@ -93,8 +92,10 @@ def glued_potential_u(cfg: EHConfig, u: float) -> float:
     return u + chi * (eh_potential(cfg, u) - u)
 
 
-def _radial_derivatives(cfg: EHConfig, u: float, h: float = 1e-5) -> tuple[float, float]:
-    """(Phi', Phi'') by central differences; exact enough for eigenvalue signs."""
+def _radial_derivatives(cfg: EHConfig, u: float) -> tuple[float, float]:
+    """(Phi', Phi'') by central differences of step 1e-5; exact enough for
+    eigenvalue signs."""
+    h = 1e-5
     f = glued_potential_u
     d1 = (f(cfg, u + h) - f(cfg, u - h)) / (2 * h)
     d2 = (f(cfg, u + h) - 2 * f(cfg, u) + f(cfg, u - h)) / (h * h)
@@ -111,24 +112,26 @@ def glued_metric_eigenvalues(cfg: EHConfig, u: float) -> tuple[float, float]:
     return d1, d1 + u * d2
 
 
-def glued_positive(cfg: EHConfig, n_grid: int = 160) -> bool:
-    """Positivity sweep of the glued Hessian over u in [0.5, 1 + delta + 0.5]."""
-    for i in range(n_grid):
-        u = 0.5 + (cfg.delta + 1.0) * (i + 0.5) / n_grid
+def glued_positive(cfg: EHConfig) -> bool:
+    """Positivity sweep of the glued Hessian over u in [0.5, 1 + delta + 0.5],
+    at the midpoints of 160 equal cells."""
+    for i in range(160):
+        u = 0.5 + (cfg.delta + 1.0) * (i + 0.5) / 160
         lo = min(glued_metric_eigenvalues(cfg, u))
         if lo <= 0:
             return False
     return True
 
 
-def a_max(delta: float, hi: float = 2.0, iters: int = 40) -> float:
-    """Largest EH scale keeping the glued form positive, by bisection sweep."""
-    lo = 1e-4
+def a_max(delta: float) -> float:
+    """Largest EH scale up to 2 keeping the glued form positive, by 40
+    bisection steps."""
+    lo, hi = 1e-4, 2.0
     if not glued_positive(EHConfig(a=lo, delta=delta)):
         raise ValueError("glued form not positive even for tiny a")
     if glued_positive(EHConfig(a=hi, delta=delta)):
         return hi
-    for _ in range(iters):
+    for _ in range(40):
         mid = 0.5 * (lo + hi)
         if glued_positive(EHConfig(a=mid, delta=delta)):
             lo = mid
@@ -137,8 +140,8 @@ def a_max(delta: float, hi: float = 2.0, iters: int = 40) -> float:
     return lo
 
 
-def sphere_shell_samples(rng: SplitMix64, n: int, r_min: float = 0.5,
-                         r_max: float = 2.0) -> list[tuple[complex, complex, complex]]:
+def sphere_shell_samples(rng: SplitMix64, n: int, r_min: float,
+                         r_max: float) -> list[tuple[complex, complex, complex]]:
     """Seeded sample points on shells |z|^2 in [r_min, r_max]."""
     out = []
     for _ in range(n):
@@ -150,15 +153,15 @@ def sphere_shell_samples(rng: SplitMix64, n: int, r_min: float = 0.5,
     return out
 
 
-def gluing_report(cfg: EHConfig, seed: int = 2024, n_samples: int = 24) -> dict:
+def gluing_report(cfg: EHConfig, seed: int = 2024) -> dict:
     """Quantitative closeness/positivity summary of the gluing.
 
-    Keys: min eigenvalue of the glued Hessian over shell samples, maximum
+    Keys: min eigenvalue of the glued Hessian over 24 shell samples, maximum
     |g - I| over the cutoff annulus, maximum |det g - 1| inside u <= 1, and
     the empirical a_max for this delta.
     """
     rng = SplitMix64(seed)
-    samples = sphere_shell_samples(rng, n_samples, 0.5, 1.0 + cfg.delta + 0.5)
+    samples = sphere_shell_samples(rng, 24, 0.5, 1.0 + cfg.delta + 0.5)
     min_eig = math.inf
     for z in samples:
         u = sum(abs(c) ** 2 for c in z)

@@ -137,7 +137,6 @@ class LocalModel:
     deck_multiplier: Callable[[complex], complex]
     deck_tau: Callable[[complex], tuple[complex, complex]]  # periods after one loop
     modulus_limit: complex       # lim of tau2/tau1 along the cover
-    quasi_order: Optional[int] = None
 
     m = 1          # fiber complex dimension of an elliptic model
 
@@ -184,9 +183,8 @@ def _pow_model(t: FiberType) -> LocalModel:
                       deck_tau=deck_tau, modulus_limit=zeta)
 
 
-def _i0star_model(t: FiberType, tau0: complex) -> LocalModel:
-    if tau0.imag <= 0:
-        raise ValueError("I0star modulus must lie in the upper half-plane")
+def _i0star_model(t: FiberType) -> LocalModel:
+    tau0 = 1j          # the square lattice Z + Z i
 
     def tau(s: complex) -> tuple[complex, complex]:
         return (s, s * tau0)
@@ -238,7 +236,7 @@ def _ibstar_model(t: FiberType) -> LocalModel:
     return LocalModel(fiber=t, d=2, A=((-1, -b), (0, -1)), deck_exponent=1,
                       coord_power=1, tau=tau, dtau_ds=dtau_ds,
                       deck_multiplier=lambda s: -1.0 + 0j,
-                      deck_tau=deck_tau, modulus_limit=0j, quasi_order=2)
+                      deck_tau=deck_tau, modulus_limit=0j)
 
 
 def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
@@ -265,14 +263,14 @@ def monodromy_order(t: FiberType) -> float:
     return math.inf
 
 
-def _verify_local(model: LocalModel, seed: int = 0x5EED) -> None:
+def _verify_local(model: LocalModel) -> None:
     if det_a(model.A) != 1:
         raise UnsupportedType(f"det A != 1 for {model.label()}")
     if model.fiber.finite_monodromy:
         order = monodromy_order(model.fiber)
         if order not in (2, 3, 4, 6):
             raise UnsupportedType(f"unexpected monodromy order {order}")
-    rng = SplitMix64(seed)
+    rng = SplitMix64(0x5EED)
     A = model.A
     for _ in range(8):
         s = rng.complex_annulus(0.05, 0.55 ** (1.0 / model.d), 0.05, 2 * math.pi - 0.05)
@@ -287,12 +285,12 @@ def _verify_local(model: LocalModel, seed: int = 0x5EED) -> None:
                 f"{max(e1, e2):.2e}")
 
 
-def local_model(t: FiberType, tau0: complex = 1j, _verify: bool = True) -> LocalModel:
+def local_model(t: FiberType, _verify: bool = True) -> LocalModel:
     """Catalog lookup; every model is numerically self-checked at construction."""
     if t.kind in _FINITE_TABLE:
         model = _pow_model(t)
     elif t.kind is FiberKind.I0star:
-        model = _i0star_model(t, tau0)
+        model = _i0star_model(t)
     elif t.kind is FiberKind.I:
         model = _ib_model(t)
     elif t.kind is FiberKind.Istar:
@@ -384,7 +382,7 @@ class ProductModel:
 _E_STAR = (FiberKind.IIstar, FiberKind.IIIstar, FiberKind.IVstar)
 
 
-def fiber_product(left: FiberType, right: FiberType, tau0: complex = 1j) -> ProductModel:
+def fiber_product(left: FiberType, right: FiberType) -> ProductModel:
     """Build the supported fiber-product model for a pair of fiber types.
 
     Supported pairs, following the classification of complete Calabi-Yau
@@ -407,8 +405,8 @@ def fiber_product(left: FiberType, right: FiberType, tau0: complex = 1j) -> Prod
             raise UnsupportedPair(
                 f"Istar x {right.kind.value} has canonical coefficient >= 0 "
                 "and is outside the supported list")
-    lm = local_model(left, tau0=tau0)
-    rm = local_model(right, tau0=tau0)
+    lm = local_model(left)
+    rm = local_model(right)
     k = math.lcm(lm.d, rm.d)
     el, er = k // lm.d, k // rm.d
     alpha = (lm.deck_exponent * el) % k
@@ -421,14 +419,14 @@ def fiber_product(left: FiberType, right: FiberType, tau0: complex = 1j) -> Prod
     return pm
 
 
-def _verify_product(pm: ProductModel, seed: int = 0xFACE) -> None:
+def _verify_product(pm: ProductModel) -> None:
     """Deck cocycle closes: the product of the k multipliers around the fiber is 1.
 
     Only finite-monodromy pairs have a deck action of finite order to check.
     """
     if not all(pm.monodromy_finite):
         return
-    rng = SplitMix64(seed)
+    rng = SplitMix64(0xFACE)
     zk = cmath.exp(2j * cmath.pi / pm.k)
     for _ in range(8):
         s = rng.complex_annulus(0.3, 0.9, 0.05, 2 * math.pi / pm.k - 0.05)

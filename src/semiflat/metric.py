@@ -38,24 +38,18 @@ Model = Union[LocalModel, ProductModel]
 
 @dataclass(frozen=True)
 class VolumeFormSpec:
-    """Holomorphic volume coefficient g(z) = k(z)/z^2 with k(0) = k0 != 0.
-
-    k defaults to the constant k0; polynomial higher terms may be supplied
-    as coeffs = (c1, c2, ...) meaning k(z) = k0 + c1 z + c2 z^2 + ...
-    """
+    """Holomorphic volume coefficient g(z) = k/z^2, with k the constant k0 != 0:
+    Omega = (k0/z^2) dz dv."""
 
     k0: complex = 1.0 + 0j
-    coeffs: tuple[complex, ...] = ()
 
     def __post_init__(self):
         if self.k0 == 0:
             raise ValueError("k0 must be nonzero")
 
     def k(self, z: complex) -> complex:
-        acc = complex(self.k0)
-        for i, c in enumerate(self.coeffs, start=1):
-            acc += c * z ** i
-        return acc
+        """k(z) = k0 for every z."""
+        return complex(self.k0)
 
     def g(self, z: complex) -> complex:
         return self.k(z) / z ** 2
@@ -63,13 +57,10 @@ class VolumeFormSpec:
 
 @dataclass(frozen=True)
 class MetricSample:
-    """A point together with the Hermitian matrix of omega and the Omega coefficient."""
+    """The Hermitian matrix of omega at a point and the Omega coefficient there."""
 
-    point: PuncturedPoint
-    v: tuple[complex, ...]
     h: np.ndarray
     omega_coeff: complex      # effective holomorphic volume coefficient g_eff
-    eps: float
     m: int
 
 
@@ -208,7 +199,7 @@ def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
         raise ValueError(f"need {m} fiber coordinates")
     base = base_terms(model, eps, vf, pt)
     h = np.array(hermitian_entries(base, v), dtype=complex).reshape(m + 1, m + 1)
-    return MetricSample(point=pt, v=tuple(v), h=h, omega_coeff=base[3], eps=eps, m=m)
+    return MetricSample(h=h, omega_coeff=base[3], m=m)
 
 
 def elliptic_metric_at(model: LocalModel, eps: float, vf: VolumeFormSpec,

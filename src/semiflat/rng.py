@@ -1,8 +1,8 @@
 """Deterministic 64-bit SplitMix generator.
 
 All sampling in the package goes through this generator so that a fixed
-seed reproduces sample points bit-for-bit across platforms and thread
-counts.  Update constants (documented for reimplementation):
+seed reproduces sample points bit-for-bit across runs and platforms.
+Update constants (documented for reimplementation):
 
     state    += 0x9E3779B97F4A7C15            (golden-ratio increment)
     z = state; z ^= z >> 30; z *= 0xBF58476D1CE4E5B9

@@ -24,8 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 
 # Every metric scenario needs these.  asymptotics, eguchi_hanson, lattice
-# and weierstrass are imported inside the checks that call them, so a CLI
-# run loads (and, without a bytecode cache, compiles) only what its checks use.
+# and weierstrass are imported inside the checks that call them (and
+# eguchi_hanson by build_context for an eh scenario), so a CLI run loads
+# (and, without a bytecode cache, compiles) only what its checks use.
 from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
 from .errors import BranchPoint, PolePoint, ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint,
@@ -65,6 +66,10 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
     "grid_z": (int, False),
     "grid_v": (int, False),
 }
+
+# keys whose value must be positive: a count of zero would run a check over
+# no points, and a pass over nothing is no pass
+_POSITIVE = ("epsilon", "samples", "n_radii", "r_min", "r_max", "grid_z", "grid_v", "b")
 
 _CHECK_ALIASES = {"closed": "closedness", "cone": "tangent_cone", "volume": "volume_growth"}
 
@@ -145,7 +150,7 @@ def load_scenario(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return validate_scenario(cfg)
 
@@ -159,6 +164,8 @@ def validate_scenario(cfg: dict) -> dict:
     for key, (typ, required) in _SCHEMA.items():
         if key in cfg:
             val = cfg[key]
+            if isinstance(val, bool):           # JSON true is no count
+                raise ScenarioError(f"{key} must be {typ.__name__}")
             if typ is float and isinstance(val, int):
                 val = float(val)
                 cfg[key] = val
@@ -166,6 +173,9 @@ def validate_scenario(cfg: dict) -> dict:
                 raise ScenarioError(f"{key} must be {typ.__name__}")
         elif required:
             raise ScenarioError(f"missing required key: {key!r}")
+    for key in _POSITIVE:
+        if key in cfg and not cfg[key] > 0:
+            raise ScenarioError(f"{key} must be positive, got {cfg[key]!r}")
     kind = cfg["model_kind"]
     if kind not in _MODEL_CHECKS:
         raise ScenarioError(f"unknown model_kind {kind!r}")
@@ -203,14 +213,30 @@ def _fiber_type(kind_name: str, m: Optional[int], b: Optional[int]) -> FiberType
 @dataclass
 class Context:
     cfg: dict
-    model: object          # ProductModel | LocalModel | None
+    model: object          # ProductModel | LocalModel | EHConfig | None
     vf: VolumeFormSpec
     eps: float
+    scheme: FDScheme
     star: bool = False
+
+
+def _configured(keys: str, make: Callable, **kwargs):
+    """make(**kwargs), with the ValueError of an out-of-range setting raised
+    as the ScenarioError of the scenario keys it came from."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{keys}: {exc}") from exc
+
+
+def _volume_form(cfg: dict, default_k0_re: float) -> VolumeFormSpec:
+    k0 = complex(cfg.get("k0_re", default_k0_re), cfg.get("k0_im", 0.0))
+    return _configured("k0_re, k0_im", VolumeFormSpec, k0=k0)
 
 
 def build_context(cfg: dict) -> Context:
     eps = float(cfg.get("epsilon", 1.0))
+    scheme = _configured("fd_step", FDScheme, step=float(cfg.get("fd_step", 1e-4)))
     kind = cfg["model_kind"]
     if kind == "pair":
         left = _fiber_type(cfg["left"], cfg.get("m_left"), cfg.get("b_left"))
@@ -219,23 +245,27 @@ def build_context(cfg: dict) -> Context:
             pm = fiber_product(left, right)
         except SemiflatError as exc:
             raise ScenarioError(str(exc)) from exc
-        k0 = complex(cfg.get("k0_re", 1.0), cfg.get("k0_im", 0.0))
         star = not all(pm.monodromy_finite)
-        return Context(cfg=cfg, model=pm, vf=VolumeFormSpec(k0=k0), eps=eps, star=star)
+        return Context(cfg=cfg, model=pm, vf=_volume_form(cfg, 1.0), eps=eps,
+                       scheme=scheme, star=star)
     if kind == "isotrivial":
         case = cfg.get("case", 13)
         if case != 13:
             raise ScenarioError("only the case-13 isotrivial model carries metric checks; "
                                 "other cases enter through the canonical coefficient")
         pm = isotrivial_case13()
-        k0 = complex(cfg.get("k0_re", pm.default_k0.real), cfg.get("k0_im", 0.0))
-        return Context(cfg=cfg, model=pm, vf=VolumeFormSpec(k0=k0), eps=eps)
+        return Context(cfg=cfg, model=pm, vf=_volume_form(cfg, pm.default_k0.real),
+                       eps=eps, scheme=scheme)
     if kind == "elliptic":
         ft = _fiber_type(cfg["fiber"], cfg.get("m"), cfg.get("b"))
-        lm = local_model(ft)
-        k0 = complex(cfg.get("k0_re", 1.0), cfg.get("k0_im", 0.0))
-        return Context(cfg=cfg, model=lm, vf=VolumeFormSpec(k0=k0), eps=eps)
-    return Context(cfg=cfg, model=None, vf=VolumeFormSpec(), eps=eps)
+        return Context(cfg=cfg, model=local_model(ft), vf=_volume_form(cfg, 1.0),
+                       eps=eps, scheme=scheme)
+    model = None
+    if kind == "eh":
+        from .eguchi_hanson import EHConfig
+        model = _configured("eh_a, eh_delta", EHConfig, a=float(cfg.get("eh_a", 0.05)),
+                            delta=float(cfg.get("eh_delta", 1.0)))
+    return Context(cfg=cfg, model=model, vf=VolumeFormSpec(), eps=eps, scheme=scheme)
 
 
 def sample_point(model, rng: SplitMix64):
@@ -255,10 +285,6 @@ def _radii(cfg: dict, default_lo: float, default_hi: float, default_n: int = 13)
     hi = float(cfg.get("r_max", default_hi))
     n = int(cfg.get("n_radii", default_n))
     return np.geomspace(lo, hi, n)
-
-
-def _scheme(cfg: dict) -> FDScheme:
-    return FDScheme(step=float(cfg.get("fd_step", 1e-4)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +307,6 @@ def _check_ma(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
 
 def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     model = ctx.model
-    scheme = _scheme(ctx.cfg)
     worst_res, worst_order = 0.0, math.inf
     for _ in range(2):
         pt, v = sample_point(model, rng)
@@ -297,7 +322,7 @@ def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckR
         x = np.array([z0.real, z0.imag]
                      + [w for vj in v for w in (vj.real, vj.imag)])
         scales = (abs(z0),) + (1.0,) * model.m
-        res, order = closedness_residual(fld, x, scheme, scales)
+        res, order = closedness_residual(fld, x, ctx.scheme, scales)
         worst_res = max(worst_res, res)
         worst_order = min(worst_order, order)
     return CheckResult(
@@ -322,7 +347,7 @@ def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckRes
         dev = max(dev, float(np.max(np.abs(h - chart.flat_h))))
     alpha = 4.0 * chart.alpha0 * cmath.exp(1j * mid)
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
-    scheme = FDScheme(step=2e-3, order=2, richardson=True)
+    scheme = FDScheme(step=2e-3)
     scales = (abs(alpha), 1.0, 1.0)
     fld = chart.field_on(ChernStencil(x, scheme, scales).points)
     curv = chern_curvature_norm(fld, x, scheme, scales)
@@ -595,10 +620,8 @@ def _check_christoffel(ctx: Context, rng: SplitMix64, tol_scale: float) -> Check
 
 def _check_eh(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     from . import eguchi_hanson as eh
-    a = float(ctx.cfg.get("eh_a", 0.05))
-    delta = float(ctx.cfg.get("eh_delta", 1.0))
-    rep = eh.gluing_report(eh.EHConfig(a=a, delta=delta),
-                           seed=int(ctx.cfg.get("seed", 2024)))
+    delta = ctx.model.delta
+    rep = eh.gluing_report(ctx.model, seed=int(ctx.cfg.get("seed", 2024)))
     ratios3 = []
     for aa in (0.02, 0.04, 0.08):
         dev = 0.0

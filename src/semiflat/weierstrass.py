@@ -36,6 +36,8 @@ from .errors import BranchPoint, NotConvergent, PolePoint
 
 _SERIES_TOL = 1e-14
 _POLICY_RADIUS = 0.95
+_RADIUS = 30.0           # lattice points with |lam| <= _RADIUS are summed directly
+_POLE_TOL = 1e-8         # an argument this close to a lattice point is a pole
 
 
 @dataclass(frozen=True)
@@ -60,17 +62,17 @@ class EllipticData:
         return self.z ** self.b
 
 
-def g2_series(z: complex, terms: int | None = None) -> complex:
+def g2_series(z: complex) -> complex:
     """g2(z) = 20 sum n^3 z^n / (1 - z^n), truncated by its geometric tail."""
-    return _qseries(z, lambda n: 20.0 * n ** 3, terms)
+    return _qseries(z, lambda n: 20.0 * n ** 3)
 
 
-def g3_series(z: complex, terms: int | None = None) -> complex:
+def g3_series(z: complex) -> complex:
     """g3(z) = (1/3) sum (7 n^5 + 5 n^3) z^n / (1 - z^n)."""
-    return _qseries(z, lambda n: (7.0 * n ** 5 + 5.0 * n ** 3) / 3.0, terms)
+    return _qseries(z, lambda n: (7.0 * n ** 5 + 5.0 * n ** 3) / 3.0)
 
 
-def _qseries(z: complex, coeff, terms: int | None) -> complex:
+def _qseries(z: complex, coeff) -> complex:
     if abs(z) >= 1:
         raise NotConvergent("q-series diverges for |z| >= 1")
     if abs(z) > _POLICY_RADIUS:
@@ -87,8 +89,6 @@ def _qseries(z: complex, coeff, terms: int | None) -> complex:
         if n > 4 and coeff(n + 1) * r ** (n + 1) / (1 - r) < _SERIES_TOL:
             break
         n += 1
-        if terms is not None and n > terms:
-            break
         if n > 20000:  # unreachable inside the policy disk
             raise NotConvergent("series failed to converge")
     return acc
@@ -159,13 +159,12 @@ def _tail_sums(w1: complex, w2: complex, radius: float,
 
 
 def wp_lattice(v: complex, w1: complex, w2: complex, G4: complex, G6: complex,
-               radius: float = 30.0, reduce_v: bool = True,
-               pole_tol: float = 1e-8) -> complex:
-    """wp(v | Z w1 + Z w2) by tail-corrected direct summation."""
+               radius: float = _RADIUS, reduce_v: bool = True) -> complex:
+    """wp(v | Z w1 + Z w2) by tail-corrected direct summation over |lam| <= radius."""
     if reduce_v:
         v = reduce_argument(v, w1, w2)
-    if abs(v) < pole_tol:
-        raise PolePoint("v is within pole_tol of a lattice point")
+    if abs(v) < _POLE_TOL:
+        raise PolePoint(f"v is within {_POLE_TOL:g} of a lattice point")
     lam, _ = _box(w1, w2, radius)
     core = 1.0 / v ** 2 + np.sum(1.0 / (v - lam) ** 2 - 1.0 / lam ** 2)
     S = _tail_sums(w1, w2, radius, G4, G6)
@@ -173,17 +172,15 @@ def wp_lattice(v: complex, w1: complex, w2: complex, G4: complex, G6: complex,
     return complex(core + tail)
 
 
-def wp_prime_lattice(v: complex, w1: complex, w2: complex, G4: complex, G6: complex,
-                     radius: float = 30.0, reduce_v: bool = True,
-                     pole_tol: float = 1e-8) -> complex:
+def wp_prime_lattice(v: complex, w1: complex, w2: complex, G4: complex,
+                     G6: complex) -> complex:
     """wp'(v) = -2 sum (v - lam)^{-3} with the analogous tail correction."""
-    if reduce_v:
-        v = reduce_argument(v, w1, w2)
-    if abs(v) < pole_tol:
-        raise PolePoint("v is within pole_tol of a lattice point")
-    lam, _ = _box(w1, w2, radius)
+    v = reduce_argument(v, w1, w2)
+    if abs(v) < _POLE_TOL:
+        raise PolePoint(f"v is within {_POLE_TOL:g} of a lattice point")
+    lam, _ = _box(w1, w2, _RADIUS)
     core = -2.0 / v ** 3 + np.sum(-2.0 / (v - lam) ** 3)
-    S = _tail_sums(w1, w2, radius, G4, G6)
+    S = _tail_sums(w1, w2, _RADIUS, G4, G6)
     # -2 (v-lam)^{-3} = 2 lam^{-3} sum_j C(j+2, 2) (v/lam)^j; odd S vanish
     tail = 2 * (3 * v * S[4] + 10 * v ** 3 * S[6] + 21 * v ** 5 * S[8]
                 + 36 * v ** 7 * S[10])
@@ -196,15 +193,15 @@ def _lattice_of(ed: EllipticData) -> tuple[complex, complex, complex, complex]:
     return w1, w2, G4, G6
 
 
-def wp(ed: EllipticData, v: complex, radius: float = 30.0) -> complex:
+def wp(ed: EllipticData, v: complex, radius: float = _RADIUS) -> complex:
     """Weierstrass wp for the I_b lattice at base point z."""
     w1, w2, G4, G6 = _lattice_of(ed)
     return wp_lattice(v, w1, w2, G4, G6, radius)
 
 
-def wp_prime(ed: EllipticData, v: complex, radius: float = 30.0) -> complex:
+def wp_prime(ed: EllipticData, v: complex) -> complex:
     w1, w2, G4, G6 = _lattice_of(ed)
-    return wp_prime_lattice(v, w1, w2, G4, G6, radius)
+    return wp_prime_lattice(v, w1, w2, G4, G6)
 
 
 def kodaira_xy(ed: EllipticData, v: complex) -> tuple[complex, complex]:
@@ -222,12 +219,14 @@ def cubic_residual(ed: EllipticData, v: complex) -> float:
     return abs(y * y - (4 * x ** 3 + x * x - g2 * x - g3))
 
 
-def volume_pullback_ratio(ed: EllipticData, v: complex, h: float = 3e-4) -> complex:
+def volume_pullback_ratio(ed: EllipticData, v: complex) -> complex:
     """(dx/dv) / y divided by 2 pi i; the contract value is 1.
 
-    dx/dv is measured by a central finite difference of the embedding, so
-    the check is independent of the closed form wp' = dx/dv * (-4 pi^2).
+    dx/dv is measured by a fourth-order central finite difference of the
+    embedding, of step 3e-4, so the check is independent of the closed form
+    wp' = dx/dv * (-4 pi^2).
     """
+    h = 3e-4
     w1, w2, G4, G6 = _lattice_of(ed)
     vr = reduce_argument(v, w1, w2)
     wprime = wp_prime(ed, vr)

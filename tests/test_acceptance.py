@@ -117,7 +117,7 @@ def test_criterion_2_closedness():
         x = np.array([z0.real, z0.imag]
                      + [w for vj in v for w in (vj.real, vj.imag)])
         res, order = closedness_residual(
-            field, x, FDScheme(step=1e-4, order=2, richardson=False),
+            field, x, FDScheme(step=1e-4),
             (abs(z0),) + (1.0,) * model.m)
         results.append((model.label(), res, order))
     dt = time.perf_counter() - t0

@@ -284,7 +284,7 @@ def test_radial_profile_against_mpmath(right, eps, k0):
         knots = mpmath.linspace(prof.L0, L, 17)
         for got, fn, scale in ((prof.dist(L), prof.sqrt_g_radial, 1.0),
                                (prof.volume(L), prof.area_density,
-                                prof.eps * prof.angular_extent)):
+                                prof.eps * 2 * math.pi)):
             want = scale * float(mpmath.quad(lambda t: float(fn(float(t))), knots))
             assert abs(got / want - 1.0) < tol, (L, got, want)
     err = prof.quad_rel_err(1e6)
@@ -384,8 +384,7 @@ def test_star_curvature_decay_istar_istar():
 
         x = np.array([z.real, z.imag, 0.2 * abs(s), 0.1 * abs(s),
                       -0.15 * abs(s), 0.12 * abs(s)])
-        nrm = chern_curvature_norm(field, x, FDScheme(step=1e-3, order=2,
-                                                      richardson=True),
+        nrm = chern_curvature_norm(field, x, FDScheme(step=1e-3),
                                    (abs(z), abs(s), abs(s)))
         Ls.append(L)
         vals.append(nrm)

@@ -129,6 +129,38 @@ def test_fd_scheme_keys_are_unknown(tmp_path, key, value):
     assert f"unknown scenario key: {key!r}" in err.getvalue()
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("elliptic_iv.json", "samples", 0),
+    ("elliptic_iv.json", "samples", True),
+    ("elliptic_iv.json", "epsilon", -1.0),
+    ("elliptic_iv.json", "fd_step", 0.5),
+    ("pair_iistar_x_iiistar.json", "k0_re", 0.0),
+    ("pair_iistar_x_iiistar.json", "r_min", 0.0),
+    ("eh_gluing.json", "eh_a", -0.1),
+    ("eh_gluing.json", "eh_delta", 2.0),
+    ("weierstrass_i1.json", "grid_z", 0),
+    ("weierstrass_i1.json", "b", 0),
+    ("elliptic_iv.json", "name", None),        # a 0xff byte: not UTF-8
+])
+def test_malformed_values_exit_two(tmp_path, name, key, value):
+    # a value out of range is malformed configuration: exit code 2 and a
+    # one-line message, not a traceback, and never a check run over nothing
+    raw = bundled_path(name).read_bytes()
+    if value is None:
+        data = raw.replace(b'"elliptic_iv"', b'"elliptic_\xffiv"', 1)
+        assert data != raw
+    else:
+        cfg = json.loads(raw)
+        cfg[key] = value
+        data = json.dumps(cfg).encode("utf-8")
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert err.getvalue().startswith("scenario error:")
+
+
 def test_validate_scenario_rules():
     with pytest.raises(ScenarioError):
         validate_scenario({"name": "x", "model_kind": "pair", "checks": ["ma"]})

@@ -37,7 +37,6 @@ def test_ibstar_periods_and_monodromy():
     assert abs(t2 - 3 / (2j * math.pi) * cmath.sqrt(z) * cmath.log(z)) < 1e-13 \
         or abs(t2 + 3 / (2j * math.pi) * cmath.sqrt(z) * cmath.log(z)) < 1e-13
     assert monodromy_order(FiberType(FK.Istar, b=3)) == math.inf
-    assert lm.quasi_order == 2
 
 
 def test_iistar_deck_exponent():

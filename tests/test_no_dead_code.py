@@ -1,4 +1,5 @@
-"""Every function, class and method of the package is reached from the package.
+"""Every function, class and method of the package is reached from the package,
+and every parameter and field is set or read there (second half of the file).
 
 A definition that only its own unit tests call is code that no scenario
 runs.  The check is by name: each top-level function and class, and each
@@ -76,3 +77,161 @@ def test_every_definition_is_referenced():
 
 def test_every_allowance_is_needed():
     assert ALLOWED.keys() - _unreferenced() == set()
+
+
+# ---------------------------------------------------------------------------
+# parameters and fields
+# ---------------------------------------------------------------------------
+#
+# A parameter with a default that no call in the package passes, or a
+# dataclass field that nothing reads, is a setting no scenario can change:
+# it doubles the configurations to test and serves none.  Calls are matched
+# to definitions by name, as above; a call passes a parameter by position,
+# by keyword, or through *args / **kwargs.  A class is called by its own
+# name: its dataclass fields or its __init__ parameters.
+
+# "function.param" or "Class.field" -> why it stays although no call in the
+# package passes it; each entry must still be unpassed
+ALLOWED_PARAMS = {
+    "wp.radius": "test oracle: test_weierstrass doubles the cut radius to check the "
+                 "Laurent tail",
+    "run_scenario.log": "the tests capture the per-check status lines",
+    "Report.results": "an accumulator: run_scenario appends each check's result",
+    "CheckResult.wall_time": "set by run_scenario once the check has run",
+    "main.argv": "the tests pass the argument list; the console script passes none",
+    "error_decay_fit.rng": "the acceptance gate calls the fit without a generator",
+    "curvature_decay_fit.rng": "the acceptance gate calls the fit without a generator",
+    "ricci_scalar_residual.scales": "test oracle (ALLOWED above); its tests pass the "
+                                    "chart scales",
+}
+
+# "Class.field" -> why it stays although nothing in the package reads it
+ALLOWED_FIELDS = {
+    "SiegelData.S": "the acceptance gate reads the symplectic basis change",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _fields(node: ast.ClassDef):
+    """(name, has default) of each field of a dataclass, in order."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id, item.value is not None
+
+
+def _signatures(tree: ast.Module):
+    """(qualified name, callee name, [(param, positional index or None, has default)])
+    of each function, method, nested function and dataclass constructor."""
+
+    def params(fn: ast.FunctionDef, skip: int):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first_default = len(positional) - len(a.defaults)
+        out = [(p.arg, i - skip, i >= first_default)
+               for i, p in enumerate(positional) if i >= skip]
+        out += [(p.arg, None, d is not None) for p, d in zip(a.kwonlyargs, a.kw_defaults)]
+        return out
+
+    def visit(node: ast.AST, owner: ast.ClassDef | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    yield child.name, child.name, [(f, i, d) for i, (f, d)
+                                                   in enumerate(_fields(child))]
+                yield from visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                method = owner is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                if child.name == "__init__" and owner is not None:
+                    yield owner.name, owner.name, params(child, 1)
+                elif not (child.name.startswith("__") and child.name.endswith("__")):
+                    qual = f"{owner.name}.{child.name}" if owner is not None else child.name
+                    yield qual, child.name, params(child, 1 if method else 0)
+                yield from visit(child, None)
+            else:
+                yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def _calls(trees):
+    """callee name -> [(positional count, keywords, splat)] of each call."""
+    calls: dict[str, list] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append(
+                (len(node.args), {k.arg for k in node.keywords if k.arg is not None},
+                 star or any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def _trees():
+    return [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+            for p in sorted(SRC.glob("*.py"))]
+
+
+def _unpassed() -> set[str]:
+    trees = _trees()
+    calls = _calls(trees)
+    unpassed = set()
+    for tree in trees:
+        for qualname, name, params in _signatures(tree):
+            for param, index, default in params:
+                if not default:
+                    continue
+                if not any(splat or param in keywords
+                           or (index is not None and index < npos)
+                           for npos, keywords, splat in calls.get(name, ())):
+                    unpassed.add(f"{qualname}.{param}")
+    return unpassed
+
+
+def _unread_fields() -> set[str]:
+    trees = _trees()
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    unread = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread |= {f"{node.name}.{f}" for f, _ in _fields(node) if f not in read}
+    return unread
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert _unpassed() - ALLOWED_PARAMS.keys() == set()
+
+
+def test_every_parameter_allowance_is_needed():
+    assert ALLOWED_PARAMS.keys() - _unpassed() == set()
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields() - ALLOWED_FIELDS.keys() == set()
+
+
+def test_every_field_allowance_is_needed():
+    assert ALLOWED_FIELDS.keys() - _unread_fields() == set()
