@@ -28,11 +28,13 @@ bit (docs/decisions.md).
 
 Radial geometry of the star-like models is handled entirely in
 L = -log|z| to avoid under/overflow: the base coefficients reduce to
-closed forms C L^w e^{q L} with small exponents.  For Istar x Istar they
-are pure powers of L, so distance, volume and the inverse distance are
-closed forms (r = C_r (L^2 - L0^2) / 2).  An Istar x E-star profile is
-integrated once, into a cumulative table of Gauss-Legendre panels that
-distance, volume and inversion all read.
+closed forms C L^w e^{q L} with small exponents.  The area density
+always has an elementary antiderivative, so every volume, and every SOB
+containment region (a difference of two volumes), is a closed form.  For
+Istar x Istar the distance and its inverse are closed forms too
+(r = C_r (L^2 - L0^2) / 2).  The distance of an Istar x E-star profile,
+the square root of such a density, is integrated once, into a cumulative
+table of Gauss-Legendre panels that distance and inversion read.
 """
 
 from __future__ import annotations
@@ -353,18 +355,18 @@ def _gauss(fn: Callable, a: float, b: float) -> float:
 
 
 class _PanelTable:
-    """Cumulative integrals of a profile's two integrands over fixed panels.
+    """Cumulative radial distance of a profile over fixed panels, and its
+    inverse.
 
-    Panel j spans [L0 + j h, L0 + (j+1) h]; `cum_dist[j]` and `cum_area[j]`
-    integrate sqrt_g_radial and area_density from L0 to its left edge.  The
-    table doubles its panel count until it covers what is asked, so its
-    entries do not depend on the order of the requests.
+    Panel j spans [L0 + j h, L0 + (j+1) h]; `cum_dist[j]` integrates
+    sqrt_g_radial from L0 to its left edge.  The table doubles its panel
+    count until it covers what is asked, so its entries do not depend on
+    the order of the requests.
     """
 
     def __init__(self, profile: "BaseProfile", width: float):
         self.profile, self.h = profile, width
         self.cum_dist = np.zeros(1)
-        self.cum_area = np.zeros(1)
 
     @property
     def panels(self) -> int:
@@ -380,12 +382,10 @@ class _PanelTable:
         mids = self.profile.L0 + self.h * np.arange(n, m) + half
         nodes = mids[:, None] + half * _GL_X
         d = self.cum_dist[-1] + np.cumsum(half * (self.profile.sqrt_g_radial(nodes) @ _GL_W))
-        a = self.cum_area[-1] + np.cumsum(half * (self.profile.area_density(nodes) @ _GL_W))
-        if not (np.isfinite(d).all() and np.isfinite(a).all()):
+        if not np.isfinite(d).all():
             raise NoConvergence("radial integrand not finite on "
                                 f"[{mids[0] - half:g}, {mids[-1] + half:g}]")
         self.cum_dist = np.concatenate([self.cum_dist, d])
-        self.cum_area = np.concatenate([self.cum_area, a])
 
     def _panel(self, L: float) -> tuple[int, float]:
         """Index and left edge of the panel holding L, growing the table to it."""
@@ -397,10 +397,6 @@ class _PanelTable:
     def dist_at(self, L: float) -> float:
         j, edge = self._panel(L)
         return float(self.cum_dist[j]) + _gauss(self.profile.sqrt_g_radial, edge, L)
-
-    def area_at(self, L: float) -> float:
-        j, edge = self._panel(L)
-        return float(self.cum_area[j]) + _gauss(self.profile.area_density, edge, L)
 
     def invert(self, r: float) -> float:
         """L with dist_at(L) = r: linear interpolation between the panel edges
@@ -429,17 +425,18 @@ class BaseProfile:
     """Radial data of a star-like base metric, parameterized by L = -log|z|.
 
     sqrt_g_radial(L) integrates to the radial distance; area_density(L) is
-    the area element per unit L and unit angle.  Both take and return numpy
-    arrays, and keep every exponential factor explicit so no |z| power is
-    ever materialized.
+    the area element per unit L and unit angle, and area(L) its
+    antiderivative, so volume(L) = eps 2 pi (area(L) - area(L0)).  The
+    densities take and return numpy arrays, and keep every exponential
+    factor explicit so no |z| power is ever materialized.
 
-    A profile with `power_law = (cr, m, ca, n)` has sqrt_g_radial = cr L^m
-    and area_density = ca L^n, and integrates and inverts in closed form.
-    Any other profile integrates once: a cumulative table of 8-point
+    A profile with `power_law = (cr, m)` has sqrt_g_radial = cr L^m, and
+    its distance integrates and inverts in closed form.  Any other profile
+    integrates its distance once: a cumulative table of 8-point
     Gauss-Legendre panels of width 0.5 in L is built on first use and
-    doubled until it covers the largest L or radius asked for.  dist and
-    volume add the partial panel to the cumulative sum; invert_dist
-    interpolates between panel edges and finishes with Newton steps, using
+    doubled until it covers the largest L or radius asked for.  dist adds
+    the partial panel to the cumulative sum; invert_dist interpolates
+    between panel edges and finishes with Newton steps, using
     sqrt_g_radial as the derivative.  The table is not a field, so
     `dataclasses.replace` gives a copy that builds its own.
     """
@@ -448,8 +445,9 @@ class BaseProfile:
     L0: float
     sqrt_g_radial: Callable[[np.ndarray], np.ndarray]
     area_density: Callable[[np.ndarray], np.ndarray]
+    area: Callable[[float], float]
     eps: float
-    power_law: Optional[tuple[float, float, float, float]] = None
+    power_law: Optional[tuple[float, float]] = None
 
     @cached_property
     def _table(self) -> _PanelTable:
@@ -458,38 +456,33 @@ class BaseProfile:
     def dist(self, L: float) -> float:
         if self.power_law is None:
             return self._table.dist_at(L)
-        cr, m, _, _ = self.power_law
+        cr, m = self.power_law
         return cr * (L ** (m + 1) - self.L0 ** (m + 1)) / (m + 1)
 
     def volume(self, L: float) -> float:
-        if self.power_law is None:
-            area = self._table.area_at(L)
-        else:
-            _, _, ca, n = self.power_law
-            area = ca * (L ** (n + 1) - self.L0 ** (n + 1)) / (n + 1)
-        return self.eps * (2 * math.pi) * area
+        return self.eps * (2 * math.pi) * (self.area(L) - self.area(self.L0))
 
     def invert_dist(self, r: float) -> float:
         if self.power_law is None:
             return self._table.invert(r)
-        cr, m, _, _ = self.power_law
+        cr, m = self.power_law
         return (self.L0 ** (m + 1) + (m + 1) * r / cr) ** (1.0 / (m + 1))
 
     def quad_rel_err(self, r: float) -> float:
         """Relative change of the volume at distance r when the panel width
-        is halved; 0.0 for a closed form."""
+        of the distance table is halved; 0.0 for a closed form."""
         if self.power_law is not None:
             return 0.0
-        coarse, fine = self._table, _PanelTable(self, _PANEL_WIDTH / 2)
-        vol = coarse.area_at(coarse.invert(r))
-        return abs(fine.area_at(fine.invert(r)) / vol - 1.0)
+        fine = _PanelTable(self, _PANEL_WIDTH / 2)
+        return abs(self.volume(fine.invert(r)) / self.volume(self._table.invert(r)) - 1.0)
 
 
 def _power_profile(label: str, L0: float, eps: float, cr: float, m: float,
                    ca: float, n: float) -> BaseProfile:
     return BaseProfile(label=label, L0=L0, sqrt_g_radial=lambda L: cr * L ** m,
-                       area_density=lambda L: ca * L ** n, eps=eps,
-                       power_law=(cr, m, ca, n))
+                       area_density=lambda L: ca * L ** n,
+                       area=lambda L: ca * L ** (n + 1) / (n + 1), eps=eps,
+                       power_law=(cr, m))
 
 
 def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfile:
@@ -518,8 +511,16 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
         def areaden(L: np.ndarray) -> np.ndarray:
             return 2.0 * c2 * L * (1.0 - np.exp(-q * L)) * np.exp((w - 2.0) * L)
 
+        # int L e^{cL} dL = e^{cL} (L/c - 1/c^2), at c = e1 = w - 2 and
+        # c = e2 = w - 2 - q, both nonzero for every allowed multiplicity
+        e1, e2 = w - 2.0, w - 2.0 - q
+
+        def area(L: float) -> float:
+            return 2.0 * c2 * (math.exp(e1 * L) * (L / e1 - 1.0 / e1 ** 2)
+                               - math.exp(e2 * L) * (L / e2 - 1.0 / e2 ** 2))
+
         return BaseProfile(label=pm.label(), L0=L0, sqrt_g_radial=sqrtg,
-                           area_density=areaden, eps=eps)
+                           area_density=areaden, area=area, eps=eps)
     raise Unsupported(f"no radial profile for {cls.kind}")
 
 
@@ -575,19 +576,16 @@ def sob_check(profile: BaseProfile, beta: float, radii: Sequence[float]) -> dict
     c2 = []
     for r in radii:
         L = profile.invert_dist(float(r))
-        c1.append(profile.volume(L) / float(r) ** beta)
+        vol = profile.volume(L)
+        c1.append(vol / float(r) ** beta)
+        # each region is the fraction `frac` of the annulus inner .. L
         if profile.label == "euclidean":
-            inner = profile.invert_dist(max(float(r) / 2, profile.L0 + 1e-6))
-            region = profile.volume(L) - profile.volume(inner)
+            inner, frac = profile.invert_dist(max(float(r) / 2, profile.L0 + 1e-6)), 1.0
         elif beta < 1.75:       # ray collapse: full annulus (1-shrink) L .. L
-            Ls = np.linspace((1 - _SOB_SHRINK) * L, L, 800)
-            region = profile.eps * (2 * math.pi) * float(
-                np.trapezoid(profile.area_density(Ls), Ls))
+            inner, frac = (1 - _SOB_SHRINK) * L, 1.0
         else:                   # cone: thin annulus, angular fraction shrink/pi
-            Ls = np.linspace(L - math.log(1 + _SOB_SHRINK), L, 400)
-            region = profile.eps * 2 * _SOB_SHRINK * float(
-                np.trapezoid(profile.area_density(Ls), Ls))
-        c2.append(region / float(r) ** beta)
+            inner, frac = L - math.log(1 + _SOB_SHRINK), _SOB_SHRINK / math.pi
+        c2.append(frac * (vol - profile.volume(inner)) / float(r) ** beta)
     return {
         "beta": beta,
         "clause1_sup": max(c1), "clause1_inf": min(c1),
@@ -610,7 +608,6 @@ class ConeDescription:
     angle_over_pi: Optional[Fraction]
     limit_coefficient: Optional[float]
     measured: tuple[float, ...]
-    cauchy_ok: bool
 
 
 def _cauchy_ok(vals: Sequence[float], tol: float = 0.02) -> bool:
@@ -630,7 +627,6 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
     parameter and the rescaled coefficient must be Cauchy.
     """
     cls = classify_asymptotics(pm)
-    k0 = abs(vf.k0)
     if cls.kind in ("ALG", "ALH"):
         chart = to_chart(pm, eps, vf)
         mid = 0.5 * (chart.sector[0] + chart.sector[1])
@@ -646,28 +642,24 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
             raise NoConvergence(f"chart base coefficient not Cauchy: {vals}")
         return ConeDescription(kind=cls.cone,
                                angle_over_pi=cls.angle_over_pi,
-                               limit_coefficient=vals[-1], measured=tuple(vals),
-                               cauchy_ok=True)
+                               limit_coefficient=vals[-1], measured=tuple(vals))
+    profile = base_profile(pm, eps, vf)        # star-like from here on
     if cls.kind == "ALH_star":
-        b1, b2 = pm.left.b, pm.right.b
         s_par = 1.7
-        ca = 2.0 * b1 * b2 * k0 ** 2 / (math.pi ** 2 * eps ** 2)  # 2 B |z|^2 = ca L^2
         vals = []
         for i in range(_CONE_DECADES):
             lam = 10.0 ** (-4 - 2 * i)
             t = math.sqrt(s_par / lam)
             L = t + math.log(2.0)
-            grr = ca * L * L        # Riemannian (dt, dt) coefficient
+            grr = profile.area_density(L)     # 2 B |z|^2: the Riemannian (dt, dt) coefficient
             vals.append(lam ** 2 * grr / (4 * lam * s_par))
         if not _cauchy_ok(vals):
             raise NoConvergence(f"ray rescaling not Cauchy: {vals}")
         return ConeDescription(kind="ray", angle_over_pi=None,
-                               limit_coefficient=vals[-1], measured=tuple(vals),
-                               cauchy_ok=True)
+                               limit_coefficient=vals[-1], measured=tuple(vals))
     # ALG_star: Phi_lambda(alpha) = (alpha/alpha_lam)^{-P} with P the cone
     # power 2k/(k-2a2) (the angle is 2 pi / P), alpha_lam -> 0 and
     # lam = alpha_lam |log alpha_lam|^{-1/2}
-    profile = base_profile(pm, eps, vf)
     P = 2.0 * pm.k / (pm.k - 2.0 * pm.a2)
     a0 = 2.0
     vals = []
@@ -684,8 +676,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
     # the limit is approached affinely in 1/|log alpha_lam|
     slope, intercept, _ = _ols(np.asarray(xs), np.asarray(vals))
     return ConeDescription(kind="cone", angle_over_pi=cls.angle_over_pi,
-                           limit_coefficient=intercept, measured=tuple(vals),
-                           cauchy_ok=True)
+                           limit_coefficient=intercept, measured=tuple(vals))
 
 
 def ray_limit_coefficient(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> float:

@@ -40,7 +40,8 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--out", default="out", help="output directory")
     runp.add_argument("--seed", type=int, default=None, help="seed override (u64)")
     runp.add_argument("--tolerance-scale", type=float, default=1.0,
-                      help="uniform tolerance relaxation factor (reported in output)")
+                      help="uniform tolerance relaxation factor, finite and positive "
+                           "(reported in output)")
     args = parser.parse_args(argv)
 
     if args.list_scenarios:

@@ -19,11 +19,13 @@ The stencils of one closedness residual or one Chern-curvature norm share
 points (d and dbar take the same partials, the mixed partial (i, j) repeats
 (j, i)), so both checks evaluate their field once per distinct point.  A
 field must therefore be pure: its value depends on x only.  Closedness
-evaluates its stencils pointwise through `memoized`.  A Chern norm lists
-its distinct points first (`ChernStencil`), so a caller can evaluate them
-in one batch, and forms every difference from the stacked values with the
-floating-point operations of the pointwise formulas: the norm does not
-depend, to the last bit, on which way it was evaluated.
+takes the two real partials of each coordinate once and forms d and dbar
+from them, so each of its points is evaluated once by construction.  A
+Chern norm lists its distinct points first (`ChernStencil`), so a caller
+can evaluate them in one batch, and forms every difference from the
+stacked values with the floating-point operations of the pointwise
+formulas: the norm does not depend, to the last bit, on which way it was
+evaluated.
 """
 
 from __future__ import annotations
@@ -52,27 +54,6 @@ class FDScheme:
             raise ValueError("step must lie in [1e-8, 1e-2]")
 
 
-def memoized(field: Field) -> Field:
-    """`field` evaluated once per distinct point, keyed on the bytes of x.
-
-    A repeated point returns the array of its first evaluation, marked
-    read-only, so a caller that writes to it raises ValueError instead of
-    changing what the next caller reads.
-    """
-    cache: dict[bytes, np.ndarray] = {}
-
-    def memo(x: np.ndarray) -> np.ndarray:
-        key = x.tobytes()
-        out = cache.get(key)
-        if out is None:
-            out = np.asarray(field(x)).view()
-            out.flags.writeable = False
-            cache[key] = out
-        return out
-
-    return memo
-
-
 def first_partial(field: Field, x: np.ndarray, i: int, h: float) -> np.ndarray:
     """d/dx_i of the field at x by the central difference of step h."""
     e = np.zeros_like(x)
@@ -98,14 +79,6 @@ def richardson(difference: Callable[[float], np.ndarray], h: float) -> np.ndarra
     return (4 * difference(h / 2) - difference(h)) / 3
 
 
-def wirtinger_first(field: Field, x: np.ndarray, a: int, h: float,
-                    bar: bool = False) -> np.ndarray:
-    """d/dxi_a (or d/d conj(xi_a)) of the field at x, step h."""
-    dx = first_partial(field, x, 2 * a, h)
-    dy = first_partial(field, x, 2 * a + 1, h)
-    return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
-
-
 def wirtinger_second(field: Field, x: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
     """d^2 / (dxi_a d conj(xi_b)) of the field at x, step h."""
     i, j = 2 * a, 2 * b
@@ -119,8 +92,12 @@ def wirtinger_second(field: Field, x: np.ndarray, a: int, b: int, h: float) -> n
 def _closedness_at_step(field: Field, x: np.ndarray, h: float,
                         scales: Sequence[float]) -> tuple[float, float]:
     n = x.size // 2
-    d = [wirtinger_first(field, x, a, h * scales[a]) for a in range(n)]
-    dbar = [wirtinger_first(field, x, a, h * scales[a], bar=True) for a in range(n)]
+    d, dbar = [], []
+    for a in range(n):
+        dx = first_partial(field, x, 2 * a, h * scales[a])
+        dy = first_partial(field, x, 2 * a + 1, h * scales[a])
+        d.append(0.5 * (dx - 1j * dy))
+        dbar.append(0.5 * (dx + 1j * dy))
     scale = max(float(np.max(np.abs(m))) for m in d + dbar)
     res = 0.0
     # d omega = 0: (d_l h_{jk} - d_j h_{lk}) and (dbar_l h_{jk} - dbar_k h_{jl})
@@ -149,7 +126,6 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     """
     n = x.size // 2
     scales = tuple(scales) if scales is not None else (1.0,) * n
-    field = memoized(field)
     h = scheme.step
     pairs = [_closedness_at_step(field, x, h / 2 ** k, scales) for k in range(3)]
     r = [res / scl for res, scl in pairs]
@@ -242,8 +218,8 @@ class ChernStencil:
     and product is a stacked array expression in their operation order, so
     the norm is bit for bit the one the pointwise formulas give:
     `first_partial` and `second_partial` at steps h and h/2, `richardson`,
-    then the Wirtinger combinations of `wirtinger_first` and
-    `wirtinger_second`.
+    then the Wirtinger combinations d = (dx - i dy) / 2, dbar = (dx + i dy) / 2
+    and those of `wirtinger_second`.
     """
 
     def __init__(self, x: np.ndarray, scheme: FDScheme,

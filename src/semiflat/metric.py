@@ -9,10 +9,11 @@ coordinate coframe (dz, dv1, ..., dvm), assembled from
 
 with the flat-connection Christoffel symbols Gamma^j in closed form.  The
 determinant identity det h = |g_eff|^2 is the coordinate form of the
-Calabi-Yau condition omega^{m+1} = const * Omega wedge conj(Omega); the
-wedge constant is pinned once by the flat calibration case instead of
-rederiving sign conventions (the m = 1 and m = 2 normalizations of the
-source construction differ, and calibration removes that risk).  For m = 1
+Calabi-Yau condition omega^{m+1} = const * Omega wedge conj(Omega), and
+it holds with constant 1 by construction: the Schur complement of the
+fiber block diag(F_j) leaves h[0, 0] - sum_j F_j |Gamma^j|^2 = B, so
+det h = B prod_j F_j = |g_eff|^2.  `ma_residual` measures that identity
+directly, with no constant fitted from the code it checks.  For m = 1
 the effective volume coefficient is g/sqrt(2), matching the hyperkahler
 normalization omega^2 = Omega wedge conj(Omega) built from Omega/sqrt(2).
 
@@ -31,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DegenerateLattice, SingularPeriods
-from .kodaira import FiberKind, FiberType, LocalModel, ProductModel, PuncturedPoint
+from .kodaira import LocalModel, ProductModel, PuncturedPoint
 
 Model = Union[LocalModel, ProductModel]
 
@@ -61,7 +62,6 @@ class MetricSample:
 
     h: np.ndarray
     omega_coeff: complex      # effective holomorphic volume coefficient g_eff
-    m: int
 
 
 def period_maps(model: Model):
@@ -199,7 +199,7 @@ def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
         raise ValueError(f"need {m} fiber coordinates")
     base = base_terms(model, eps, vf, pt)
     h = np.array(hermitian_entries(base, v), dtype=complex).reshape(m + 1, m + 1)
-    return MetricSample(h=h, omega_coeff=base[3], m=m)
+    return MetricSample(h=h, omega_coeff=base[3])
 
 
 def elliptic_metric_at(model: LocalModel, eps: float, vf: VolumeFormSpec,
@@ -208,47 +208,12 @@ def elliptic_metric_at(model: LocalModel, eps: float, vf: VolumeFormSpec,
     return metric_at(model, eps, vf, pt, (v,))
 
 
-_CALIBRATION: dict[int, float] = {}
-
-
-def _flat_sample(m: int) -> MetricSample:
-    # unit square lattices, g = 1, eps = 2: the calibration anchor
-    def tau(s):
-        return (1.0 + 0j, 1j)
-
-    def dtau(s):
-        return (0j, 0j)
-
-    lm = LocalModel(fiber=FiberType(FiberKind.I0star), d=1, A=((1, 0), (0, 1)),
-                    deck_exponent=0, coord_power=0, tau=tau, dtau_ds=dtau,
-                    deck_multiplier=lambda s: 1.0 + 0j, deck_tau=tau,
-                    modulus_limit=1j)
-    pt = PuncturedPoint(s=0.5 + 0j, d=1)
-    vf = VolumeFormSpec(k0=0.25 + 0j)   # g(z) = 1 at z = 1/2
-    if m == 1:
-        return metric_at(lm, 2.0, vf, pt, (0.1 + 0.1j,))
-    pm = ProductModel(left=lm.fiber, right=lm.fiber, left_model=lm,
-                      right_model=lm, k=1, alpha=0, beta=0, a1=0, a2=0,
-                      label_override="flat calibration")
-    return metric_at(pm, 2.0, vf, pt, (0.1 + 0.1j, 0.2 - 0.1j))
-
-
-def calibration_constant(m: int) -> float:
-    """Wedge constant c with c det(h) = |g_eff|^2, fixed by the flat case."""
-    if m not in _CALIBRATION:
-        sample = _flat_sample(m)
-        det = np.linalg.det(sample.h).real
-        _CALIBRATION[m] = abs(sample.omega_coeff) ** 2 / det
-    return _CALIBRATION[m]
-
-
 def ma_residual(sample: MetricSample) -> float:
     """Relative residual of the Monge-Ampere determinant identity.
 
-    Returns |c det(h) - |g_eff|^2| / |g_eff|^2; zero means the Calabi-Yau
+    Returns |det(h) - |g_eff|^2| / |g_eff|^2; zero means the Calabi-Yau
     identity holds exactly at this point.
     """
-    c = calibration_constant(sample.m)
     det = np.linalg.det(sample.h).real
     target = abs(sample.omega_coeff) ** 2
-    return abs(c * det - target) / target
+    return abs(det - target) / target

@@ -265,7 +265,7 @@ def build_context(cfg: dict) -> Context:
         from .eguchi_hanson import EHConfig
         model = _configured("eh_a, eh_delta", EHConfig, a=float(cfg.get("eh_a", 0.05)),
                             delta=float(cfg.get("eh_delta", 1.0)))
-    return Context(cfg=cfg, model=model, vf=VolumeFormSpec(), eps=eps, scheme=scheme)
+    return Context(cfg=cfg, model=model, vf=VolumeFormSpec(k0=1.0), eps=eps, scheme=scheme)
 
 
 def sample_point(model, rng: SplitMix64):
@@ -280,11 +280,17 @@ def sample_point(model, rng: SplitMix64):
     return pt, v
 
 
-def _radii(cfg: dict, default_lo: float, default_hi: float, default_n: int = 13):
+def _radii(cfg: dict, default_lo: float, default_hi: float, default_n: int = 13,
+           spacing: Callable = np.geomspace):
+    """The radius window of a check: the scenario's r_min, r_max and n_radii,
+    each defaulting to the check's own.  Raises ScenarioError unless
+    r_min < r_max, checked once both are resolved."""
     lo = float(cfg.get("r_min", default_lo))
     hi = float(cfg.get("r_max", default_hi))
-    n = int(cfg.get("n_radii", default_n))
-    return np.geomspace(lo, hi, n)
+    if not lo < hi:
+        raise ScenarioError(f"r_min {lo:g} must be below r_max {hi:g} (defaults "
+                            f"for this check: {default_lo:g}, {default_hi:g})")
+    return spacing(lo, hi, int(cfg.get("n_radii", default_n)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +421,7 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64,
     pm = ctx.model
     chart = asy.to_chart(pm, ctx.eps, ctx.vf)
     if chart.kind == "exp":
-        radii = np.linspace(float(ctx.cfg.get("r_min", 5.0)),
-                            float(ctx.cfg.get("r_max", spec.alh_r_max)),
-                            int(ctx.cfg.get("n_radii", spec.alh_n)))
+        radii = _radii(ctx.cfg, 5.0, spec.alh_r_max, spec.alh_n, np.linspace)
     else:
         radii = _radii(ctx.cfg, 1e2, 1e5)
     fit, rows = getattr(asy, spec.fit)(pm, ctx.eps, ctx.vf, radii, rng)
@@ -493,17 +497,16 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64, tol_scale: float) -> Chec
     expected: dict = {}
     tolerance: dict = {}
     provenance: dict = {}
-    ok = cone.cauchy_ok
     note = ""
     if cls.kind in ("ALG", "ALH"):
         measured["angle_over_pi"] = cone.angle_over_pi
         expected["angle_over_pi"] = cls.angle_over_pi
         provenance["angle_over_pi"] = "PAPER: 2(alpha+beta-k)/k, exact rationals"
-        ok = ok and cone.angle_over_pi == cls.angle_over_pi
         measured["base_coefficient"] = cone.limit_coefficient
         expected["base_coefficient"] = 0.5
         tolerance["base_coefficient"] = 0.01 * tol_scale
-        ok = ok and abs(cone.limit_coefficient - 0.5) < 0.01 * tol_scale
+        ok = (cone.angle_over_pi == cls.angle_over_pi
+              and abs(cone.limit_coefficient - 0.5) < 0.01 * tol_scale)
     elif cls.kind == "ALH_star":
         honest = asy.ray_limit_coefficient(pm, ctx.eps, ctx.vf)
         measured["limit_coefficient"] = cone.limit_coefficient
@@ -512,7 +515,7 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64, tol_scale: float) -> Chec
         provenance["limit_coefficient"] = ("DERIVED: substitution into the explicit "
                                            "base metric; see decisions record for the "
                                            "differing published display constant")
-        ok = ok and abs(cone.limit_coefficient - honest) < 0.01 * honest * tol_scale
+        ok = abs(cone.limit_coefficient - honest) < 0.01 * honest * tol_scale
         paper = pm.left.b * abs(ctx.vf.k(0.5)) ** 2 / (2 * math.pi * ctx.eps)
         note = f"published display constant {paper:.6g}; measured/published = " \
                f"{cone.limit_coefficient / paper:.6g}"
@@ -526,7 +529,7 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64, tol_scale: float) -> Chec
         provenance["limit_coefficient"] = ("DERIVED: substitution into the explicit "
                                            "base metric; see decisions record for the "
                                            "differing published display constant")
-        ok = (ok and cone.angle_over_pi == cls.angle_over_pi
+        ok = (cone.angle_over_pi == cls.angle_over_pi
               and abs(cone.limit_coefficient - honest) < 0.01 * honest * tol_scale)
         paper = 216 * math.sqrt(3) * pm.left.b * abs(ctx.vf.k0) ** 2 / ctx.eps ** 2
         note = f"published display constant (IVstar row) {paper:.6g}; " \
@@ -714,9 +717,15 @@ def run_scenario(cfg: dict | str | Path, out_dir: str | Path | None = None,
     """Execute a scenario's checks in dependency order and write its artifacts.
 
     Per-check status lines go to `log`; None means sys.stderr as it is at
-    the call, so a redirect around the call captures them.
+    the call, so a redirect around the call captures them.  Malformed
+    configuration raises ScenarioError, also when a check finds it (a
+    radius window that is empty once its defaults are resolved), as does a
+    tolerance scale that is not finite and positive.
     """
     log = sys.stderr if log is None else log
+    if not (math.isfinite(tolerance_scale) and tolerance_scale > 0):
+        raise ScenarioError(f"tolerance scale must be finite and positive, "
+                            f"got {tolerance_scale!r}")
     if not isinstance(cfg, dict):
         cfg = load_scenario(cfg)
     else:
@@ -743,6 +752,8 @@ def run_scenario(cfg: dict | str | Path, out_dir: str | Path | None = None,
         t0 = time.perf_counter()
         try:
             result = _CHECKS[name](ctx, rng, tolerance_scale)
+        except ScenarioError:
+            raise                       # malformed configuration, not a failed check
         except SemiflatError as exc:
             result = CheckResult(name=name, passed=False, measured={},
                                  expected={}, tolerance={}, provenance={},

@@ -161,6 +161,35 @@ def test_malformed_values_exit_two(tmp_path, name, key, value):
     assert err.getvalue().startswith("scenario error:")
 
 
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_tolerance_scale_must_be_finite_and_positive(tmp_path, scale):
+    # a scale of 0 or below makes every tolerance unreachable, nan makes
+    # every comparison false and inf every one true: none is a verdict
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", "elliptic_iv.json", "--out", str(tmp_path),
+                     f"--tolerance-scale={scale}"]) == 2
+    assert err.getvalue().startswith("scenario error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("window", [{"r_min": 1e5, "r_max": 1e2}, {"r_min": 2e5}],
+                         ids=["reversed", "r_min_over_default_r_max"])
+def test_empty_radius_window_exits_two(tmp_path, window):
+    # the window is checked where each check resolves its defaults
+    # (pair_iistar_x_iiistar's decay checks default to 1e2 .. 1e5)
+    cfg = json.loads(bundled_path("pair_iistar_x_iiistar.json").read_text(encoding="utf-8"))
+    cfg.pop("r_max")
+    cfg.update(window)
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error: r_min" in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_scenario_rules():
     with pytest.raises(ScenarioError):
         validate_scenario({"name": "x", "model_kind": "pair", "checks": ["ma"]})

@@ -8,7 +8,7 @@ import pytest
 
 from semiflat.asymptotics import to_chart
 from semiflat.diffgeo import (FDScheme, chern_curvature_norm, closedness_residual,
-                              first_partial, memoized, positivity, ricci_scalar_residual,
+                              first_partial, positivity, ricci_scalar_residual,
                               richardson, second_partial, wirtinger_second)
 from semiflat.eguchi_hanson import EHConfig, eh_metric
 from semiflat.errors import StepTooSmall
@@ -259,18 +259,6 @@ def test_closedness_evaluates_each_point_once():
     flat, calls = counted(lambda x: np.eye(3, dtype=complex))
     closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
     assert calls[0] == 36
-
-
-def test_memoized_values_are_read_only():
-    fld, calls = counted(lambda x: np.diag([x[0], 1.0]).astype(complex))
-    memo = memoized(fld)
-    x = np.array([0.5, 0.25])
-    out = memo(x)
-    assert memo(x.copy()) is out and calls[0] == 1
-    with pytest.raises(ValueError):
-        out[0, 0] = 2.0
-    memo(np.array([0.5, 0.5]))
-    assert calls[0] == 2
 
 
 def _bits_equal(a, b) -> bool:

@@ -9,11 +9,11 @@ import pytest
 
 from semiflat.diffgeo import positivity
 from semiflat.errors import DegenerateLattice, SingularPeriods
-from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
-                              finite_kinds, isotrivial_case13, local_model)
+from semiflat.kodaira import (FiberKind, FiberType, LocalModel, ProductModel,
+                              PuncturedPoint, fiber_product, finite_kinds,
+                              isotrivial_case13, local_model)
 from semiflat.lattice import hermitian_h, product_family, scaled_h
-from semiflat.metric import (VolumeFormSpec, _fiber_terms, calibration_constant,
-                             christoffel_closed, christoffel_general, elliptic_metric_at,
+from semiflat.metric import (VolumeFormSpec, _fiber_terms, christoffel_closed, christoffel_general, elliptic_metric_at,
                              ma_residual, metric_at, periods_at)
 from semiflat.rng import SplitMix64
 
@@ -39,12 +39,35 @@ def all_product_pairs():
     return pairs
 
 
+def flat_sample(m: int):
+    """metric_at on unit square lattices with g = 1 and eps = 2, where h is
+    the identity off the v-dependent mixed terms."""
+    def tau(s):
+        return (1.0 + 0j, 1j)
+
+    def dtau(s):
+        return (0j, 0j)
+
+    lm = LocalModel(fiber=FiberType(FK.I0star), d=1, A=((1, 0), (0, 1)),
+                    deck_exponent=0, coord_power=0, tau=tau, dtau_ds=dtau,
+                    deck_multiplier=lambda s: 1.0 + 0j, deck_tau=tau,
+                    modulus_limit=1j)
+    pt = PuncturedPoint(s=0.5 + 0j, d=1)
+    vf = VolumeFormSpec(k0=0.25 + 0j)   # g(z) = 1 at z = 1/2
+    if m == 1:
+        return metric_at(lm, 2.0, vf, pt, (0.1 + 0.1j,))
+    pm = ProductModel(left=lm.fiber, right=lm.fiber, left_model=lm,
+                      right_model=lm, k=1, alpha=0, beta=0, a1=0, a2=0,
+                      label_override="flat")
+    return metric_at(pm, 2.0, vf, pt, (0.1 + 0.1j, 0.2 - 0.1j))
+
+
 def test_flat_calibration_identity_matrix():
-    from semiflat.metric import _flat_sample
-    s = _flat_sample(2)
+    # the flat case needs no wedge constant: det h = |g_eff|^2 exactly
+    s = flat_sample(2)
     assert np.max(np.abs(s.h - np.eye(3))) < 1e-15
-    assert abs(calibration_constant(2) - 1.0) < 1e-14
-    assert abs(calibration_constant(1) - 1.0) < 1e-14
+    assert ma_residual(s) < 1e-15
+    assert ma_residual(flat_sample(1)) < 1e-15
 
 
 def test_case13_displayed_coefficients():
@@ -124,8 +147,7 @@ def test_istar_christoffel_structure():
 
 
 def test_christoffel_constant_lattice_vanishes():
-    from semiflat.metric import _flat_sample
-    s = _flat_sample(2)
+    s = flat_sample(2)
     assert np.max(np.abs(s.h - np.diag(np.diag(s.h)))) < 1e-15
 
 
@@ -170,7 +192,6 @@ def test_ma_check_computes_periods_once_per_sample(monkeypatch, cfg):
     from semiflat import metric, scenario
     ctx = scenario.build_context(scenario.validate_scenario(
         {"name": "x", "checks": ["ma"], "samples": 7, **cfg}))
-    calibration_constant(ctx.model.m)
     calls = []
 
     def counted(model, pt):
@@ -181,6 +202,28 @@ def test_ma_check_computes_periods_once_per_sample(monkeypatch, cfg):
     monkeypatch.setattr(scenario, "periods_at", counted)
     assert scenario._check_ma(ctx, SplitMix64(3), 1.0).passed
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model_kind": "elliptic", "fiber": "IV"},
+    {"model_kind": "pair", "left": "IIstar", "right": "IIIstar"},
+], ids=["elliptic", "pair"])
+def test_ma_fails_when_the_base_coefficient_is_doubled(monkeypatch, cfg):
+    # the oracle owes nothing to the code it checks: with B doubled,
+    # det h = 2 |g_eff|^2 and the residual is 1
+    from semiflat import metric, scenario
+    ctx = scenario.build_context(scenario.validate_scenario(
+        {"name": "x", "checks": ["ma"], "samples": 7, **cfg}))
+    original = metric.base_terms
+
+    def doubled(*args):
+        *terms, B = original(*args)
+        return (*terms, 2 * B)
+
+    monkeypatch.setattr(metric, "base_terms", doubled)
+    result = scenario._check_ma(ctx, SplitMix64(3), 1.0)
+    assert not result.passed
+    assert abs(result.measured["max_residual"] - 1.0) < 1e-12
 
 
 def test_positive_definite_in_chart():
