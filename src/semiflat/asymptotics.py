@@ -62,7 +62,7 @@ class DecayFit:
     kind: str                    # power | exponential | flat
     exponent_or_rate: float
     window: tuple[float, float]
-    r2: float                    # residual measure: SS_res / SS_tot of the fit
+    ss_res_over_ss_tot: float    # residual measure of the fit (not R^2, which is 1 minus it)
 
     def __post_init__(self):
         if self.kind == "power" and self.window[0] > 0:
@@ -73,8 +73,8 @@ class DecayFit:
             efold = abs(self.exponent_or_rate) * (self.window[1] - self.window[0])
             if efold < 3:
                 raise FitRejected(f"exponential window spans only {efold:.2f} e-foldings")
-        if self.kind in ("power", "exponential") and self.r2 >= 0.01:
-            raise FitRejected(f"regression residual {self.r2:.3e} >= 0.01")
+        if self.kind in ("power", "exponential") and self.ss_res_over_ss_tot >= 0.01:
+            raise FitRejected(f"regression residual {self.ss_res_over_ss_tot:.3e} >= 0.01")
 
 
 def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -229,11 +229,14 @@ def _diag_deviation(chart: AsymptoticChart, alpha: complex,
 
 
 def _fit_radii(chart: AsymptoticChart, radii: Sequence[float]) -> list[complex]:
+    """The chart point of each radius, as a Python complex: numpy radii
+    would make numpy scalars, whose arithmetic in pulled_h is not that of
+    the curvature fit's points."""
     lo, hi = chart.sector
     mid = 0.5 * (lo + hi)
     if chart.kind == "power":
-        return [r * cmath.exp(1j * mid) for r in radii]
-    return [r / chart.rate + 1j * mid / 2 for r in radii]
+        return [float(r) * cmath.exp(1j * mid) for r in radii]
+    return [float(r) / chart.rate + 1j * mid / 2 for r in radii]
 
 
 def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray,
@@ -248,20 +251,20 @@ def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray
     """
     if values.max() < flat_below:
         return DecayFit(kind="flat", exponent_or_rate=0.0,
-                        window=(min(radii), max(radii)), r2=0.0)
+                        window=(min(radii), max(radii)), ss_res_over_ss_tot=0.0)
     if not (values[keep] >= flat_below).any():
         raise FitRejected(f"{int((~keep).sum())} of {len(keep)} radii rejected, "
                           f"none kept at or over {flat_below:g}")
     rs = np.asarray(radii, dtype=float)[keep]
     logs = np.log(values[keep])
     if chart.kind == "power":
-        slope, _, r2 = _ols(np.log(rs), logs)
+        slope, _, resid = _ols(np.log(rs), logs)
         return DecayFit(kind="power", exponent_or_rate=slope,
-                        window=(float(rs.min()), float(rs.max())), r2=r2)
+                        window=(float(rs.min()), float(rs.max())), ss_res_over_ss_tot=resid)
     xs = rs / chart.rate
-    slope, _, r2 = _ols(xs, logs)
+    slope, _, resid = _ols(xs, logs)
     return DecayFit(kind="exponential", exponent_or_rate=-slope,
-                    window=(float(xs.min()), float(xs.max())), r2=r2)
+                    window=(float(xs.min()), float(xs.max())), ss_res_over_ss_tot=resid)
 
 
 def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
@@ -550,10 +553,10 @@ def volume_growth_fit(profile: BaseProfile,
     for r in radii:
         L = profile.invert_dist(float(r))
         rows.append((float(r), profile.volume(L)))
-    slope, _, r2 = _ols(np.log(np.asarray([r for r, _ in rows])),
-                        np.log(np.asarray([v for _, v in rows])))
+    slope, _, resid = _ols(np.log(np.asarray([r for r, _ in rows])),
+                           np.log(np.asarray([v for _, v in rows])))
     fit = DecayFit(kind="power", exponent_or_rate=slope,
-                   window=(min(radii), max(radii)), r2=r2)
+                   window=(min(radii), max(radii)), ss_res_over_ss_tot=resid)
     return fit, rows
 
 

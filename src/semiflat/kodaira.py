@@ -105,15 +105,34 @@ class FiberType:
         return f"{self.kind.value}[m={self.m_mult}]"
 
 
+def array_namespace(x):
+    """The math namespace for x, after the array API standard: cmath for a
+    number (a Python number, or a numpy scalar, which subclasses one), and
+    for an array the namespace it names by `__array_namespace__()`.  The
+    period closures go through it, so one body serves a point and a batch
+    of points."""
+    return cmath if isinstance(x, (int, float, complex)) else x.__array_namespace__()
+
+
+def every(mask) -> bool:
+    """Whether a Python bool, or every entry of a numpy bool array, is true."""
+    return mask if isinstance(mask, bool) else bool(mask.all())
+
+
 @dataclass(frozen=True)
 class PuncturedPoint:
-    """A point on the branched s-cover of the punctured disk, z = s^d."""
+    """A point on the branched s-cover of the punctured disk, z = s^d.
+
+    s is a complex number, or a 1-D array of them for a batch of points
+    over one cover; every entry is validated.
+    """
 
     s: complex
     d: int
 
     def __post_init__(self):
-        if not (0 < abs(self.s) < 1):
+        r = abs(self.s)
+        if not every((0 < r) & (r < 1)):
             raise ValueError("need 0 < |s| < 1")
         if self.d < 1:
             raise ValueError("cover degree must be positive")
@@ -204,7 +223,7 @@ def _ib_model(t: FiberType) -> LocalModel:
     c = b / (2j * math.pi)
 
     def tau(s: complex) -> tuple[complex, complex]:
-        return (1.0 + 0j, c * cmath.log(s))
+        return (1.0 + 0j, c * array_namespace(s).log(s))
 
     def dtau_ds(s: complex) -> tuple[complex, complex]:
         return (0j, c / s)
@@ -224,10 +243,10 @@ def _ibstar_model(t: FiberType) -> LocalModel:
     c = b / (1j * math.pi)
 
     def tau(s: complex) -> tuple[complex, complex]:
-        return (s, c * s * cmath.log(s))
+        return (s, c * s * array_namespace(s).log(s))
 
     def dtau_ds(s: complex) -> tuple[complex, complex]:
-        return (1.0 + 0j, c * (cmath.log(s) + 1))
+        return (1.0 + 0j, c * (array_namespace(s).log(s) + 1))
 
     def deck_tau(s: complex) -> tuple[complex, complex]:
         # continuation along s -> e^{i pi} s: log s -> log s + i pi

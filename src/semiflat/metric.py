@@ -21,6 +21,17 @@ The periods, F_j, g_eff and B depend on the base point alone
 (`base_terms`); Gamma^j and the entries of h also depend on v
 (`hermitian_entries`).  A caller that evaluates many fiber points over one
 base point computes the first part once.
+
+Batch axis.  `periods_at`, `_fiber_terms`, `base_terms`,
+`hermitian_entries` and `metric_at` take either one point (a
+`PuncturedPoint` with a complex s, and complex fiber coordinates v) or a
+batch of N points (s and every v_j 1-D arrays of length N).  The same
+expressions run on both, after the array API standard
+(https://data-apis.org/array-api/); a batch gives h with shape
+(N, m+1, m+1) and g_eff with shape (N,).  A point keeps Python complex
+arithmetic bit for bit; a batch runs numpy's loops, whose products,
+quotients, squares and logs may round differently in the last bit (see
+docs/decisions.md, "`ma` evaluates its samples as one batch").
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DegenerateLattice, SingularPeriods
-from .kodaira import LocalModel, ProductModel, PuncturedPoint
+from .kodaira import LocalModel, ProductModel, PuncturedPoint, every
 
 Model = Union[LocalModel, ProductModel]
 
@@ -58,7 +69,8 @@ class VolumeFormSpec:
 
 @dataclass(frozen=True)
 class MetricSample:
-    """The Hermitian matrix of omega at a point and the Omega coefficient there."""
+    """The Hermitian matrix of omega at a point and the Omega coefficient
+    there; for a batch, the (N, m+1, m+1) stack and the (N,) coefficients."""
 
     h: np.ndarray
     omega_coeff: complex      # effective holomorphic volume coefficient g_eff
@@ -97,7 +109,7 @@ def _fiber_terms(model: Model, pt: PuncturedPoint, periods, eps: float | None = 
 
     `periods` is the (tau, dtau/dz) pair of periods_at at pt, computed once
     by the caller.  Raises DegenerateLattice unless every pairing is
-    positive.
+    positive, at every point of a batch.
     """
     if eps is not None and eps <= 0:
         raise ValueError("eps must be positive")
@@ -106,8 +118,9 @@ def _fiber_terms(model: Model, pt: PuncturedPoint, periods, eps: float | None = 
     F, imp = [], []
     for j in range(model.m):
         p = _im_pair(tau[2 * j], tau[2 * j + 1])
-        if p <= 0:
-            raise DegenerateLattice(f"Im pairing {j} non-positive at s={pt.s}")
+        if not every(p > 0):
+            at = np.ravel(pt.s)[~np.ravel(p > 0)][0]
+            raise DegenerateLattice(f"Im pairing {j} non-positive at s={at}")
         imp.append(p)
         if eps is not None:
             F.append(eps / (2.0 * nu[j] * p))
@@ -172,8 +185,9 @@ def base_terms(model: Model, eps: float, vf: VolumeFormSpec, pt: PuncturedPoint)
 
 
 def hermitian_entries(base: tuple, v: Sequence[complex]) -> list[complex]:
-    """Entries of the Hermitian matrix h at fiber coordinates v, row by row,
-    as Python numbers; `base` is what base_terms gives at the base point."""
+    """Entries of the Hermitian matrix h at fiber coordinates v, row by row:
+    Python numbers at a point, arrays (or constants) over a batch; `base`
+    is what base_terms gives at the base point(s)."""
     periods, imp, F, _, B = base
     m = len(F)
     h = [0] * ((m + 1) * (m + 1))
@@ -189,16 +203,22 @@ def hermitian_entries(base: tuple, v: Sequence[complex]) -> list[complex]:
 
 def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
               pt: PuncturedPoint, v: Sequence[complex]) -> MetricSample:
-    """Assemble the semi-flat Hermitian matrix at a cover point.
+    """Assemble the semi-flat Hermitian matrix at a cover point, or the
+    stack of them over a batch of points (see the module docstring).
 
     Valid while both Im pairings are positive (inside the model's validity
-    disk); raises DegenerateLattice otherwise.
+    disk); raises DegenerateLattice otherwise, also for one bad point of a
+    batch.
     """
     m = model.m
     if len(v) != m:
         raise ValueError(f"need {m} fiber coordinates")
     base = base_terms(model, eps, vf, pt)
-    h = np.array(hermitian_entries(base, v), dtype=complex).reshape(m + 1, m + 1)
+    entries = hermitian_entries(base, v)
+    if isinstance(pt.s, np.ndarray):
+        h = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
+        return MetricSample(h=h.reshape(-1, m + 1, m + 1), omega_coeff=base[3])
+    h = np.array(entries, dtype=complex).reshape(m + 1, m + 1)
     return MetricSample(h=h, omega_coeff=base[3])
 
 

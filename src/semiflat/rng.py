@@ -10,6 +10,13 @@ Update constants (documented for reimplementation):
     z ^= z >> 31
 
 Doubles are produced as (z >> 11) * 2**-53, uniform on [0, 1).
+
+The state is a Weyl sequence, so the i-th draw after a state x is the mix
+of x + i * gamma (mod 2**64), and n draws can be made as one array pass
+(Steele, Lea & Flood, "Fast splittable pseudorandom number generators",
+OOPSLA 2014).  The rule for array draws: `uniforms(n)` gives the doubles of
+n `uniform()` calls bit for bit and leaves the same state, because one
+body (`_mix`, `_unit`) serves Python ints and numpy uint64 arrays alike.
 """
 
 from __future__ import annotations
@@ -22,6 +29,19 @@ _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 
 
+def _mix(z):
+    """The SplitMix64 output function of a state: a Python int, or a numpy
+    uint64 array, whose products wrap mod 2**64 as the mask does."""
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _unit(z):
+    """A 64-bit draw (or an array of them) as a double on [0, 1)."""
+    return (z >> 11) * 2.0**-53
+
+
 class SplitMix64:
     """Tiny deterministic PRNG; never touches global random state."""
 
@@ -32,14 +52,19 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MUL1) & _MASK
-        z = ((z ^ (z >> 27)) * _MUL2) & _MASK
-        return z ^ (z >> 31)
+        return _mix(self._state)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * u
+        return lo + (hi - lo) * _unit(self.next_u64())
+
+    def uniforms(self, n: int):
+        """The next n doubles on [0, 1) as a numpy array: those of n
+        `uniform()` calls, bit for bit, ending in the same state."""
+        import numpy as np
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        out = _unit(_mix(steps + np.uint64(self._state)))
+        self._state = (self._state + n * _GAMMA) & _MASK
+        return out
 
     def complex_annulus(self, r_min: float, r_max: float,
                         arg_min: float = 0.0, arg_max: float = 2.0 * math.pi) -> complex:

@@ -29,10 +29,10 @@ import numpy as np
 # (and, without a bytecode cache, compiles) only what its checks use.
 from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
 from .errors import BranchPoint, PolePoint, ScenarioError, SemiflatError
-from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint,
+from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint, array_namespace,
                       canonical_coefficient, classify_asymptotics, fiber_product,
                       isotrivial_case13, isotrivial_coefficient, local_model)
-from .metric import (VolumeFormSpec, _fiber_terms, christoffel_closed,
+from .metric import (MetricSample, VolumeFormSpec, _fiber_terms, christoffel_closed,
                      christoffel_general, ma_residual, metric_at, period_maps,
                      periods_at)
 from .rng import SplitMix64
@@ -268,16 +268,37 @@ def build_context(cfg: dict) -> Context:
     return Context(cfg=cfg, model=model, vf=VolumeFormSpec(k0=1.0), eps=eps, scheme=scheme)
 
 
-def sample_point(model, rng: SplitMix64):
-    """Seeded in-chart sample: |z| in [0.05, 0.5], off the slit, v in the cell."""
+def _place(model, u):
+    """Sample point(s) from the draws u of one sample, in the order r, arg,
+    then two cell coordinates per fiber factor: each u[i] a double on
+    [0, 1), or an array of them for a batch.  Each draw is mapped to its
+    range as SplitMix64.uniform(lo, hi) maps it."""
+    def between(lo, hi, x):
+        return lo + (hi - lo) * x
+
     k = model.k if model.m == 2 else model.d
-    r = rng.uniform(0.05, 0.5) ** (1.0 / k)
-    th = rng.uniform(0.04 / k, (2 * math.pi - 0.04) / k)
-    pt = PuncturedPoint(s=r * cmath.exp(1j * th), d=k)
+    r = between(0.05, 0.5, u[0]) ** (1.0 / k)
+    th = between(0.04 / k, (2 * math.pi - 0.04) / k, u[1])
+    pt = PuncturedPoint(s=r * array_namespace(th).exp(1j * th), d=k)
     tau = period_maps(model)[0](pt.s)
-    v = tuple(rng.uniform(0.05, 0.95) * tau[2 * j] + rng.uniform(0.05, 0.95) * tau[2 * j + 1]
-              for j in range(model.m))
+    v = tuple(between(0.05, 0.95, u[2 + 2 * j]) * tau[2 * j]
+              + between(0.05, 0.95, u[3 + 2 * j]) * tau[2 * j + 1] for j in range(model.m))
     return pt, v
+
+
+def sample_points(model, rng: SplitMix64, n: int):
+    """n seeded in-chart samples as one batch: |z| in [0.05, 0.5], off the
+    slit, v in the cell.  Returns a PuncturedPoint whose s is an array of
+    length n and a tuple of m arrays v_j, for the batch axis of metric_at.
+    It takes the draws of n sample_point calls and leaves the same state."""
+    width = 2 + 2 * model.m
+    return _place(model, rng.uniforms(n * width).reshape(n, width).T)
+
+
+def sample_point(model, rng: SplitMix64):
+    """The n = 1 case of sample_points in Python numbers: the same draws and
+    the same expressions, with the scalar arithmetic of the metric path."""
+    return _place(model, rng.uniforms(2 + 2 * model.m).tolist())
 
 
 def _radii(cfg: dict, default_lo: float, default_hi: float, default_n: int = 13,
@@ -300,10 +321,12 @@ def _radii(cfg: dict, default_lo: float, default_hi: float, default_n: int = 13,
 
 def _check_ma(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     n = int(ctx.cfg.get("samples", 100))
-    model = ctx.model
-    pts = [sample_point(model, rng) for _ in range(n)]
+    pt, v = sample_points(ctx.model, rng, n)
+    batch = metric_at(ctx.model, ctx.eps, ctx.vf, pt, v)
     tol = 1e-10 * tol_scale
-    worst = max(ma_residual(metric_at(model, ctx.eps, ctx.vf, pt, v)) for pt, v in pts)
+    # the oracle stays per point: one LU determinant per sample, whatever
+    # assembled the stack
+    worst = max(ma_residual(MetricSample(h, g)) for h, g in zip(batch.h, batch.omega_coeff))
     return CheckResult(
         name="ma", passed=worst < tol,
         measured={"max_residual": worst, "samples": n},
@@ -447,7 +470,7 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64,
         prov = spec.rate_provenance(qmin)
     return CheckResult(
         name=name, passed=abs(fit.exponent_or_rate - expect) < tol,
-        measured={key: fit.exponent_or_rate, "r2": fit.r2},
+        measured={key: fit.exponent_or_rate, "ss_res_over_ss_tot": fit.ss_res_over_ss_tot},
         expected={key: expect}, tolerance={key: tol},
         provenance={"exponent": prov}, csv_rows=csv)
 
@@ -464,7 +487,7 @@ def _check_volume_growth(ctx: Context, rng: SplitMix64, tol_scale: float) -> Che
     csv = [(r, "volume", v) for r, v in rows]
     return CheckResult(
         name="volume_growth", passed=abs(fit.exponent_or_rate - expect) < tol,
-        measured={"exponent": fit.exponent_or_rate, "r2": fit.r2,
+        measured={"exponent": fit.exponent_or_rate, "ss_res_over_ss_tot": fit.ss_res_over_ss_tot,
                   "quad_rel_err": profile.quad_rel_err(float(max(radii)))},
         expected={"exponent": expect}, tolerance={"exponent": tol},
         provenance={"exponent": "PAPER: geodesic-ball growth order"}, csv_rows=csv)

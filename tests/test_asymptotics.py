@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, base_profile,
+from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _fit_radii, base_profile,
                                   cone_limit_coefficient, curvature_decay_fit,
                                   error_decay_fit, euclidean_profile,
                                   ray_limit_coefficient, sob_check, tangent_cone,
@@ -132,12 +132,23 @@ def test_batched_pulled_h_raises_outside_the_validity_disk():
                        (np.full(3, betas[0]), np.full(3, betas[1])))
 
 
+@pytest.mark.parametrize("left, right", [(FK.IIstar, FK.IIIstar), (FK.III, FK.IIIstar)],
+                         ids=["power", "exponential"])
+def test_fit_radii_are_python_complex(left, right):
+    # the radii of a window are numpy floats; the chart points built from
+    # them must be Python complex, so error_decay's pulled_h runs the same
+    # arithmetic as curvature_decay's
+    chart = to_chart(fiber_product(FiberType(left), FiberType(right)), 1.0, VF1)
+    alphas = _fit_radii(chart, np.geomspace(1e2, 1e5, 13))
+    assert {type(a) for a in alphas} == {complex}
+
+
 def test_error_decay_iistar_iiistar():
     fit, rows = error_decay_fit(iistar_iiistar(), 1.0, VF1,
                                 np.geomspace(1e2, 1e5, 13))
     assert fit.kind == "power"
     assert abs(fit.exponent_or_rate + 12 / 7) < 0.05
-    assert fit.r2 < 0.01
+    assert fit.ss_res_over_ss_tot < 0.01
     # exponent stability: upper half-window moves the fit by < half of 0.05
     fit_hi, _ = error_decay_fit(iistar_iiistar(), 1.0, VF1,
                                 np.geomspace(10 ** 3.5, 1e5, 8))
@@ -402,6 +413,6 @@ def test_star_curvature_decay_istar_istar():
 def test_fit_rejected_narrow_window():
     with pytest.raises(FitRejected):
         DecayFit(kind="power", exponent_or_rate=-1.0, window=(100.0, 300.0),
-                 r2=0.0)
+                 ss_res_over_ss_tot=0.0)
     with pytest.raises(FitRejected):
-        DecayFit(kind="power", exponent_or_rate=-1.0, window=(1e2, 1e5), r2=0.5)
+        DecayFit(kind="power", exponent_or_rate=-1.0, window=(1e2, 1e5), ss_res_over_ss_tot=0.5)

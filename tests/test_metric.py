@@ -188,7 +188,9 @@ def test_ma_residual_all_models():
     {"model_kind": "pair", "left": "IIstar", "right": "IIIstar"},
 ], ids=["elliptic", "pair"])
 def test_ma_check_computes_periods_once_per_sample(monkeypatch, cfg):
-    # sample_point reads tau alone; the periods of a sample come from metric_at only
+    # the sampler reads tau alone; the periods of the samples come from one
+    # batched metric_at, so the check makes one periods_at call holding
+    # every sample, and no sample's periods are evaluated twice
     from semiflat import metric, scenario
     ctx = scenario.build_context(scenario.validate_scenario(
         {"name": "x", "checks": ["ma"], "samples": 7, **cfg}))
@@ -201,7 +203,31 @@ def test_ma_check_computes_periods_once_per_sample(monkeypatch, cfg):
     monkeypatch.setattr(metric, "periods_at", counted)
     monkeypatch.setattr(scenario, "periods_at", counted)
     assert scenario._check_ma(ctx, SplitMix64(3), 1.0).passed
-    assert len(calls) == 7
+    assert len(calls) == 1
+    assert np.shape(calls[0].s) == (7,)
+    assert len(set(np.asarray(calls[0].s).tolist())) == 7
+
+
+@pytest.mark.parametrize("cfg", [
+    {"model_kind": "elliptic", "fiber": "IV"},
+    {"model_kind": "pair", "left": "IIstar", "right": "IIIstar"},
+], ids=["elliptic", "pair"])
+def test_ma_check_calls_the_oracle_once_per_sample(monkeypatch, cfg):
+    # the determinant oracle stays per point: one ma_residual call on each
+    # (m+1) x (m+1) matrix of the batch
+    from semiflat import scenario
+    ctx = scenario.build_context(scenario.validate_scenario(
+        {"name": "x", "checks": ["ma"], "samples": 7, **cfg}))
+    shapes = []
+
+    def counted(sample):
+        shapes.append(sample.h.shape)
+        return ma_residual(sample)
+
+    monkeypatch.setattr(scenario, "ma_residual", counted)
+    assert scenario._check_ma(ctx, SplitMix64(3), 1.0).passed
+    m = ctx.model.m
+    assert shapes == [(m + 1, m + 1)] * 7
 
 
 @pytest.mark.parametrize("cfg", [
@@ -322,3 +348,70 @@ def test_ib_and_ibstar_ma():
         for _ in range(10):
             pt, v = sample(lm, rng)
             assert ma_residual(elliptic_metric_at(lm, 1.0, vf, pt, v[0])) < 1e-10
+
+
+def _ma_scenarios():
+    from semiflat.cli import bundled_path, bundled_scenarios
+    from semiflat.scenario import load_scenario
+    cfgs = [load_scenario(bundled_path(name)) for name in bundled_scenarios()]
+    return [c for c in cfgs if "ma" in c["checks"]]
+
+
+@pytest.mark.parametrize("cfg", _ma_scenarios(), ids=lambda c: c["name"])
+def test_batched_metric_at_is_the_scalar_metric_at_per_point(cfg):
+    # every bundled model with an `ma` check: finite pairs, Istar pairs,
+    # the nu = (2, 2) isotrivial model, and the m = 1 models with I_b and
+    # I_b*; numpy's loops may round differently from Python complex
+    # arithmetic in the last bit, and no more
+    from semiflat.scenario import build_context, sample_points
+    ctx = build_context(cfg)
+    model = ctx.model
+    pt, v = sample_points(model, SplitMix64(11), 200)
+    batch = metric_at(model, ctx.eps, ctx.vf, pt, v)
+    assert batch.h.shape == (200, model.m + 1, model.m + 1)
+    for i in range(200):
+        one = metric_at(model, ctx.eps, ctx.vf, PuncturedPoint(s=complex(pt.s[i]), d=pt.d),
+                        tuple(complex(vj[i]) for vj in v))
+        assert np.max(np.abs(batch.h[i] - one.h)) <= 1e-14 * np.max(np.abs(one.h))
+        assert abs(batch.omega_coeff[i] - one.omega_coeff) <= 1e-14 * abs(one.omega_coeff)
+
+
+def test_sample_point_is_the_first_of_sample_points():
+    # one sampler: sample_point takes the draws of sample_points(model, rng, 1)
+    # and ends in the same state
+    from semiflat.scenario import sample_point, sample_points
+    for model in (fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar)),
+                  local_model(FiberType(FK.I, b=2))):
+        one, many = SplitMix64(8), SplitMix64(8)
+        pts, vs = sample_points(model, many, 5)
+        for i in range(5):
+            pt, v = sample_point(model, one)
+            assert type(pt.s) is complex and all(type(x) is complex for x in v)
+            assert abs(pt.s - pts.s[i]) <= 1e-15
+            assert max(abs(a - b[i]) for a, b in zip(v, vs)) <= 1e-15
+        assert one.next_u64() == many.next_u64()
+
+
+def test_batch_with_one_bad_point_raises():
+    # the orientation of this family flips at |s| = 1/2; a batch is valid
+    # only when every point is
+    flips = LocalModel(fiber=FiberType(FK.I0star), d=1, A=((1, 0), (0, 1)),
+                       deck_exponent=0, coord_power=0,
+                       tau=lambda s: (1.0 + 0j, 1j * (0.5 - abs(s))),
+                       dtau_ds=lambda s: (0j, -0.5j * s.conjugate() / abs(s)),
+                       deck_multiplier=lambda s: 1.0 + 0j, deck_tau=lambda s: (1.0 + 0j, 0j),
+                       modulus_limit=1j)
+    s = np.array([0.1, 0.2 + 0.1j, 0.3j, 0.25])
+    v = (np.full(4, 0.1 + 0.1j),)
+    good = elliptic_metric_at(flips, 1.0, VolumeFormSpec(), PuncturedPoint(s=s, d=1), v[0])
+    assert good.h.shape == (4, 2, 2)
+    s[2] = 0.7j
+    with pytest.raises(DegenerateLattice, match=r"0\.7j"):
+        elliptic_metric_at(flips, 1.0, VolumeFormSpec(), PuncturedPoint(s=s, d=1), v[0])
+
+
+def test_punctured_point_validates_every_entry():
+    PuncturedPoint(s=np.array([0.5, 0.2j]), d=2)
+    for bad in (np.array([0.5, 1.0]), np.array([0.0, 0.5j])):
+        with pytest.raises(ValueError):
+            PuncturedPoint(s=bad, d=2)
