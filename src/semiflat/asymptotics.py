@@ -541,11 +541,6 @@ def factor_correction_exponent(lm) -> float:
     return float(m)
 
 
-def euclidean_profile() -> BaseProfile:
-    """Flat-disk-complement sanity profile: g = |dz|^2 in direct radius, eps = 1."""
-    return _power_profile("euclidean", 0.0, 1.0, 1.0, 0, 1.0, 1)
-
-
 def volume_growth_fit(profile: BaseProfile,
                       radii: Sequence[float]) -> tuple[DecayFit, list[tuple[float, float]]]:
     """Fit log Vol(B(x0, r)) against log r over the given radii."""
@@ -565,14 +560,15 @@ def volume_growth_fit(profile: BaseProfile,
 _SOB_SHRINK = 0.1
 
 
-def sob_check(profile: BaseProfile, beta: float, radii: Sequence[float]) -> dict:
+def sob_check(profile: BaseProfile, beta: float, cone: str,
+              radii: Sequence[float]) -> dict:
     """Numeric check of the volume-growth clauses of the SOB(beta) condition.
 
     Clause (1): Vol(B(x0, R)) <= C R^beta -- reports sup of Vol/R^beta.
     Clause (2): Vol(B(x, d/2)) >= d^beta / C for far points x -- reports inf
-    of the contained-region volume over d^beta, using the per-family
-    containment regions (a log-annulus for ray-collapse models, a thin
-    annulus sector for cone models).  The annulus-connectivity clause is
+    of the contained-region volume over d^beta, using the containment region
+    of the classified tangent cone `cone` (a log-annulus for a "ray", a thin
+    annulus sector for a "cone").  The annulus-connectivity clause is
     structural for circle-fibered bases and is reported, not computed.
     """
     c1 = []
@@ -582,9 +578,7 @@ def sob_check(profile: BaseProfile, beta: float, radii: Sequence[float]) -> dict
         vol = profile.volume(L)
         c1.append(vol / float(r) ** beta)
         # each region is the fraction `frac` of the annulus inner .. L
-        if profile.label == "euclidean":
-            inner, frac = profile.invert_dist(max(float(r) / 2, profile.L0 + 1e-6)), 1.0
-        elif beta < 1.75:       # ray collapse: full annulus (1-shrink) L .. L
+        if cone == "ray":       # ray collapse: full annulus (1-shrink) L .. L
             inner, frac = (1 - _SOB_SHRINK) * L, 1.0
         else:                   # cone: thin annulus, angular fraction shrink/pi
             inner, frac = L - math.log(1 + _SOB_SHRINK), _SOB_SHRINK / math.pi

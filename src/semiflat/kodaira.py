@@ -270,10 +270,9 @@ def det_a(A: IntMat) -> int:
     return A[0][0] * A[1][1] - A[0][1] * A[1][0]
 
 
-def monodromy_order(t: FiberType) -> float:
-    """Smallest n with A^n = I by exact integer powers; inf for I_b and I_b*."""
-    model = local_model(t, _verify=False)
-    A = model.A
+def monodromy_order(A: IntMat) -> float:
+    """Smallest n with A^n = I by exact integer powers; inf for the
+    monodromy of I_b and I_b*."""
     acc = A
     for n in range(1, 13):
         if acc == _ID:
@@ -286,7 +285,7 @@ def _verify_local(model: LocalModel) -> None:
     if det_a(model.A) != 1:
         raise UnsupportedType(f"det A != 1 for {model.label()}")
     if model.fiber.finite_monodromy:
-        order = monodromy_order(model.fiber)
+        order = monodromy_order(model.A)
         if order not in (2, 3, 4, 6):
             raise UnsupportedType(f"unexpected monodromy order {order}")
     rng = SplitMix64(0x5EED)
@@ -304,7 +303,7 @@ def _verify_local(model: LocalModel) -> None:
                 f"{max(e1, e2):.2e}")
 
 
-def local_model(t: FiberType, _verify: bool = True) -> LocalModel:
+def local_model(t: FiberType) -> LocalModel:
     """Catalog lookup; every model is numerically self-checked at construction."""
     if t.kind in _FINITE_TABLE:
         model = _pow_model(t)
@@ -316,8 +315,7 @@ def local_model(t: FiberType, _verify: bool = True) -> LocalModel:
         model = _ibstar_model(t)
     else:  # pragma: no cover
         raise UnsupportedType(str(t.kind))
-    if _verify:
-        _verify_local(model)
+    _verify_local(model)
     return model
 
 

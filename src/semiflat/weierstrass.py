@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -60,6 +60,16 @@ class EllipticData:
     @property
     def q(self) -> complex:
         return self.z ** self.b
+
+    @cached_property
+    def series(self) -> tuple[complex, complex]:
+        """g2 and g3 of the model's q-series, summed once per base point."""
+        return g2_series(self.q), g3_series(self.q)
+
+    @cached_property
+    def lattice(self) -> tuple[complex, complex, complex, complex]:
+        """The basis (w1, w2) = (1, tau) and the lattice's G_4, G_6."""
+        return (1.0 + 0j, self.tau) + _bridge(*self.series)
 
 
 def g2_series(z: complex) -> complex:
@@ -96,8 +106,10 @@ def _qseries(z: complex, coeff) -> complex:
 
 def eisenstein_g4_g6(q: complex) -> tuple[complex, complex]:
     """G_4 and G_6 of the lattice Z + Z tau, q = e^{2 pi i tau}, via the bridge."""
-    g2 = g2_series(q)
-    g3 = g3_series(q)
+    return _bridge(g2_series(q), g3_series(q))
+
+
+def _bridge(g2: complex, g3: complex) -> tuple[complex, complex]:
     gh2 = (4 * math.pi ** 4 / 3) * (1 + 12 * g2)
     gh3 = (8 * math.pi ** 6 / 27) * (1 + 18 * g2) - 64 * math.pi ** 6 * g3
     return gh2 / 60.0, gh3 / 140.0
@@ -187,21 +199,13 @@ def wp_prime_lattice(v: complex, w1: complex, w2: complex, G4: complex,
     return complex(core + tail)
 
 
-def _lattice_of(ed: EllipticData) -> tuple[complex, complex, complex, complex]:
-    w1, w2 = 1.0 + 0j, ed.tau
-    G4, G6 = eisenstein_g4_g6(ed.q)
-    return w1, w2, G4, G6
-
-
 def wp(ed: EllipticData, v: complex, radius: float = _RADIUS) -> complex:
     """Weierstrass wp for the I_b lattice at base point z."""
-    w1, w2, G4, G6 = _lattice_of(ed)
-    return wp_lattice(v, w1, w2, G4, G6, radius)
+    return wp_lattice(v, *ed.lattice, radius)
 
 
 def wp_prime(ed: EllipticData, v: complex) -> complex:
-    w1, w2, G4, G6 = _lattice_of(ed)
-    return wp_prime_lattice(v, w1, w2, G4, G6)
+    return wp_prime_lattice(v, *ed.lattice)
 
 
 def kodaira_xy(ed: EllipticData, v: complex) -> tuple[complex, complex]:
@@ -214,8 +218,7 @@ def kodaira_xy(ed: EllipticData, v: complex) -> tuple[complex, complex]:
 def cubic_residual(ed: EllipticData, v: complex) -> float:
     """|Y^2 - (4X^3 + X^2 - g2 X - g3)| at the image of v."""
     x, y = kodaira_xy(ed, v)
-    g2 = g2_series(ed.q)
-    g3 = g3_series(ed.q)
+    g2, g3 = ed.series
     return abs(y * y - (4 * x ** 3 + x * x - g2 * x - g3))
 
 
@@ -227,7 +230,7 @@ def volume_pullback_ratio(ed: EllipticData, v: complex) -> complex:
     wp' = dx/dv * (-4 pi^2).
     """
     h = 3e-4
-    w1, w2, G4, G6 = _lattice_of(ed)
+    w1, w2, G4, G6 = ed.lattice
     vr = reduce_argument(v, w1, w2)
     wprime = wp_prime(ed, vr)
     if abs(wprime) < 1e-8:

@@ -11,9 +11,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _fit_radii, base_profile,
+from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _fit_radii,
+                                  _power_profile, base_profile,
                                   cone_limit_coefficient, curvature_decay_fit,
-                                  error_decay_fit, euclidean_profile,
+                                  error_decay_fit,
                                   ray_limit_coefficient, sob_check, tangent_cone,
                                   to_chart, volume_growth_fit)
 from semiflat.cli import bundled_path
@@ -239,6 +240,12 @@ def test_curvature_decay_case13_flat():
     assert max(c for _, c in rows) < 1e-8
 
 
+def euclidean_profile() -> BaseProfile:
+    """Flat-plane sanity profile: g = |dz|^2 in direct radius with eps = 1,
+    so the volume of a ball of radius R is pi R^2."""
+    return _power_profile("euclidean", 0.0, 1.0, 1.0, 0, 1.0, 1)
+
+
 def test_volume_growth_exponents():
     ss = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2))
     prof = base_profile(ss, 0.9, VolumeFormSpec(k0=1.2))
@@ -257,17 +264,17 @@ def test_volume_growth_exponents():
 def test_sob_clauses():
     ss = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2))
     prof = base_profile(ss, 0.9, VolumeFormSpec(k0=1.2))
-    rep = sob_check(prof, 1.5, np.geomspace(1e2, 1e6, 9))
+    rep = sob_check(prof, 1.5, "ray", np.geomspace(1e2, 1e6, 9))
     assert rep["clause1_inf"] > 0 and rep["clause2_inf"] > 0
     assert rep["clause1_stable"] < 1.5 and rep["clause2_stable"] < 1.5
 
     s4 = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.IVstar))
     prof4 = base_profile(s4, 1.0, VF1)
-    rep4 = sob_check(prof4, 2.0, np.geomspace(1e2, 1e6, 9))
+    rep4 = sob_check(prof4, 2.0, "cone", np.geomspace(1e2, 1e6, 9))
     assert rep4["clause1_inf"] > 0 and rep4["clause2_inf"] > 0
 
     # euclidean sanity: the clause-1 constant is pi itself
-    repe = sob_check(euclidean_profile(), 2.0, np.geomspace(1e2, 1e6, 9))
+    repe = sob_check(euclidean_profile(), 2.0, "cone", np.geomspace(1e2, 1e6, 9))
     assert abs(repe["clause1_sup"] - math.pi) < 1e-6
     assert abs(repe["clause1_inf"] - math.pi) < 1e-6
 

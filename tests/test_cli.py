@@ -15,7 +15,7 @@ import pytest
 import semiflat
 from semiflat.cli import bundled_path, bundled_scenarios, main
 from semiflat.errors import ScenarioError
-from semiflat.scenario import run_scenario, validate_scenario
+from semiflat.scenario import CheckResult, run_scenario, validate_scenario
 
 
 def test_list_scenarios():
@@ -35,6 +35,40 @@ def test_run_exit_zero_and_report(tmp_path):
     assert names == sorted(names)
     for c in report["checks"]:
         assert c["provenance"]                      # every check carries tags
+
+
+# The pass rule of each relation, read from the report alone: measured m,
+# expected e, tolerance t.  Exact rationals are "n/d" strings in lowest terms.
+_RELATION = {
+    "within": lambda m, e, t: abs(m - e) < t,
+    "at_least": lambda m, e, t: m >= t,
+    "above": lambda m, e, t: m > t,
+    "below": lambda m, e, t: m < t,
+    "equal": lambda m, e, t: m == e,
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_report_explains_each_verdict(tmp_path, name, seed):
+    # every check states its conditions, each with an expected value, a
+    # tolerance, a provenance and a relation, and its status follows from them
+    cfg = json.loads(bundled_path(name).read_text())
+    run_scenario(cfg, out_dir=tmp_path, seed=seed, log=io.StringIO())
+    report = json.loads((tmp_path / f"{cfg['name']}_report.json").read_text())
+    for c in report["checks"]:
+        keys = c["relation"].keys()
+        assert keys, c["name"]
+        assert c["expected"].keys() == c["tolerance"].keys() == c["provenance"].keys() == keys
+        assert keys <= c["measured"].keys(), c["name"]
+        holds = [_RELATION[c["relation"][k]](c["measured"][k], c["expected"][k],
+                                             c["tolerance"][k]) for k in keys]
+        assert c["status"] == ("pass" if all(holds) else "fail"), c["name"]
+    assert report["passed"] == all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_a_check_without_conditions_fails():
+    assert not CheckResult(name="ma", conditions={}, info={"samples": 3}).passed
 
 
 def test_check_lines_follow_redirected_stderr(tmp_path):
@@ -99,6 +133,16 @@ def test_list_loads_neither_numpy_nor_scenario(tmp_path):
               if line.startswith("import time:")}
     assert "semiflat.errors" in loaded
     assert "numpy" not in loaded and "semiflat.scenario" not in loaded
+
+
+def test_tracer_installs_on_this_package():
+    # perfbench/tracer.py wraps functions by their module bindings and raises
+    # when one is gone, which the benchmark would only show after a full run
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    code = (f"import sys; sys.path.insert(0, {str(perfbench)!r}); import tracer; "
+            "tracer.install(tracer.Tracer())")
+    out = _python("-c", code)
+    assert out.returncode == 0, out.stderr
 
 
 def test_exit_code_two_on_malformed(tmp_path):

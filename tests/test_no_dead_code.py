@@ -26,7 +26,8 @@ ALLOWED = {
     "finite_kinds": "the acceptance gate calls it",
     "elliptic_metric_at": "the acceptance gate calls it",
     "ricci_scalar_residual": "test oracle; the jet Ricci-flatness check revives it",
-    "euclidean_profile": "test oracle: the flat R^4 profile of the growth and SOB tests",
+    "eisenstein_g4_g6": "the acceptance gate calls it; the checks take G_4 and G_6 "
+                        "from EllipticData.lattice",
     "BaseProfile.dist": "the benchmark tracer wraps it; the tests use it as the "
                         "distance oracle of invert_dist",
 }
