@@ -50,7 +50,7 @@ import numpy as np
 
 from .diffgeo import ChernStencil, FDScheme, Field, chern_curvature_norm, distinct_points
 from .errors import FitRejected, NoConvergence, Unsupported
-from .kodaira import FiberKind, ProductModel, PuncturedPoint, classify_asymptotics
+from .kodaira import ProductModel, PuncturedPoint, classify_asymptotics, correction_exponent
 from .metric import VolumeFormSpec, base_terms, hermitian_entries
 from .rng import SplitMix64
 
@@ -500,10 +500,9 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
         return _power_profile(pm.label(), L0, eps, cr, 1, ca, 2)
     if cls.kind == "ALG_star":
         b = pm.left.b
-        rm = pm.right_model
-        i2 = rm.modulus_limit.imag
+        i2 = pm.right_model.modulus_limit.imag
         # right-factor pairing: I2 (1 - e^{-q L}) e^{-2 a2 L / k}
-        q = factor_correction_exponent(rm)
+        q = correction_exponent(pm.right)
         w = 3.0 - 2.0 * pm.a2 / pm.k          # B e^{-2L} = C L (1-e^{-qL}) e^{(w-2) L}
         c2 = 2.0 * b * k0 ** 2 * i2 / (math.pi * eps ** 2)
         exp_half = 0.5 * (w - 2.0)
@@ -525,20 +524,6 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
         return BaseProfile(label=pm.label(), L0=L0, sqrt_g_radial=sqrtg,
                            area_density=areaden, area=area, eps=eps)
     raise Unsupported(f"no radial profile for {cls.kind}")
-
-
-def factor_correction_exponent(lm) -> float:
-    """Exponent q with Im(conj(tau1) tau2) = I (1 - |z|^q) |z|^{2a/k} for a factor.
-
-    Pure-power factors (I0star, the isotrivial quotients) have no correction
-    and return infinity.
-    """
-    m = lm.fiber.m_mult
-    if m is None:
-        return math.inf
-    if lm.fiber.kind in (FiberKind.II, FiberKind.IIstar, FiberKind.IV, FiberKind.IVstar):
-        return 2.0 * m / 3.0
-    return float(m)
 
 
 def volume_growth_fit(profile: BaseProfile,

@@ -46,9 +46,9 @@ class FiberKind(str, Enum):
 
 
 # finite-monodromy table rows: kind -> (cover degree d, monodromy A,
-# coordinate power a', lattice family, default j-multiplicity m)
-# 'hex' rows have limit modulus zeta_3 and m-congruence mod 3,
-# 'square' rows limit modulus i and m odd.
+# coordinate power a', lattice family, default j-multiplicity m).  The
+# allowed multiplicities are those congruent to the default one modulo the
+# family's modulus.
 _FINITE_TABLE: dict[FiberKind, tuple[int, IntMat, int, str, int]] = {
     FiberKind.II: (6, ((0, 1), (-1, 1)), 5, "hex", 1),
     FiberKind.IIstar: (6, ((1, -1), (1, 0)), 1, "hex", 2),
@@ -58,11 +58,8 @@ _FINITE_TABLE: dict[FiberKind, tuple[int, IntMat, int, str, int]] = {
     FiberKind.IVstar: (3, ((0, -1), (1, -1)), 1, "hex", 1),
 }
 
-_M_CONGRUENCE = {
-    FiberKind.II: (1, 3), FiberKind.IVstar: (1, 3),
-    FiberKind.IIstar: (2, 3), FiberKind.IV: (2, 3),
-    FiberKind.III: (1, 2), FiberKind.IIIstar: (1, 2),
-}
+# lattice family -> (m-congruence modulus, limit modulus of tau2/tau1)
+_FAMILY = {"hex": (3, ZETA3), "square": (2, 1j)}
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,9 @@ class FiberType:
         else:
             if self.b != 0:
                 raise ValueError("b applies only to I_b and I_b*")
-            m = self.m_mult if self.m_mult is not None else _FINITE_TABLE[kind][4]
-            r, mod = _M_CONGRUENCE[kind]
+            *_, fam, r = _FINITE_TABLE[kind]
+            m = self.m_mult if self.m_mult is not None else r
+            mod = _FAMILY[fam][0]
             if m < 1 or m % mod != r % mod:
                 raise ValueError(f"{kind.value} needs m = {r} (mod {mod}), got {m}")
             object.__setattr__(self, "m_mult", m)
@@ -163,13 +161,28 @@ class LocalModel:
         return self.fiber.label()
 
 
+def _correction_power(t: FiberType) -> int:
+    """p with s^p = z^{m/3} (hex) or z^{m/2} (square) on the cover z = s^d of a
+    finite m-type; integral by the m-congruence."""
+    d, *_, fam, _ = _FINITE_TABLE[t.kind]
+    return d * t.m_mult // _FAMILY[fam][0]
+
+
+def correction_exponent(t: FiberType) -> float:
+    """Exponent q with Im(conj(tau1) tau2) = I (1 - |z|^q) |z|^{2a'/d} for a
+    factor of type t.  The periods of `_pow_model` carry 1 - s^p = 1 - z^{p/d},
+    and the pairing depends on it through |s^p|^2 alone, so q = 2p/d.  Pure
+    powers (I0star, also the placeholder type of the isotrivial factors) have
+    no correction and return infinity."""
+    if t.kind not in _FINITE_TABLE:
+        return math.inf
+    return 2 * _correction_power(t) / _FINITE_TABLE[t.kind][0]
+
+
 def _pow_model(t: FiberType) -> LocalModel:
     d, A, ap, fam, _ = _FINITE_TABLE[t.kind]
-    m = t.m_mult
-    # z^{m/3} (hex) or z^{m/2} (square) realized on z = s^d; integral by the
-    # congruence constraints
-    p = d * m // 3 if fam == "hex" else d * m // 2
-    zeta = ZETA3 if fam == "hex" else 1j
+    p = _correction_power(t)
+    zeta = _FAMILY[fam][1]
     e = d - ap
     zd = cmath.exp(2j * cmath.pi / d)
     zdp = zd ** (p % d)
@@ -281,9 +294,9 @@ def monodromy_order(A: IntMat) -> float:
     return math.inf
 
 
-def _verify_local(model: LocalModel) -> None:
+def _verify_local(model: LocalModel, label: str) -> None:
     if det_a(model.A) != 1:
-        raise UnsupportedType(f"det A != 1 for {model.label()}")
+        raise UnsupportedType(f"det A != 1 for {label}")
     if model.fiber.finite_monodromy:
         order = monodromy_order(model.A)
         if order not in (2, 3, 4, 6):
@@ -299,7 +312,7 @@ def _verify_local(model: LocalModel) -> None:
         scale = max(abs(t1), abs(t2), 1.0)
         if max(e1, e2) > 1e-12 * scale:
             raise UnsupportedType(
-                f"deck/period inconsistency for {model.label()} at s={s:.3f}: "
+                f"deck/period inconsistency for {label} at s={s:.3f}: "
                 f"{max(e1, e2):.2e}")
 
 
@@ -315,7 +328,7 @@ def local_model(t: FiberType) -> LocalModel:
         model = _ibstar_model(t)
     else:  # pragma: no cover
         raise UnsupportedType(str(t.kind))
-    _verify_local(model)
+    _verify_local(model, t.label())
     return model
 
 
@@ -396,9 +409,6 @@ class ProductModel:
         return f"{self.left.label()} x {self.right.label()}"
 
 
-_E_STAR = (FiberKind.IIstar, FiberKind.IIIstar, FiberKind.IVstar)
-
-
 def fiber_product(left: FiberType, right: FiberType) -> ProductModel:
     """Build the supported fiber-product model for a pair of fiber types.
 
@@ -418,7 +428,7 @@ def fiber_product(left: FiberType, right: FiberType) -> ProductModel:
             left, right = right, left
         if right.kind is FiberKind.Istar:
             pass  # Istar x Istar
-        elif right.kind not in _E_STAR:
+        elif right.kind not in _STAR_CONE_ANGLE:
             raise UnsupportedPair(
                 f"Istar x {right.kind.value} has canonical coefficient >= 0 "
                 "and is outside the supported list")
@@ -430,30 +440,8 @@ def fiber_product(left: FiberType, right: FiberType) -> ProductModel:
     beta = (rm.deck_exponent * er) % k
     a1 = lm.coord_power * el
     a2 = rm.coord_power * er
-    pm = ProductModel(left=left, right=right, left_model=lm, right_model=rm,
-                      k=k, alpha=alpha, beta=beta, a1=a1, a2=a2)
-    _verify_product(pm)
-    return pm
-
-
-def _verify_product(pm: ProductModel) -> None:
-    """Deck cocycle closes: the product of the k multipliers around the fiber is 1.
-
-    Only finite-monodromy pairs have a deck action of finite order to check.
-    """
-    if not all(pm.monodromy_finite):
-        return
-    rng = SplitMix64(0xFACE)
-    zk = cmath.exp(2j * cmath.pi / pm.k)
-    for _ in range(8):
-        s = rng.complex_annulus(0.3, 0.9, 0.05, 2 * math.pi / pm.k - 0.05)
-        prod1 = prod2 = 1.0 + 0j
-        for j in range(pm.k):
-            m1, m2 = pm.deck_multipliers(zk ** j * s)
-            prod1 *= m1
-            prod2 *= m2
-        if max(abs(prod1 - 1), abs(prod2 - 1)) > 1e-12 * pm.k:
-            raise UnsupportedPair("deck action does not close after k steps")
+    return ProductModel(left=left, right=right, left_model=lm, right_model=rm,
+                        k=k, alpha=alpha, beta=beta, a1=a1, a2=a2)
 
 
 def canonical_coefficient(pm: ProductModel) -> Fraction:
@@ -508,9 +496,7 @@ def isotrivial_coefficient(case_k: int) -> Fraction:
     mult = Fraction(case_k, p_f)
     if pole.denominator != 1 or mult.denominator != 1:
         raise Unsupported("non-integral pole order or multiplicity")
-    coeff = -pole / mult
-    assert coeff == Fraction(-(P + 1), case_k)
-    return coeff
+    return -pole / mult
 
 
 def classify_asymptotics(pm: ProductModel) -> Classification:
@@ -548,7 +534,8 @@ def isotrivial_case13() -> ProductModel:
     the per-factor volume factors nu = (2, 2) account for.  The volume form
     is g(z) = -1/(12 z^2).
     """
-    hexa = FiberType(FiberKind.I0star)  # placeholder types for labeling only
+    # placeholder type of both factors: finite monodromy, pure-power periods
+    hexa = FiberType(FiberKind.I0star)
 
     def tau(s: complex) -> tuple[complex, complex]:
         return (s, ZETA3 * s)
@@ -572,13 +559,15 @@ def isotrivial_case13() -> ProductModel:
                      deck_multiplier=lambda s: cmath.exp(2j * cmath.pi / 6) ** 4,
                      deck_tau=lambda s: tau_r(cmath.exp(2j * cmath.pi / 6) * s),
                      modulus_limit=ZETA3)
-    return ProductModel(left=hexa, right=hexa, left_model=lm, right_model=rmm,
-                        k=6, alpha=5, beta=2, a1=1, a2=4, nu=(2, 2),
-                        label_override="isotrivial case 13",
-                        default_k0=-1.0 / 12.0 + 0j)
+    pm = ProductModel(left=hexa, right=hexa, left_model=lm, right_model=rmm,
+                      k=6, alpha=5, beta=2, a1=1, a2=4, nu=(2, 2),
+                      label_override="isotrivial case 13",
+                      default_k0=-1.0 / 12.0 + 0j)
+    for side, factor in (("left", lm), ("right", rmm)):
+        _verify_local(factor, f"{pm.label()}, {side} factor")
+    return pm
 
 
 def finite_kinds() -> tuple[FiberKind, ...]:
     """The seven finite-monodromy fiber kinds."""
-    return (FiberKind.I0star, FiberKind.II, FiberKind.IIstar, FiberKind.III,
-            FiberKind.IIIstar, FiberKind.IV, FiberKind.IVstar)
+    return (FiberKind.I0star, *_FINITE_TABLE)

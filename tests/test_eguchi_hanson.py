@@ -1,16 +1,20 @@
 """Eguchi-Hanson potential, closed-form metric, and cutoff gluing."""
 
 import cmath
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from semiflat.cli import bundled_path
 from semiflat.eguchi_hanson import (EHConfig, a_max, cutoff, eh_metric, eh_potential,
                                     glued_metric_eigenvalues, glued_potential_u,
                                     gluing_report)
 from semiflat.errors import OriginSingular
 from semiflat.rng import SplitMix64
+from semiflat.scenario import run_scenario
 
 ZETA3 = cmath.exp(2j * cmath.pi / 3)
 
@@ -133,9 +137,18 @@ def test_gluing_report_keys():
     assert rep["min_eigenvalue"] > 0
     assert rep["max_det_residual_inside"] < 1e-10
     assert rep["a_max"] > 0
-    assert rep["max_dev_annulus"] < 1e-3
 
 
 def test_origin_singular():
     with pytest.raises(OriginSingular):
         eh_metric(EHConfig(a=0.1), (0j, 0j, 0j))
+
+
+def test_eh_gluing_fails_for_a_scale_above_a_max():
+    # a_max is about 0.988 for the bundled delta = 1; the bundled eh_a is 0.05
+    cfg = json.loads(bundled_path("eh_gluing.json").read_text())
+    cfg["eh_a"] = 1.5
+    (result,) = run_scenario(cfg, log=io.StringIO()).results
+    a_max_condition = result.conditions["a_max"]
+    assert a_max_condition.measured < a_max_condition.tolerance == 1.5
+    assert not a_max_condition.holds and not result.passed

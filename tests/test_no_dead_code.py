@@ -24,6 +24,7 @@ SRC = Path(semiflat.__file__).parent
 ALLOWED = {
     "positivity": "the acceptance gate calls it",
     "finite_kinds": "the acceptance gate calls it",
+    "ProductModel.deck_multipliers": "the acceptance gate calls it",
     "elliptic_metric_at": "the acceptance gate calls it",
     "ricci_scalar_residual": "test oracle; the jet Ricci-flatness check revives it",
     "eisenstein_g4_g6": "the acceptance gate calls it; the checks take G_4 and G_6 "
