@@ -19,12 +19,15 @@ off-diagonal Christoffel residue carries a separate, slower channel
 (|z|^{m/2} from the period Wronskian) which is reported by the curvature
 fit but deliberately not mixed into the error fit.
 
-`AsymptoticChart.pulled_h` takes one point or a batch of points.  A batch
-gives the stack of the matrices that one-point calls give, bit for bit,
-and computes the terms that depend on alpha alone once per distinct alpha.
-The curvature fit evaluates both stencils of a radius as one batch
-(`AsymptoticChart.field_on`), because its values reproduce only bit for
-bit (docs/decisions.md).
+`AsymptoticChart.pulled_h` evaluates a batch of points; one point is a
+batch of one.  The terms that depend on alpha alone are computed once per
+distinct alpha in Python complex arithmetic; the rest runs as a few array
+passes on `metric.ComplexPairs`, whose arithmetic rounds as Python complex
+does, so each matrix has the same bits in every batch.  Each fit makes one call:
+the error fit for all its radii and fiber points, the curvature fit for
+both stencils of a radius (`AsymptoticChart.field_on`), the tangent cone
+for its four scales.  The curvature fit reproduces only bit for bit
+(docs/decisions.md).
 
 Radial geometry of the star-like models is handled entirely in
 L = -log|z| to avoid under/overflow: the base coefficients reduce to
@@ -48,10 +51,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diffgeo import ChernStencil, FDScheme, Field, chern_curvature_norm, distinct_points
+from .diffgeo import FDScheme, Field, chern_curvature_norm, chern_stencil, distinct_points
 from .errors import FitRejected, NoConvergence, Unsupported
 from .kodaira import ProductModel, PuncturedPoint, classify_asymptotics, correction_exponent
-from .metric import VolumeFormSpec, base_terms, hermitian_entries
+from .metric import ComplexPairs, VolumeFormSpec, base_terms, filled, hermitian_entries
 from .rng import SplitMix64
 
 
@@ -135,37 +138,39 @@ class AsymptoticChart:
     def pulled_h(self, alpha, betas) -> np.ndarray:
         """Hermitian matrix of the ansatz in the (alpha, beta1, beta2) coframe.
 
-        A complex alpha and a pair of complex betas give one 3 x 3 matrix.
-        A 1-D array of alphas and a pair of arrays of betas give the (N, 3, 3)
-        stack of the same matrices, bit for bit: each point is computed with
-        Python complex arithmetic, and the terms that depend on alpha alone
-        (chart scales, periods, fiber and base coefficients) once per
-        distinct alpha.  Raises DegenerateLattice if any point lies outside
-        the validity disk.
+        A complex alpha and a pair of complex betas give one 3 x 3 matrix,
+        as a batch of one point.  A 1-D array of alphas and a pair of arrays
+        (or numbers) of betas give the (N, 3, 3) stack.  The terms that
+        depend on alpha alone (chart scales, periods, fiber and base
+        coefficients) are computed once per distinct alpha in Python complex
+        arithmetic; the rest runs on `metric.ComplexPairs`, which round as
+        Python complex does, so every matrix has the bits of the Python
+        complex formulas whatever batch it is in.  Raises
+        DegenerateLattice if any point lies outside the validity disk.
         """
-        if not isinstance(alpha, np.ndarray):
-            return self._pulled([alpha], [None], [betas[0]], [betas[1]])[0]
-        alphas = np.ascontiguousarray(alpha, dtype=complex)
-        raw = alphas.tobytes()          # keyed on bits: 0.0 and -0.0 differ
-        keys = [raw[i:i + 16] for i in range(0, len(raw), 16)]
-        return self._pulled(alphas.tolist(), keys,
-                            np.asarray(betas[0], dtype=complex).tolist(),
-                            np.asarray(betas[1], dtype=complex).tolist())
+        alphas, b1, b2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(z, dtype=complex))
+                                               for z in (alpha, *betas)))
+        h = self._pulled(alphas, b1, b2)
+        return h[0] if np.ndim(alpha) == 0 else h
 
-    def _pulled(self, alphas, keys, b1s, b2s) -> np.ndarray:
-        terms: dict = {}
-        J, h = [], []          # the entries of each matrix, row by row
-        for alpha, key, b1, b2 in zip(alphas, keys, b1s, b2s):
-            t = terms.get(key)
-            if t is None:
-                pt, c1, c2, dz, dc1, dc2 = self._alpha_terms(alpha)
-                t = terms[key] = (c1, c2, dz, dc1, dc2,
-                                  base_terms(self.model, self.eps, self.vf, pt))
-            c1, c2, dz, dc1, dc2, base = t
-            J += (dz, 0, 0, dc1 * b1, c1, 0, dc2 * b2, 0, c2)
-            h += hermitian_entries(base, (c1 * b1, c2 * b2))
-        Js = np.array(J, dtype=complex).reshape(-1, 3, 3)
-        return Js.transpose(0, 2, 1) @ np.array(h, dtype=complex).reshape(-1, 3, 3) @ Js.conj()
+    def _pulled(self, alphas: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+        distinct, index = distinct_points(np.stack([alphas.real, alphas.imag], axis=-1))
+        cplx, reals = [], []        # the terms of alpha alone, per distinct alpha
+        for alpha in distinct.view(complex).ravel().tolist():
+            pt, *scales = self._alpha_terms(alpha)
+            (tau, dt), imp, F, _, B = base_terms(self.model, self.eps, self.vf, pt)
+            cplx.append((*scales, *tau, *dt))
+            reals.append((*imp, *F, B))
+        # rows, each over the points: c1, c2, dz, dc1, dc2, tau1..4, dtau1..4
+        # and imp1, imp2, F1, F2, B
+        cplx = np.array(cplx, dtype=complex).T[:, index]
+        reals = np.array(reals).T[:, index]
+        c1, c2, dz, dc1, dc2, *periods = ComplexPairs.of(cplx)
+        b1, b2 = ComplexPairs.of((b1, b2))
+        base = ((periods[:4], periods[4:]), reals[0:2], reals[2:4], None, reals[4])
+        h = filled(hermitian_entries(base, (c1 * b1, c2 * b2)), index.shape)
+        J = filled((dz, 0, 0, dc1 * b1, c1, 0, dc2 * b2, 0, c2), index.shape).reshape(-1, 3, 3)
+        return J.transpose(0, 2, 1) @ h.reshape(-1, 3, 3) @ J.conj()
 
     def field_on(self, points: np.ndarray) -> Field:
         """A field that looks up pulled_h at `points` (rows of the 6 real
@@ -173,7 +178,8 @@ class AsymptoticChart:
         other point raises KeyError."""
         points, _ = distinct_points(points)
         z = points.view(complex)
-        table = dict(zip([p.tobytes() for p in points],
+        raw, width = points.tobytes(), points.shape[1] * points.itemsize
+        table = dict(zip([raw[a:a + width] for a in range(0, len(raw), width)],
                          self.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))))
         return lambda x: table[x.tobytes()]
 
@@ -221,17 +227,10 @@ def _beta_samples(chart: AsymptoticChart, rng: SplitMix64,
     return out
 
 
-def _diag_deviation(chart: AsymptoticChart, alpha: complex,
-                    betas: Sequence[complex]) -> float:
-    h = chart.pulled_h(alpha, betas)
-    flat = chart.flat_h
-    return max(abs(h[j, j].real / flat[j, j].real - 1.0) for j in range(3))
-
-
 def _fit_radii(chart: AsymptoticChart, radii: Sequence[float]) -> list[complex]:
     """The chart point of each radius, as a Python complex: numpy radii
-    would make numpy scalars, whose arithmetic in pulled_h is not that of
-    the curvature fit's points."""
+    would make numpy complex scalars, and both fits build their points and
+    the curvature fit its stencil scales with Python's arithmetic."""
     lo, hi = chart.sector
     mid = 0.5 * (lo + hi)
     if chart.kind == "power":
@@ -280,13 +279,13 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     """
     chart = to_chart(pm, eps, vf)
     rng = rng or SplitMix64(0xDECAF)
-    betas = _beta_samples(chart, rng, 3)
-    alphas = _fit_radii(chart, radii)
-    rows = []
-    for r, alpha in zip(radii, alphas):
-        dev = max(_diag_deviation(chart, alpha, b) for b in betas)
-        rows.append((float(r), dev))
-    devs = np.array([d for _, d in rows])
+    betas = np.array(_beta_samples(chart, rng, 3))
+    alphas = np.repeat(_fit_radii(chart, radii), len(betas))
+    b1, b2 = np.tile(betas, (len(radii), 1)).T
+    h = chart.pulled_h(alphas, (b1, b2))
+    diag = np.diagonal(h, axis1=1, axis2=2).real.reshape(len(radii), len(betas), 3)
+    devs = np.abs(diag / chart.flat_h.diagonal().real - 1.0).max(axis=(1, 2))
+    rows = [(float(r), dev) for r, dev in zip(radii, devs)]
     keep = devs > 1e-13          # below this the deviation is rounding noise
     return fit_decay(chart, radii, devs, keep, flat_below=1e-12), rows
 
@@ -317,7 +316,7 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
         scales = (abs(alpha), 4.0, 4.0)
         # the h/2 stencil points of the `scheme` norm are the h points of
         # the `half` norm: one batch holds both stencils
-        field = chart.field_on(np.concatenate([ChernStencil(x, s, scales).points
+        field = chart.field_on(np.concatenate([chern_stencil(x, s, scales).points
                                                for s in (scheme, half)]))
         v1 = chern_curvature_norm(field, x, scheme, scales)
         v2 = chern_curvature_norm(field, x, half, scales)
@@ -612,14 +611,11 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
     if cls.kind in ("ALG", "ALH"):
         chart = to_chart(pm, eps, vf)
         mid = 0.5 * (chart.sector[0] + chart.sector[1])
-        vals = []
-        for i in range(_CONE_DECADES):
-            if chart.kind == "power":
-                alpha = 10.0 ** (2 + i) * cmath.exp(1j * mid)
-            else:
-                alpha = (8.0 * (i + 1)) / chart.rate + 1j * mid / 2
-            h = chart.pulled_h(alpha, (0j, 0j))
-            vals.append(h[0, 0].real)
+        if chart.kind == "power":
+            alphas = [10.0 ** (2 + i) * cmath.exp(1j * mid) for i in range(_CONE_DECADES)]
+        else:
+            alphas = [(8.0 * (i + 1)) / chart.rate + 1j * mid / 2 for i in range(_CONE_DECADES)]
+        vals = chart.pulled_h(np.array(alphas), (0j, 0j))[:, 0, 0].real.tolist()
         if not _cauchy_ok(vals):
             raise NoConvergence(f"chart base coefficient not Cauchy: {vals}")
         return ConeDescription(kind=cls.cone,

@@ -21,7 +21,7 @@ points (d and dbar take the same partials, the mixed partial (i, j) repeats
 field must therefore be pure: its value depends on x only.  Closedness
 takes the two real partials of each coordinate once and forms d and dbar
 from them, so each of its points is evaluated once by construction.  A
-Chern norm lists its distinct points first (`ChernStencil`), so a caller
+Chern norm lists its distinct points first (`chern_stencil`), so a caller
 can evaluate them in one batch, and forms every difference from the
 stacked values with the floating-point operations of the pointwise
 formulas: the norm does not depend, to the last bit, on which way it was
@@ -186,7 +186,12 @@ def _chern_layout(n: int) -> SimpleNamespace:
                                       for s1 in (1, -1) for s2 in (1, -1)])
                         mixed_at.append(at)
     dir1, mult1, dir2, mult2, slot = (np.array(col) for col in zip(*rows))
+    # a shift adds e with its zeros signed: x + (-0.0) is x for every x, and
+    # x + (+0.0) turns -0.0 into +0.0, as x + e does; x - e is x + (-e)
+    zero1, zero2 = (np.where((m > 0)[:, None], 0.0, -0.0) * np.ones(dim) for m in (mult1, mult2))
     layout = SimpleNamespace(dir1=dir1, mult1=mult1, dir2=dir2, mult2=mult2, slot=slot,
+                             zero1=zero1, zero2=zero2,
+                             at1=np.flatnonzero(mult1), at2=np.flatnonzero(mult2),
                              first=first, pure=np.array(pure), pure_at=np.array(pure_at),
                              mixed=np.array(mixed), mixed_at=np.array(mixed_at))
     for a in vars(layout).values():      # shared by every stencil of this shape
@@ -199,12 +204,12 @@ def distinct_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index of each row among them.  Rows are compared by their bytes, so
     0.0 and -0.0 differ."""
     points = np.ascontiguousarray(points, dtype=float)
-    width = points.shape[1] * points.itemsize
-    raw = points.tobytes()
-    ids: dict[bytes, int] = {}
-    index = [ids.setdefault(raw[a:a + width], len(ids)) for a in range(0, len(raw), width)]
-    distinct = np.frombuffer(b"".join(ids), dtype=float).reshape(len(ids), -1)
-    return distinct.copy(), np.array(index, dtype=int)
+    rows = points.view(np.dtype((np.void, points.shape[1] * points.itemsize))).ravel()
+    _, first, index = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return points[first[order]], rank[index]
 
 
 class ChernStencil:
@@ -234,16 +239,15 @@ class ChernStencil:
                   for k in range(n) for l in range(n)]
         self._steps = np.array(steps + [h / 2 for h in steps])
         h = self._steps[lay.slot]
-        rows = np.arange(len(h))
-        e1 = np.zeros((len(h), x.size))
-        e1[rows, lay.dir1] = np.abs(lay.mult1) * h
-        e2 = np.zeros((len(h), x.size))
-        e2[rows, lay.dir2] = h
-        p = np.where((lay.mult1 > 0)[:, None], x + e1,
-                     np.where((lay.mult1 < 0)[:, None], x - e1, x))
-        p = np.where((lay.mult2 > 0)[:, None], p + e2,
-                     np.where((lay.mult2 < 0)[:, None], p - e2, p))
+        p = x
+        for at, d, mult, zero in ((lay.at1, lay.dir1, lay.mult1, lay.zero1),
+                                  (lay.at2, lay.dir2, lay.mult2, lay.zero2)):
+            e = zero.copy()
+            e[at, d[at]] = mult[at] * h[at]
+            p = p + e
         self.points, self._index = distinct_points(p)
+        for a in (self.points, self._index, self._steps):
+            a.flags.writeable = False
 
     def norm(self, values: np.ndarray) -> float:
         """|Rm| from the stack of the field's matrices at `points`.
@@ -286,14 +290,30 @@ class ChernStencil:
         return float(np.sqrt(np.sum(np.abs(T) ** 2)))
 
 
+@lru_cache(maxsize=4)
+def _stencil(x: bytes, scheme: FDScheme, scales: bytes | None) -> ChernStencil:
+    return ChernStencil(np.frombuffer(x), scheme,
+                        None if scales is None else np.frombuffer(scales).tolist())
+
+
+def chern_stencil(x: np.ndarray, scheme: FDScheme,
+                  scales: Sequence[float] | None = None) -> ChernStencil:
+    """ChernStencil(x, scheme, scales), built once for each of the last few
+    (x, scheme, scales), keyed on their bits: a caller that lists the points
+    for one batched evaluation and the norm that then reads them share one
+    build.  Its arrays are read-only."""
+    return _stencil(np.asarray(x, dtype=float).tobytes(), scheme,
+                    None if scales is None else np.asarray(scales, dtype=float).tobytes())
+
+
 def chern_curvature_norm(field: Field, x: np.ndarray, scheme: FDScheme,
                          scales: Sequence[float] | None = None) -> float:
     """Pointwise norm |Rm| of the Chern curvature with respect to the field.
 
     The field is called once per distinct point of the stencil
-    (`ChernStencil`); its matrices are n x n for x in R^{2n}.
+    (`chern_stencil`); its matrices are n x n for x in R^{2n}.
     """
-    stencil = ChernStencil(x, scheme, scales)
+    stencil = chern_stencil(x, scheme, scales)
     return stencil.norm(np.array([field(p) for p in stencil.points]))
 
 

@@ -28,10 +28,19 @@ Batch axis.  `periods_at`, `_fiber_terms`, `base_terms`,
 batch of N points (s and every v_j 1-D arrays of length N).  The same
 expressions run on both, after the array API standard
 (https://data-apis.org/array-api/); a batch gives h with shape
-(N, m+1, m+1) and g_eff with shape (N,).  A point keeps Python complex
-arithmetic bit for bit; a batch runs numpy's loops, whose products,
-quotients, squares and logs may round differently in the last bit (see
-docs/decisions.md, "`ma` evaluates its samples as one batch").
+(N, m+1, m+1) and g_eff with shape (N,).
+
+Rounding.  The pairings, the Christoffel symbols and the entries of h
+(`_im_pair`, `_christoffel`, `hermitian_entries`) are written once, in
+complex notation.  A point runs them on Python `complex`; a batch runs
+them on `ComplexPairs`, float64 arrays whose arithmetic follows CPython
+3.11's `complex` operation by operation, so every position of a batch
+has the bits of a point (docs/decisions.md, "`curvature_decay`
+reproduces only bit for bit").  What a batch of `metric_at` still
+computes with numpy's complex loops is the base-point part: the period
+closures, dtau/dz and g_eff, so `ma`'s batch may differ from a scalar
+call in the last bits there (docs/decisions.md, "`ma` evaluates its
+samples as one batch").
 """
 
 from __future__ import annotations
@@ -98,8 +107,68 @@ def periods_at(model: Model, pt: PuncturedPoint):
     return tau, dtau_dz
 
 
-def _im_pair(a: complex, b: complex) -> float:
-    return (a.conjugate() * b).imag
+class ComplexPairs:
+    """Complex numbers held as two float64 arrays (or numbers), real and
+    imaginary, whose arithmetic rounds at every position as CPython 3.11's
+    `complex` does: the product as (ar br - ai bi, ar bi + ai br), a real
+    operand x as (x, 0.0), so its 0.0 terms stay, a quotient by a real p as
+    `_Py_c_quot` by (p, 0.0), and abs as libm `hypot`.  numpy's complex
+    loops round differently (docs/decisions.md)."""
+
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None       # an ndarray operand defers to the reflected method
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    @classmethod
+    def of(cls, zs: Sequence) -> tuple:
+        """Each complex number or array of zs as ComplexPairs."""
+        return tuple(cls(z.real, z.imag) for z in zs)
+
+    @staticmethod
+    def _parts(x) -> tuple:
+        if isinstance(x, (ComplexPairs, complex)):
+            return x.real, x.imag
+        return x, 0.0
+
+    def __mul__(self, other) -> "ComplexPairs":
+        """The product in CPython's order (`_Py_c_prod`); it commutes bit
+        for bit, so it is also the reflected product."""
+        br, bi = self._parts(other)
+        return ComplexPairs(self.real * br - self.imag * bi, self.real * bi + self.imag * br)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other) -> "ComplexPairs":
+        br, bi = self._parts(other)
+        return ComplexPairs(self.real - br, self.imag - bi)
+
+    def __truediv__(self, p) -> "ComplexPairs":
+        """The quotient by a real p."""
+        ratio = 0.0 / p
+        denom = p + 0.0 * ratio
+        return ComplexPairs((self.real + self.imag * ratio) / denom,
+                            (self.imag - self.real * ratio) / denom)
+
+    def conjugate(self) -> "ComplexPairs":
+        return ComplexPairs(self.real, -self.imag)
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+
+def _square(x):
+    """x ** 2 as Python rounds a float's: libm pow.  An array takes
+    np.float_power(x, 2.0), which rounds the same (x * x and np.square do
+    not)."""
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+
+
+def _im_pair(a, b):
+    """Im(conj(a) b), rounded as Python's (a.conjugate() * b).imag, for
+    complex numbers, complex arrays and ComplexPairs."""
+    return a.real * b.imag - a.imag * b.real
 
 
 def _fiber_terms(model: Model, pt: PuncturedPoint, periods, eps: float | None = None,
@@ -186,19 +255,32 @@ def base_terms(model: Model, eps: float, vf: VolumeFormSpec, pt: PuncturedPoint)
 
 def hermitian_entries(base: tuple, v: Sequence[complex]) -> list[complex]:
     """Entries of the Hermitian matrix h at fiber coordinates v, row by row:
-    Python numbers at a point, arrays (or constants) over a batch; `base`
-    is what base_terms gives at the base point(s)."""
+    Python numbers at a point, ComplexPairs and float arrays (or constants)
+    over a batch; `base` is what base_terms gives at the base point(s)."""
     periods, imp, F, _, B = base
     m = len(F)
     h = [0] * ((m + 1) * (m + 1))
     fiber = []
     for j, gamma in enumerate(_christoffel(periods, imp, v)):
-        fiber.append(F[j] * abs(gamma) ** 2)
+        fiber.append(F[j] * _square(abs(gamma)))
         h[j + 1] = -F[j] * gamma
         h[(j + 1) * (m + 1)] = -F[j] * gamma.conjugate()
         h[(j + 1) * (m + 2)] = F[j]
     h[0] = B + sum(fiber)
     return h
+
+
+def filled(entries: Sequence, lead: tuple) -> np.ndarray:
+    """The complex array of shape lead + (K,) with entry k of the last axis
+    from entries[k]: for a point (lead ()), numbers; for a batch, numbers,
+    arrays of shape lead or ComplexPairs."""
+    if not lead:
+        return np.array(entries, dtype=complex)
+    out = np.empty(lead + (len(entries),), dtype=complex)
+    re, im = out.real, out.imag
+    for k, x in enumerate(entries):
+        re[..., k], im[..., k] = x.real, x.imag
+    return out
 
 
 def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
@@ -214,12 +296,13 @@ def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
     if len(v) != m:
         raise ValueError(f"need {m} fiber coordinates")
     base = base_terms(model, eps, vf, pt)
-    entries = hermitian_entries(base, v)
-    if isinstance(pt.s, np.ndarray):
-        h = np.stack(np.broadcast_arrays(*entries), axis=-1).astype(complex)
-        return MetricSample(h=h.reshape(-1, m + 1, m + 1), omega_coeff=base[3])
-    h = np.array(entries, dtype=complex).reshape(m + 1, m + 1)
-    return MetricSample(h=h, omega_coeff=base[3])
+    lead = pt.s.shape if isinstance(pt.s, np.ndarray) else ()
+    if lead:                # the per-point part rounds as a point's
+        (tau, dt), *rest = base
+        base = ((ComplexPairs.of(tau), ComplexPairs.of(dt)), *rest)
+        v = ComplexPairs.of(v)
+    h = filled(hermitian_entries(base, v), lead)
+    return MetricSample(h=h.reshape(lead + (m + 1, m + 1)), omega_coeff=base[3])
 
 
 def elliptic_metric_at(model: LocalModel, eps: float, vf: VolumeFormSpec,

@@ -27,7 +27,7 @@ import numpy as np
 # and weierstrass are imported inside the checks that call them (and
 # eguchi_hanson by build_context for an eh scenario), so a CLI run loads
 # (and, without a bytecode cache, compiles) only what its checks use.
-from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
+from .diffgeo import FDScheme, chern_curvature_norm, chern_stencil, closedness_residual
 from .errors import BranchPoint, PolePoint, ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint, array_namespace,
                       canonical_coefficient, classify_asymptotics, correction_exponent,
@@ -287,33 +287,39 @@ def build_context(cfg: dict) -> Context:
     eps = float(cfg.get("epsilon", 1.0))
     scheme = _configured("fd_step", FDScheme, step=float(cfg.get("fd_step", 1e-4)))
     kind = cfg["model_kind"]
-    if kind == "pair":
-        left = _fiber_type(cfg["left"], cfg.get("m_left"), cfg.get("b_left"))
-        right = _fiber_type(cfg["right"], cfg.get("m_right"), cfg.get("b_right"))
-        try:
-            pm = fiber_product(left, right)
-        except SemiflatError as exc:
-            raise ScenarioError(str(exc)) from exc
-        return Context(cfg=cfg, model=pm, vf=_volume_form(cfg, 1.0), eps=eps,
+    if kind in ("pair", "isotrivial", "elliptic"):
+        model = _catalog_model(cfg)
+        default_k0 = model.default_k0.real if kind == "isotrivial" else 1.0
+        return Context(cfg=cfg, model=model, vf=_volume_form(cfg, default_k0), eps=eps,
                        scheme=scheme)
-    if kind == "isotrivial":
-        case = cfg.get("case", 13)
-        if case != 13:
-            raise ScenarioError("only the case-13 isotrivial model carries metric checks; "
-                                "other cases enter through the canonical coefficient")
-        pm = isotrivial_case13()
-        return Context(cfg=cfg, model=pm, vf=_volume_form(cfg, pm.default_k0.real),
-                       eps=eps, scheme=scheme)
-    if kind == "elliptic":
-        ft = _fiber_type(cfg["fiber"], cfg.get("m"), cfg.get("b"))
-        return Context(cfg=cfg, model=local_model(ft), vf=_volume_form(cfg, 1.0),
-                       eps=eps, scheme=scheme)
     model = None
     if kind == "eh":
         from .eguchi_hanson import EHConfig
         model = _configured("eh_a, eh_delta", EHConfig, a=float(cfg.get("eh_a", 0.05)),
                             delta=float(cfg.get("eh_delta", 1.0)))
     return Context(cfg=cfg, model=model, vf=VolumeFormSpec(k0=1.0), eps=eps, scheme=scheme)
+
+
+def _catalog_model(cfg: dict):
+    """The catalog model of a pair, isotrivial or elliptic scenario.  A
+    catalog error (an unsupported pair, a failed construction self-check)
+    is a ScenarioError of the scenario."""
+    kind = cfg["model_kind"]
+    if kind == "isotrivial" and cfg.get("case", 13) != 13:
+        raise ScenarioError("only the case-13 isotrivial model carries metric checks; "
+                            "other cases enter through the canonical coefficient")
+    try:
+        if kind == "pair":
+            return fiber_product(_fiber_type(cfg["left"], cfg.get("m_left"), cfg.get("b_left")),
+                                 _fiber_type(cfg["right"], cfg.get("m_right"),
+                                             cfg.get("b_right")))
+        if kind == "isotrivial":
+            return isotrivial_case13()
+        return local_model(_fiber_type(cfg["fiber"], cfg.get("m"), cfg.get("b")))
+    except ScenarioError:
+        raise
+    except SemiflatError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _place(model, u):
@@ -422,7 +428,7 @@ def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckRes
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
     scheme = FDScheme(step=2e-3)
     scales = (abs(alpha), 1.0, 1.0)
-    fld = chart.field_on(ChernStencil(x, scheme, scales).points)
+    fld = chart.field_on(chern_stencil(x, scheme, scales).points)
     curv = chern_curvature_norm(fld, x, scheme, scales)
     return CheckResult(name="flatness", info={}, conditions={
         "max_coefficient_deviation": Condition("within", dev, 0.0, 1e-12 * tol_scale,

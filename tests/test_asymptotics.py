@@ -18,9 +18,10 @@ from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _fit_r
                                   ray_limit_coefficient, sob_check, tangent_cone,
                                   to_chart, volume_growth_fit)
 from semiflat.cli import bundled_path
+from semiflat.diffgeo import FDScheme, chern_stencil, distinct_points
 from semiflat.errors import DegenerateLattice, FitRejected, NoConvergence, Unsupported
 from semiflat.kodaira import FiberKind, FiberType, fiber_product, isotrivial_case13
-from semiflat.metric import VolumeFormSpec, metric_at
+from semiflat.metric import VolumeFormSpec, base_terms, metric_at
 from semiflat.rng import SplitMix64
 from semiflat.scenario import run_scenario
 
@@ -83,30 +84,47 @@ def test_chart_roundtrip():
             assert abs(back - alpha) < 1e-10 * abs(alpha)
 
 
-def _chart_alphas(chart):
-    """Three distinct alphas in the chart, the first twice in a row."""
-    mid = 0.5 * sum(chart.sector)
-    if chart.kind == "power":
-        return [r * cmath.exp(1j * mid) for r in (300.0, 300.0, 2e3, 4e4)]
-    re = 12.0 / chart.rate
-    return [re + 1j * mid, re + 1j * mid, re + 0.5j * mid, 2.5 * re + 1j * mid]
+def python_complex_pulled_h(chart, alpha: complex, b1: complex, b2: complex) -> np.ndarray:
+    """Oracle: the pulled-back matrix at one point, with its per-point part
+    written on Python complex (the formulas of metric.hermitian_entries and
+    AsymptoticChart._pulled before they moved to float pairs).  The terms of
+    alpha alone come from the same _alpha_terms and base_terms."""
+    pt, c1, c2, dz, dc1, dc2 = chart._alpha_terms(alpha)
+    (tau, dt), imp, F, _, B = base_terms(chart.model, chart.eps, chart.vf, pt)
+    h = [0] * 9
+    fiber = []
+    for j, v in enumerate((c1 * b1, c2 * b2)):
+        gamma = ((tau[2 * j].conjugate() * v).imag * dt[2 * j + 1]
+                 - (tau[2 * j + 1].conjugate() * v).imag * dt[2 * j]) / imp[j]
+        fiber.append(F[j] * abs(gamma) ** 2)
+        h[j + 1] = -F[j] * gamma
+        h[(j + 1) * 3] = -F[j] * gamma.conjugate()
+        h[(j + 1) * 4] = F[j]
+    h[0] = B + sum(fiber)
+    J = np.array([dz, 0, 0, dc1 * b1, c1, 0, dc2 * b2, 0, c2], dtype=complex).reshape(3, 3)
+    return J.T @ np.array(h, dtype=complex).reshape(3, 3) @ J.conj()
 
 
-@pytest.mark.parametrize("left, right", [(FK.IIstar, FK.IIIstar), (FK.III, FK.IIIstar)],
+@pytest.mark.parametrize("left, right, radius", [(FK.IIstar, FK.IIIstar, 3e3),
+                                                 (FK.III, FK.IIIstar, 12.0)],
                          ids=["alg", "alh"])
-def test_batched_pulled_h_is_a_stack_of_scalar_calls(left, right):
+def test_batched_pulled_h_is_a_stack_of_scalar_calls(left, right, radius):
+    # one radius batch of the curvature fit (both stencils, each point
+    # once), against the Python complex formula point by point, bit for bit
     chart = to_chart(fiber_product(FiberType(left), FiberType(right)), 0.9,
                      VolumeFormSpec(k0=1.2))
-    rng = SplitMix64(5)
-    alphas = _chart_alphas(chart) * 2
-    b1 = [complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5)) for _ in alphas]
-    b2 = [complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5)) for _ in alphas]
-    b2[1] = b2[0]              # one point repeats outright
-    b1[1] = b1[0]
-    batch = chart.pulled_h(np.array(alphas), (np.array(b1), np.array(b2)))
-    single = np.array([chart.pulled_h(a, (p, q)) for a, p, q in zip(alphas, b1, b2)])
-    assert batch.shape == (len(alphas), 3, 3) and single.shape[1:] == (3, 3)
-    assert np.array_equal(batch.view(float), single.view(float))
+    (alpha,) = _fit_radii(chart, [radius])
+    x = np.array([alpha.real, alpha.imag, 0.3, -0.0, 0.7, 0.45])
+    scales = (abs(alpha), 4.0, 4.0)
+    points, _ = distinct_points(np.concatenate(
+        [chern_stencil(x, FDScheme(step=s), scales).points for s in (2e-3, 1e-3)]))
+    z = points.view(complex)
+    batch = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
+    oracle = np.array([python_complex_pulled_h(chart, *p) for p in z.tolist()])
+    assert batch.shape == (217, 3, 3)
+    assert np.array_equal(batch.view(np.uint64), oracle.view(np.uint64))
+    one = chart.pulled_h(alpha, (complex(0.3, -0.0), 0.7 + 0.45j))
+    assert np.array_equal(one.view(np.uint64), oracle[0].view(np.uint64))
 
 
 def test_batched_pulled_h_raises_outside_the_validity_disk():
@@ -137,8 +155,8 @@ def test_batched_pulled_h_raises_outside_the_validity_disk():
                          ids=["power", "exponential"])
 def test_fit_radii_are_python_complex(left, right):
     # the radii of a window are numpy floats; the chart points built from
-    # them must be Python complex, so error_decay's pulled_h runs the same
-    # arithmetic as curvature_decay's
+    # them must be Python complex, so that both fits place their points, and
+    # the curvature fit scales its stencils, with Python's arithmetic
     chart = to_chart(fiber_product(FiberType(left), FiberType(right)), 1.0, VF1)
     alphas = _fit_radii(chart, np.geomspace(1e2, 1e5, 13))
     assert {type(a) for a in alphas} == {complex}

@@ -14,7 +14,7 @@ from semiflat.eguchi_hanson import EHConfig, eh_metric
 from semiflat.errors import StepTooSmall
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
                               isotrivial_case13)
-from semiflat.metric import VolumeFormSpec, metric_at
+from semiflat.metric import ComplexPairs, VolumeFormSpec, _square, metric_at
 
 
 def test_fd_battery_polynomial_exponential():
@@ -262,7 +262,8 @@ def test_closedness_evaluates_each_point_once():
 
 
 def _bits_equal(a, b) -> bool:
-    return np.array_equal(np.asarray(a).view(float), np.asarray(b).view(float))
+    # integer views: == on floats takes -0.0 for 0.0
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
 def test_stacked_numpy_ops_are_bit_identical():
@@ -291,3 +292,42 @@ def test_stacked_numpy_ops_are_bit_identical():
         assert _bits_equal(op(A, steps), [op(a, float(h[0, 0])) for a, h in zip(A, steps)]), why
         assert _bits_equal(op(0.5, A), [op(0.5, a) for a in A]), why
         assert _bits_equal(op(1j, A), [op(1j, a) for a in A]), why
+
+
+def test_real_split_arithmetic_rounds_as_python_complex():
+    # metric.py computes the entries of h on (re, im) float arrays in the
+    # operation order of CPython 3.11's complex, so that a batch has the bits
+    # of Python complex arithmetic at every position (numpy's own complex
+    # loops do not); each assertion names one fact a numpy or libm upgrade
+    # could break
+    rng = np.random.default_rng(14)
+    n = 20000
+
+    def floats():
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        x[rng.random(n) < 0.05] = 0.0
+        x[rng.random(n) < 0.05] = -0.0
+        return x
+
+    ar, ai, br, bi = floats(), floats(), floats(), floats()
+    p = np.abs(floats()) + 1e-3
+    a = [complex(x, y) for x, y in zip(ar.tolist(), ai.tolist())]
+    b = [complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
+
+    def pairs_equal(pairs, zs):
+        return (_bits_equal(pairs.real, [z.real for z in zs])
+                and _bits_equal(pairs.imag, [z.imag for z in zs]))
+
+    A, B = ComplexPairs(ar, ai), ComplexPairs(br, bi)
+    assert pairs_equal(A * B, [u * v for u, v in zip(a, b)]), \
+        "complex * complex is (ar br - ai bi, ar bi + ai br)"
+    assert pairs_equal(ar * B, [x * v for x, v in zip(ar.tolist(), b)]), \
+        "float * complex is (x, 0.0) * b, 0.0 terms included"
+    assert pairs_equal(A / p, [u / q for u, q in zip(a, p.tolist())]), \
+        "complex / float is _Py_c_quot by (p, 0.0)"
+    assert pairs_equal(A - B, [u - v for u, v in zip(a, b)]), "complex - complex"
+    assert _bits_equal(abs(A), [abs(u) for u in a]), "np.hypot rounds as abs(complex)"
+    assert _bits_equal(_square(abs(A)), [abs(u) ** 2 for u in a]), \
+        "np.float_power(x, 2.0) rounds as Python's x ** 2 (libm pow)"
+    assert _bits_equal(sum([ar, br]), [sum([x, y]) for x, y in zip(ar.tolist(), br.tolist())]), \
+        "sum of two floats is (0.0 + f0) + f1"

@@ -15,6 +15,7 @@ it was.
 
 import io
 import itertools
+import re
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from typing import Callable
 import pytest
 
 from semiflat import asymptotics, eguchi_hanson, kodaira, metric, scenario, weierstrass
-from semiflat.cli import bundled_path
+from semiflat.cli import bundled_path, main
 from semiflat.errors import SemiflatError
 from semiflat.kodaira import FiberKind, FiberType
 from semiflat.scenario import build_context, load_scenario, run_scenario
@@ -250,3 +251,13 @@ def test_catalog_self_check_raises_under_mutation(monkeypatch, name, mutation, m
     mutation(monkeypatch)
     with pytest.raises(SemiflatError, match=message):
         build_context(load_scenario(path))
+
+
+@pytest.mark.parametrize("name,mutation,message", CATALOG_ROWS,
+                         ids=[f"{m.__name__}-{n}" for n, m, _ in CATALOG_ROWS])
+def test_cli_reports_a_catalog_self_check_failure_as_a_scenario_error(
+        monkeypatch, capsys, tmp_path, name, mutation, message):
+    # for every model kind: exit code 2 and the message, not a traceback
+    mutation(monkeypatch)
+    assert main(["run", f"{name}.json", "--out", str(tmp_path)]) == 2
+    assert re.search("scenario error: " + message, capsys.readouterr().err)
