@@ -20,14 +20,16 @@ off-diagonal Christoffel residue carries a separate, slower channel
 fit but deliberately not mixed into the error fit.
 
 `AsymptoticChart.pulled_h` evaluates a batch of points; one point is a
-batch of one.  The terms that depend on alpha alone are computed once per
-distinct alpha in Python complex arithmetic; the rest runs as a few array
-passes on `metric.ComplexPairs`, whose arithmetic rounds as Python complex
-does, so each matrix has the same bits in every batch.  Each fit makes one call:
-the error fit for all its radii and fiber points, the curvature fit for
-both stencils of a radius (`AsymptoticChart.field_on`), the tangent cone
-for its four scales.  The curvature fit reproduces only bit for bit
-(docs/decisions.md).
+batch of one.  The terms that depend on alpha alone (chart scales, periods,
+fiber and base coefficients) are computed for all distinct alphas of the
+batch at once, and the rest as a few array passes, all on
+`metric.ComplexPairs`, whose arithmetic rounds as Python complex and cmath
+do, so each matrix has the same bits in every batch.  A call has a fixed
+cost of about half a millisecond, so each fit makes few: the error fit one
+for all its radii and fiber points, the tangent cone one for its four
+scales, and the curvature fit one per batch of up to `_RADII_PER_BATCH`
+radii, both stencils of each (`AsymptoticChart.field_on`).  The curvature
+fit reproduces only bit for bit (docs/decisions.md).
 
 Radial geometry of the star-like models is handled entirely in
 L = -log|z| to avoid under/overflow: the base coefficients reduce to
@@ -53,8 +55,10 @@ import numpy as np
 
 from .diffgeo import FDScheme, Field, chern_curvature_norm, chern_stencil, distinct_points
 from .errors import FitRejected, NoConvergence, Unsupported
-from .kodaira import ProductModel, PuncturedPoint, classify_asymptotics, correction_exponent
-from .metric import ComplexPairs, VolumeFormSpec, base_terms, filled, hermitian_entries
+from .kodaira import (ProductModel, PuncturedPoint, array_namespace, classify_asymptotics,
+                      correction_exponent)
+from .metric import (ComplexPairs, VolumeFormSpec, base_terms, filled, hermitian_entries,
+                     real_log)
 from .rng import SplitMix64
 
 
@@ -105,31 +109,33 @@ class AsymptoticChart:
     flat_h: np.ndarray
     limit_moduli: tuple[complex, complex]
 
-    def _log_w(self, alpha: complex) -> complex:
+    def _log_w(self, alpha):
         # log(alpha/alpha0) with the phase taken in the chart sector (0, theta),
         # which may exceed pi; principal powers would branch wrongly there
         w = alpha / self.alpha0
-        ph = cmath.phase(w)
-        if ph <= 0:
-            ph += 2 * math.pi
-        return complex(math.log(abs(w)), ph)
+        ph = array_namespace(w).phase(w)
+        ph = ph + 2 * math.pi * (ph <= 0)
+        return type(w)(real_log(abs(w)), ph)     # complex or ComplexPairs
 
-    def _alpha_terms(self, alpha: complex) -> tuple:
+    def _alpha_terms(self, alpha) -> tuple:
         """Base point, fiber scales c_j and Jacobian entries at alpha:
-        (pt, c1, c2, dz, dc1, dc2), with v_j = c_j beta_j."""
+        (pt, c1, c2, dz, dc1, dc2), with v_j = c_j beta_j.  alpha is a
+        Python complex, or ComplexPairs for many alphas at once, each
+        entry with the bits of a Python complex alpha."""
         k, a1, a2 = self.model.k, self.model.a1, self.model.a2
+        xp = array_namespace(alpha)
         if self.kind == "power":
             lw = self._log_w(alpha)
-            c1 = cmath.exp(-self.p * a1 / k * lw)
-            c2 = cmath.exp(-self.p * a2 / k * lw)
-            s = cmath.exp(-self.p / k * lw)
+            c1 = xp.exp(-self.p * a1 / k * lw)
+            c2 = xp.exp(-self.p * a2 / k * lw)
+            s = xp.exp(-self.p / k * lw)
             dz = -(self.p / alpha) * s ** k
             dc1 = -(self.p * a1 / (k * alpha)) * c1
             dc2 = -(self.p * a2 / (k * alpha)) * c2
         else:
-            c1 = cmath.exp(-self.rate * a1 * alpha / k)
-            c2 = cmath.exp(-self.rate * a2 * alpha / k)
-            s = cmath.exp(-self.rate * alpha / k)
+            c1 = xp.exp(-self.rate * a1 * alpha / k)
+            c2 = xp.exp(-self.rate * a2 * alpha / k)
+            s = xp.exp(-self.rate * alpha / k)
             dz = -self.rate * s ** k
             dc1 = -(self.rate * a1 / k) * c1
             dc2 = -(self.rate * a2 / k) * c2
@@ -140,13 +146,12 @@ class AsymptoticChart:
 
         A complex alpha and a pair of complex betas give one 3 x 3 matrix,
         as a batch of one point.  A 1-D array of alphas and a pair of arrays
-        (or numbers) of betas give the (N, 3, 3) stack.  The terms that
-        depend on alpha alone (chart scales, periods, fiber and base
-        coefficients) are computed once per distinct alpha in Python complex
-        arithmetic; the rest runs on `metric.ComplexPairs`, which round as
-        Python complex does, so every matrix has the bits of the Python
-        complex formulas whatever batch it is in.  Raises
-        DegenerateLattice if any point lies outside the validity disk.
+        (or numbers) of betas give the (N, 3, 3) stack.  Everything runs on
+        `metric.ComplexPairs`, the terms that depend on alpha alone (chart
+        scales, periods, fiber and base coefficients) once per distinct
+        alpha, so every matrix has the bits of the Python complex formulas
+        whatever batch it is in.  Raises DegenerateLattice if any point lies
+        outside the validity disk.
         """
         alphas, b1, b2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(z, dtype=complex))
                                                for z in (alpha, *betas)))
@@ -154,23 +159,33 @@ class AsymptoticChart:
         return h[0] if np.ndim(alpha) == 0 else h
 
     def _pulled(self, alphas: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+        h, J = self._entries(alphas, b1, b2)
+        Jh = J.transpose(0, 2, 1) @ h
+        # J^T h conj(J), with conj(J) and the product written over J and h,
+        # which are not read again (a smaller peak; the same bits)
+        return np.matmul(Jh, np.conjugate(J, out=J), out=h)
+
+    def _entries(self, alphas: np.ndarray, b1: np.ndarray,
+                 b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (N, 3, 3) stacks of h in the (z, v1, v2) coframe and of the
+        Jacobian d(z, v1, v2)/d(alpha, beta1, beta2) at the points."""
         distinct, index = distinct_points(np.stack([alphas.real, alphas.imag], axis=-1))
-        cplx, reals = [], []        # the terms of alpha alone, per distinct alpha
-        for alpha in distinct.view(complex).ravel().tolist():
-            pt, *scales = self._alpha_terms(alpha)
-            (tau, dt), imp, F, _, B = base_terms(self.model, self.eps, self.vf, pt)
-            cplx.append((*scales, *tau, *dt))
-            reals.append((*imp, *F, B))
-        # rows, each over the points: c1, c2, dz, dc1, dc2, tau1..4, dtau1..4
-        # and imp1, imp2, F1, F2, B
-        cplx = np.array(cplx, dtype=complex).T[:, index]
-        reals = np.array(reals).T[:, index]
-        c1, c2, dz, dc1, dc2, *periods = ComplexPairs.of(cplx)
+        alpha = ComplexPairs(distinct[:, 0], distinct[:, 1])
+        # the terms of alpha alone, once per distinct alpha, then at each point
+        pt, *scales = self._alpha_terms(alpha)
+        (tau, dt), imp, F, _, B = base_terms(self.model, self.eps, self.vf, pt)
+
+        def at_points(terms):
+            return tuple(x[index] for x in terms)
+
+        c1, c2, dz, dc1, dc2 = at_points(scales)
         b1, b2 = ComplexPairs.of((b1, b2))
-        base = ((periods[:4], periods[4:]), reals[0:2], reals[2:4], None, reals[4])
-        h = filled(hermitian_entries(base, (c1 * b1, c2 * b2)), index.shape)
-        J = filled((dz, 0, 0, dc1 * b1, c1, 0, dc2 * b2, 0, c2), index.shape).reshape(-1, 3, 3)
-        return J.transpose(0, 2, 1) @ h.reshape(-1, 3, 3) @ J.conj()
+        # the base terms at the points live only through this call
+        h = filled(hermitian_entries(((at_points(tau), at_points(dt)), at_points(imp),
+                                      at_points(F), None, B[index]), (c1 * b1, c2 * b2)),
+                   index.shape)
+        J = filled((dz, 0, 0, dc1 * b1, c1, 0, dc2 * b2, 0, c2), index.shape)
+        return h.reshape(-1, 3, 3), J.reshape(-1, 3, 3)
 
     def field_on(self, points: np.ndarray) -> Field:
         """A field that looks up pulled_h at `points` (rows of the 6 real
@@ -179,9 +194,9 @@ class AsymptoticChart:
         points, _ = distinct_points(points)
         z = points.view(complex)
         raw, width = points.tobytes(), points.shape[1] * points.itemsize
-        table = dict(zip([raw[a:a + width] for a in range(0, len(raw), width)],
-                         self.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))))
-        return lambda x: table[x.tobytes()]
+        row = {raw[a:a + width]: k for k, a in enumerate(range(0, len(raw), width))}
+        h = self.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
+        return lambda x: h[row[x.tobytes()]]
 
 
 def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChart:
@@ -290,6 +305,27 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     return fit_decay(chart, radii, devs, keep, flat_below=1e-12), rows
 
 
+# the most radii whose stencils one pulled_h call of the curvature fit
+# evaluates.  A call costs about 0.6 ms before its first point, more than
+# one radius (217 points, 37 distinct alphas) saves on it; a 13-radius fit
+# in one call allocates 2.2 MB at its peak (tracemalloc), against 1.3 MB in
+# calls of up to 7 radii and 0.4 MB in calls of one.  diffgeo's stencil
+# cache holds both stencils of this many radii.
+_RADII_PER_BATCH = 7
+
+
+def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[FDScheme],
+                 ) -> list[list[float]]:
+    """The Chern norm at each step of each radius (x, scales) of `at`, all
+    read from one pulled_h batch."""
+    # the h/2 stencil points of the step-h norm are the h points of the
+    # step-h/2 norm: one batch holds both stencils of every radius
+    field = chart.field_on(np.concatenate([chern_stencil(x, scheme, scales).points
+                                           for x, scales in at for scheme in steps]))
+    return [[chern_curvature_norm(field, x, scheme, scales) for scheme in steps]
+            for x, scales in at]
+
+
 def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
                         radii: Sequence[float], rng: SplitMix64 | None = None,
                         ) -> tuple[DecayFit, list[tuple[float, float]]]:
@@ -304,22 +340,21 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     polynomial in beta, so this costs no truncation).
     """
     chart = to_chart(pm, eps, vf)
-    scheme, half = FDScheme(step=2e-3), FDScheme(step=1e-3)
+    steps = (FDScheme(step=2e-3), FDScheme(step=1e-3))
     rng = rng or SplitMix64(0xCAFE)
     beta = _beta_samples(chart, rng, 1)[0]
-    alphas = _fit_radii(chart, radii)
+    # each radius: its point x and coordinate scales
+    at = [(np.array([alpha.real, alpha.imag, beta[0].real, beta[0].imag,
+                     beta[1].real, beta[1].imag]), (abs(alpha), 4.0, 4.0))
+          for alpha in _fit_radii(chart, radii)]
+    batches = -(-len(at) // _RADII_PER_BATCH)     # as few as the cap allows, of equal size
+    norms = []
+    for b in range(batches):
+        norms += _batch_norms(chart, at[b * len(at) // batches:(b + 1) * len(at) // batches],
+                              steps)
     rows = []
     trusted = []
-    for r, alpha in zip(radii, alphas):
-        x = np.array([alpha.real, alpha.imag, beta[0].real, beta[0].imag,
-                      beta[1].real, beta[1].imag])
-        scales = (abs(alpha), 4.0, 4.0)
-        # the h/2 stencil points of the `scheme` norm are the h points of
-        # the `half` norm: one batch holds both stencils
-        field = chart.field_on(np.concatenate([chern_stencil(x, s, scales).points
-                                               for s in (scheme, half)]))
-        v1 = chern_curvature_norm(field, x, scheme, scales)
-        v2 = chern_curvature_norm(field, x, half, scales)
+    for r, (v1, v2) in zip(radii, norms):
         rows.append((float(r), v2))
         ok = v1 > 0 and v2 > 0 and abs(v1 / v2 - 1.0) < 0.15
         # the observable decays strictly along the chart; a plateau marks noise

@@ -290,7 +290,9 @@ class ChernStencil:
         return float(np.sqrt(np.sum(np.abs(T) ** 2)))
 
 
-@lru_cache(maxsize=4)
+# at least both stencils of each radius of a curvature-fit batch
+# (asymptotics._RADII_PER_BATCH), which are listed before the norms read them
+@lru_cache(maxsize=16)
 def _stencil(x: bytes, scheme: FDScheme, scales: bytes | None) -> ChernStencil:
     return ChernStencil(np.frombuffer(x), scheme,
                         None if scales is None else np.frombuffer(scales).tolist())
@@ -298,7 +300,7 @@ def _stencil(x: bytes, scheme: FDScheme, scales: bytes | None) -> ChernStencil:
 
 def chern_stencil(x: np.ndarray, scheme: FDScheme,
                   scales: Sequence[float] | None = None) -> ChernStencil:
-    """ChernStencil(x, scheme, scales), built once for each of the last few
+    """ChernStencil(x, scheme, scales), built once for each of the last 16
     (x, scheme, scales), keyed on their bits: a caller that lists the points
     for one batched evaluation and the norm that then reads them share one
     build.  Its arrays are read-only."""

@@ -30,24 +30,27 @@ expressions run on both, after the array API standard
 (https://data-apis.org/array-api/); a batch gives h with shape
 (N, m+1, m+1) and g_eff with shape (N,).
 
-Rounding.  The pairings, the Christoffel symbols and the entries of h
-(`_im_pair`, `_christoffel`, `hermitian_entries`) are written once, in
-complex notation.  A point runs them on Python `complex`; a batch runs
-them on `ComplexPairs`, float64 arrays whose arithmetic follows CPython
-3.11's `complex` operation by operation, so every position of a batch
-has the bits of a point (docs/decisions.md, "`curvature_decay`
-reproduces only bit for bit").  What a batch of `metric_at` still
-computes with numpy's complex loops is the base-point part: the period
-closures, dtau/dz and g_eff, so `ma`'s batch may differ from a scalar
-call in the last bits there (docs/decisions.md, "`ma` evaluates its
-samples as one batch").
+Rounding.  Each expression is written once, in complex notation, and the
+number type decides how it rounds.  A point runs on Python `complex` and
+`cmath`.  A batch on `ComplexPairs`, float64 arrays whose operators follow
+CPython 3.11's `complex` operation by operation and whose namespace applies
+`cmath` per entry, has the bits of a point at every position
+(docs/decisions.md, "`curvature_decay` reproduces only bit for bit"):
+`AsymptoticChart.pulled_h` runs the period closures, `base_terms` and the
+entries of h on them.  A batch of `metric_at` (`ma`) takes numpy complex
+arrays: its pairings, Christoffel symbols and entries of h run on
+ComplexPairs, but its base-point part (the period closures, dtau/dz, g_eff
+and B) runs numpy's complex loops, so it may differ from a scalar call in
+the last bits there (docs/decisions.md, "`ma` evaluates its samples as one
+batch").
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -110,10 +113,23 @@ def periods_at(model: Model, pt: PuncturedPoint):
 class ComplexPairs:
     """Complex numbers held as two float64 arrays (or numbers), real and
     imaginary, whose arithmetic rounds at every position as CPython 3.11's
-    `complex` does: the product as (ar br - ai bi, ar bi + ai br), a real
-    operand x as (x, 0.0), so its 0.0 terms stay, a quotient by a real p as
-    `_Py_c_quot` by (p, 0.0), and abs as libm `hypot`.  numpy's complex
-    loops round differently (docs/decisions.md)."""
+    `complex` does, operation by operation:
+
+    - a real operand x is (x, 0.0), so its 0.0 terms stay: `1 - sp` is
+      (1 - re, 0.0 - im), whose imaginary part is +0.0 where `-sp.imag`
+      gives -0.0;
+    - the product is `_Py_c_prod`, (ar br - ai bi, ar bi + ai br);
+    - the quotient is `_Py_c_quot`, Smith's algorithm (R. L. Smith,
+      "Algorithm 116: Complex division", CACM 5(8), 1962), divided through
+      by the larger of |br| and |bi|;
+    - `** n` for an integer n is `c_powu`: square and multiply, starting
+      from 1+0j;
+    - abs is libm `hypot`.
+
+    `exp`, `log` and `phase` of its namespace apply `cmath` per entry
+    (`__array_namespace__`).  numpy's complex loops, and its `exp`, `log`
+    and `arctan2` where numpy dispatches them to SVML, round differently
+    (docs/decisions.md)."""
 
     __slots__ = ("real", "imag")
     __array_ufunc__ = None       # an ndarray operand defers to the reflected method
@@ -132,6 +148,30 @@ class ComplexPairs:
             return x.real, x.imag
         return x, 0.0
 
+    def __array_namespace__(self):
+        return _PairMath
+
+    def __getitem__(self, key) -> "ComplexPairs":
+        return ComplexPairs(self.real[key], self.imag[key])
+
+    def __add__(self, other) -> "ComplexPairs":
+        """The sum; it commutes bit for bit, so it is also the reflected sum."""
+        br, bi = self._parts(other)
+        return ComplexPairs(self.real + br, self.imag + bi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ComplexPairs":
+        br, bi = self._parts(other)
+        return ComplexPairs(self.real - br, self.imag - bi)
+
+    def __rsub__(self, other) -> "ComplexPairs":
+        ar, ai = self._parts(other)
+        return ComplexPairs(ar - self.real, ai - self.imag)
+
+    def __neg__(self) -> "ComplexPairs":
+        return ComplexPairs(-self.real, -self.imag)
+
     def __mul__(self, other) -> "ComplexPairs":
         """The product in CPython's order (`_Py_c_prod`); it commutes bit
         for bit, so it is also the reflected product."""
@@ -140,22 +180,84 @@ class ComplexPairs:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other) -> "ComplexPairs":
-        br, bi = self._parts(other)
-        return ComplexPairs(self.real - br, self.imag - bi)
+    def __pow__(self, n: int) -> "ComplexPairs":
+        """self ** n for an integer 0 <= n <= 100, as CPython's `c_powu`
+        (n = 0 gives 1+0j, as its `c_powi` does)."""
+        if not (isinstance(n, int) and 0 <= n <= 100):
+            return NotImplemented
+        result, power = ComplexPairs(1.0, 0.0), self
+        while n:
+            if n & 1:
+                result = result * power
+            n >>= 1
+            if n:
+                power = power * power
+        return result
 
-    def __truediv__(self, p) -> "ComplexPairs":
-        """The quotient by a real p."""
-        ratio = 0.0 / p
-        denom = p + 0.0 * ratio
+    def __truediv__(self, other) -> "ComplexPairs":
+        if isinstance(other, (ComplexPairs, complex)):
+            return _quotient(self.real, self.imag, other.real, other.imag)
+        # by a real p: the branch |p| >= |0.0| of _Py_c_quot, by (p, 0.0)
+        ratio = 0.0 / other
+        denom = other + 0.0 * ratio
         return ComplexPairs((self.real + self.imag * ratio) / denom,
                             (self.imag - self.real * ratio) / denom)
+
+    def __rtruediv__(self, other) -> "ComplexPairs":
+        return _quotient(*self._parts(other), self.real, self.imag)
 
     def conjugate(self) -> "ComplexPairs":
         return ComplexPairs(self.real, -self.imag)
 
     def __abs__(self):
         return np.hypot(self.real, self.imag)
+
+
+def _quotient(ar, ai, br, bi) -> ComplexPairs:
+    """(ar + i ai) / (br + i bi) as `_Py_c_quot`: both numerator terms and
+    the denominator are divided through by br where |br| >= |bi|, and by bi
+    elsewhere; each branch keeps its own operand order, so a tie
+    |br| == |bi| takes the first, as CPython does."""
+    by_re = np.abs(br) >= np.abs(bi)
+    big, small = np.where(by_re, br, bi), np.where(by_re, bi, br)
+    ratio = small / big
+    denom = big + small * ratio
+    real = np.where(by_re, ar, ai) + np.where(by_re, ai, ar) * ratio
+    imag = np.where(by_re, ai - ar * ratio, ai * ratio - ar)
+    return ComplexPairs(real / denom, imag / denom)
+
+
+def _each(fn: Callable, z: ComplexPairs, dtype) -> np.ndarray:
+    """fn applied to each entry of z as a Python complex."""
+    c = np.empty(np.broadcast(z.real, z.imag).shape, dtype=complex)
+    c.real, c.imag = z.real, z.imag
+    return np.array([fn(w) for w in c.ravel().tolist()], dtype=dtype).reshape(c.shape)
+
+
+class _PairMath:
+    """The math namespace of ComplexPairs: `cmath` per entry."""
+
+    @staticmethod
+    def exp(z: ComplexPairs) -> ComplexPairs:
+        out = _each(cmath.exp, z, complex)
+        return ComplexPairs(out.real, out.imag)
+
+    @staticmethod
+    def log(z: ComplexPairs) -> ComplexPairs:
+        out = _each(cmath.log, z, complex)
+        return ComplexPairs(out.real, out.imag)
+
+    @staticmethod
+    def phase(z: ComplexPairs) -> np.ndarray:
+        return _each(cmath.phase, z, float)
+
+
+def real_log(x):
+    """math.log of a float, or of each entry of a float array: numpy's log
+    does not round as libm's on every host (docs/decisions.md)."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return math.log(x)
 
 
 def _square(x):
@@ -188,7 +290,8 @@ def _fiber_terms(model: Model, pt: PuncturedPoint, periods, eps: float | None = 
     for j in range(model.m):
         p = _im_pair(tau[2 * j], tau[2 * j + 1])
         if not every(p > 0):
-            at = np.ravel(pt.s)[~np.ravel(p > 0)][0]
+            bad = ~np.ravel(p > 0)
+            at = complex(np.ravel(pt.s.real)[bad][0], np.ravel(pt.s.imag)[bad][0])
             raise DegenerateLattice(f"Im pairing {j} non-positive at s={at}")
         imp.append(p)
         if eps is not None:
@@ -250,7 +353,10 @@ def base_terms(model: Model, eps: float, vf: VolumeFormSpec, pt: PuncturedPoint)
     periods = periods_at(model, pt)
     F, imp = _fiber_terms(model, pt, periods, eps)
     g_eff = effective_g(model, vf, pt.z)
-    return periods, imp, F, g_eff, abs(g_eff) ** 2 / math.prod(F)
+    # |g_eff|^2 as Python squares a float (libm pow) on ComplexPairs too;
+    # `ma`'s numpy batch keeps numpy's square (docs/decisions.md)
+    g2 = _square(abs(g_eff)) if isinstance(g_eff, ComplexPairs) else abs(g_eff) ** 2
+    return periods, imp, F, g_eff, g2 / math.prod(F)
 
 
 def hermitian_entries(base: tuple, v: Sequence[complex]) -> list[complex]:

@@ -17,11 +17,12 @@ from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _fit_r
                                   error_decay_fit,
                                   ray_limit_coefficient, sob_check, tangent_cone,
                                   to_chart, volume_growth_fit)
+from semiflat import diffgeo
 from semiflat.cli import bundled_path
 from semiflat.diffgeo import FDScheme, chern_stencil, distinct_points
 from semiflat.errors import DegenerateLattice, FitRejected, NoConvergence, Unsupported
 from semiflat.kodaira import FiberKind, FiberType, fiber_product, isotrivial_case13
-from semiflat.metric import VolumeFormSpec, base_terms, metric_at
+from semiflat.metric import ComplexPairs, VolumeFormSpec, base_terms, metric_at
 from semiflat.rng import SplitMix64
 from semiflat.scenario import run_scenario
 
@@ -129,13 +130,19 @@ def test_batched_pulled_h_is_a_stack_of_scalar_calls(left, right, radius):
 
 def test_batched_pulled_h_raises_outside_the_validity_disk():
     # periods that lose their orientation outside |s| < 1/2 (on the cover
-    # of the right factor): a batch with one point there raises
+    # of the right factor): a batch with one point there raises.  pulled_h
+    # runs the closures on ComplexPairs, so the swap is an array select
     pm = iistar_iiistar()
     tau = pm.right_model.tau
 
     def shrunk(s):
         t1, t2 = tau(s)
-        return (t1, t2) if abs(s) < 0.5 else (t2, t1)
+        inside = abs(s) < 0.5
+
+        def select(a, b):
+            return ComplexPairs(np.where(inside, a.real, b.real), np.where(inside, a.imag, b.imag))
+
+        return select(t1, t2), select(t2, t1)
 
     bad = dataclasses.replace(pm, right_model=dataclasses.replace(pm.right_model, tau=shrunk))
     chart = dataclasses.replace(to_chart(pm, 1.0, VF1), model=bad)
@@ -246,8 +253,77 @@ def test_curvature_decay_reproduces_bit_for_bit():
     # benchmark inputs by more than 1e-5 (the worst by 0.084) and flipped
     # one status (see docs/decisions.md).  A faster metric stack must keep
     # these values.
-    assert _bundled_decay("pair_iistar_x_iiistar", 1)["exponent"] == -2.8871518023940443
+    assert _bundled_decay("pair_i0star_x_iistar", 1)["exponent"] == -4.001551262062714
+    assert _bundled_decay("pair_ii_x_iistar", 1)["rate"] == 0.1409752304994331
     assert _bundled_decay("pair_iii_x_iiistar", 1)["rate"] == 0.17732160719020987
+    assert _bundled_decay("pair_iistar_x_iiistar", 1)["exponent"] == -2.8871518023940443
+    assert _bundled_decay("pair_iv_x_ivstar", 1)["rate"] == 0.14097328292872968
+
+
+CHART_PAIRS = ("pair_i0star_x_iistar", "pair_ii_x_iistar", "pair_iii_x_iiistar",
+               "pair_iistar_x_iiistar", "pair_iv_x_ivstar")
+
+
+def _entry(x, i: int):
+    """Entry i of a ComplexPairs or float array, as a Python number."""
+    if isinstance(x, ComplexPairs):
+        return complex(float(x.real[i]), float(x.imag[i]))
+    return float(x[i])
+
+
+def _flat_terms(pt, scales, base) -> list:
+    """pt.s, the chart scales and every term of base_terms, in one list."""
+    (tau, dt), imp, F, g_eff, B = base
+    return [pt.s, *scales, *tau, *dt, *imp, *F, g_eff, B]
+
+
+@pytest.mark.parametrize("name", CHART_PAIRS)
+def test_fit_alpha_terms_are_the_scalar_alpha_terms(monkeypatch, name):
+    # pulled_h computes the terms of alpha alone (_alpha_terms and
+    # base_terms) on ComplexPairs, for every distinct alpha of its batch at
+    # once; each entry must have the bits of the scalar call at that alpha
+    batches = []
+    alpha_terms = AsymptoticChart._alpha_terms
+
+    def recorded(self, alpha):
+        out = alpha_terms(self, alpha)
+        if isinstance(alpha, ComplexPairs):
+            pt, *scales = out
+            batches.append((self, alpha, pt, scales,
+                            base_terms(self.model, self.eps, self.vf, pt)))
+        return out
+
+    monkeypatch.setattr(AsymptoticChart, "_alpha_terms", recorded)
+    cfg = json.loads(bundled_path(f"{name}.json").read_text())
+    cfg["checks"] = ["curvature_decay"]
+    run_scenario(cfg, seed=1, log=io.StringIO())
+    # 37 distinct alphas per radius: x and its shifts along Re and Im alpha
+    assert sum(len(alpha.real) for _, alpha, *_ in batches) == 37 * cfg["n_radii"]
+    for chart, alpha, pt, scales, base in batches:
+        batch = _flat_terms(pt, scales, base)
+        for i in range(len(alpha.real)):
+            pt1, *scales1 = chart._alpha_terms(_entry(alpha, i))
+            point = _flat_terms(pt1, scales1, base_terms(chart.model, chart.eps, chart.vf, pt1))
+            got = np.array([_entry(x, i) for x in batch], dtype=complex)
+            assert np.array_equal(got.view(np.uint64), np.array(point, dtype=complex).view(np.uint64))
+
+
+@pytest.mark.parametrize("n_radii", [13, 40])
+def test_curvature_fit_builds_each_stencil_once(monkeypatch, n_radii):
+    # the fit lists both stencils of a batch of radii before the norms read
+    # them; the stencil cache must hold them all
+    builds = [0]
+
+    class Counted(diffgeo.ChernStencil):
+        def __init__(self, *args):
+            builds[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(diffgeo, "ChernStencil", Counted)
+    diffgeo._stencil.cache_clear()
+    curvature_decay_fit(iistar_iiistar(), 1.0, VF1, np.geomspace(1e2, 1e5, n_radii))
+    diffgeo._stencil.cache_clear()
+    assert builds[0] == 2 * n_radii
 
 
 def test_curvature_decay_case13_flat():

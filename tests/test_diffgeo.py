@@ -14,7 +14,7 @@ from semiflat.eguchi_hanson import EHConfig, eh_metric
 from semiflat.errors import StepTooSmall
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
                               isotrivial_case13)
-from semiflat.metric import ComplexPairs, VolumeFormSpec, _square, metric_at
+from semiflat.metric import ComplexPairs, VolumeFormSpec, _square, metric_at, real_log
 
 
 def test_fd_battery_polynomial_exponential():
@@ -331,3 +331,64 @@ def test_real_split_arithmetic_rounds_as_python_complex():
         "np.float_power(x, 2.0) rounds as Python's x ** 2 (libm pow)"
     assert _bits_equal(sum([ar, br]), [sum([x, y]) for x, y in zip(ar.tolist(), br.tolist())]), \
         "sum of two floats is (0.0 + f0) + f1"
+
+
+def test_complex_pairs_operators_and_namespace_round_as_python_complex():
+    # the terms of alpha alone (chart scales, period closures, g_eff) run on
+    # ComplexPairs in a batch and on Python complex at a point; every
+    # operator and function they use must give a point's bits at every
+    # position, signed zeros included
+    rng = np.random.default_rng(15)
+    n = 20000
+
+    def floats(lo=-8, hi=9):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(lo, hi, n)
+        x[rng.random(n) < 0.05] = 0.0
+        x[rng.random(n) < 0.05] = -0.0
+        return x
+
+    ar, ai, br, bi = floats(), floats(), floats(), floats()
+    # ties |br| == |bi|, of either sign, and both Smith branches
+    tie = rng.random(n) < 0.1
+    bi[tie] = np.where(rng.random(tie.sum()) < 0.5, 1.0, -1.0) * br[tie]
+    nonzero = (br != 0) | (bi != 0)
+    assert (np.abs(br) > np.abs(bi)).sum() > n // 3 and (np.abs(br) < np.abs(bi)).sum() > n // 3
+    assert (tie & (br != 0)).sum() > n // 20
+    a = [complex(x, y) for x, y in zip(ar.tolist(), ai.tolist())]
+    b = [complex(x, y) for x, y in zip(br.tolist(), bi.tolist())]
+    A, B = ComplexPairs(ar, ai), ComplexPairs(br, bi)
+
+    def pairs_equal(pairs, zs, where=slice(None)):
+        shape = np.shape(ar[where])
+        return (_bits_equal(np.broadcast_to(pairs.real, shape), [z.real for z in zs])
+                and _bits_equal(np.broadcast_to(pairs.imag, shape), [z.imag for z in zs]))
+
+    x, c = 0.75, -1.5 + 0.0j
+    assert pairs_equal(A + B, [u + v for u, v in zip(a, b)]), "complex + complex"
+    assert pairs_equal(A + x, [u + x for u in a]), "complex + float is + (x, 0.0)"
+    assert pairs_equal(1 + A, [1 + u for u in a]), "reflected +"
+    assert pairs_equal(c + A, [c + u for u in a]), "reflected + of a complex"
+    assert pairs_equal(1 - A, [1 - u for u in a]), "reflected - is (1, 0.0) - a: 0.0 - im"
+    assert pairs_equal(c - A, [c - u for u in a]), "reflected - of a complex"
+    assert pairs_equal(-A, [-u for u in a]), "unary -"
+    for k in range(13):
+        assert pairs_equal(A ** k, [u ** k for u in a]), f"** {k} is c_powu from 1+0j"
+    assert pairs_equal(A[nonzero] / B[nonzero],
+                       [u / v for u, v, keep in zip(a, b, nonzero) if keep], nonzero), \
+        "complex / complex is _Py_c_quot, both branches, ties to the first"
+    assert pairs_equal(c / B[nonzero], [c / v for v, keep in zip(b, nonzero) if keep],
+                       nonzero), "reflected complex / complex"
+    assert pairs_equal(x / B[nonzero], [x / v for v, keep in zip(b, nonzero) if keep],
+                       nonzero), "reflected float / complex is (x, 0.0) / b"
+
+    xp = A.__array_namespace__()
+    small = ComplexPairs(floats(-8, 3), floats(-8, 3))      # no overflow in exp
+    s = [complex(u, v) for u, v in zip(small.real.tolist(), small.imag.tolist())]
+    assert pairs_equal(xp.exp(small), [cmath.exp(u) for u in s]), "exp is cmath.exp per entry"
+    live = (ar != 0) | (ai != 0)
+    assert pairs_equal(xp.log(A[live]), [cmath.log(u) for u, keep in zip(a, live) if keep],
+                       live), "log is cmath.log per entry"
+    assert _bits_equal(xp.phase(A), [cmath.phase(u) for u in a]), "phase is cmath.phase per entry"
+    assert _bits_equal(real_log(abs(A[live])),
+                       [math.log(abs(u)) for u, keep in zip(a, live) if keep]), \
+        "a real log is math.log per entry"
