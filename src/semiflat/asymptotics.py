@@ -28,8 +28,10 @@ do, so each matrix has the same bits in every batch.  A call has a fixed
 cost of about half a millisecond, so each fit makes few: the error fit one
 for all its radii and fiber points, the tangent cone one for its four
 scales, and the curvature fit one per batch of up to `_RADII_PER_BATCH`
-radii, both stencils of each (`AsymptoticChart.field_on`).  The curvature
-fit reproduces only bit for bit (docs/decisions.md).
+radii, both stencils of each.  `AsymptoticChart.field_on` holds such a
+batch as a stacked field: each Chern norm reads all its stencil rows from
+it in one lookup of their bytes among the batch's sorted row keys.  The
+curvature fit reproduces only bit for bit (docs/decisions.md).
 
 Radial geometry of the star-like models is handled entirely in
 L = -log|z| to avoid under/overflow: the base coefficients reduce to
@@ -53,7 +55,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diffgeo import FDScheme, Field, chern_curvature_norm, chern_stencil, distinct_points
+from .diffgeo import (FDScheme, Field, chern_curvature_norm, chern_stencil, distinct_points,
+                      row_keys)
 from .errors import FitRejected, NoConvergence, Unsupported
 from .kodaira import (ProductModel, PuncturedPoint, array_namespace, classify_asymptotics,
                       correction_exponent)
@@ -189,14 +192,25 @@ class AsymptoticChart:
 
     def field_on(self, points: np.ndarray) -> Field:
         """A field that looks up pulled_h at `points` (rows of the 6 real
-        coordinates of (alpha, beta1, beta2)), evaluated as one batch; any
-        other point raises KeyError."""
-        points, _ = distinct_points(points)
-        z = points.view(complex)
-        raw, width = points.tobytes(), points.shape[1] * points.itemsize
-        row = {raw[a:a + width]: k for k, a in enumerate(range(0, len(raw), width))}
+        coordinates of (alpha, beta1, beta2)).  The distinct rows are
+        evaluated as one batch and their keys (`diffgeo.row_keys`) sorted
+        once; the field finds all the rows it is given with one binary
+        search and checks that each found key has the row's bytes, so -0.0
+        is not 0.0.  A row outside `points` raises KeyError."""
+        keys, first = np.unique(row_keys(points), return_index=True)
+        z = np.ascontiguousarray(points, dtype=float)[first].view(complex)
         h = self.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
-        return lambda x: h[row[x.tobytes()]]
+
+        def field(x: np.ndarray) -> np.ndarray:
+            want = row_keys(x)
+            at = np.minimum(keys.searchsorted(want), len(keys) - 1)
+            outside = np.flatnonzero(keys[at] != want)
+            if outside.size:
+                raise KeyError(f"{outside.size} of {len(want)} rows lie outside the batch, "
+                               f"the first {np.asarray(x)[outside[0]].tolist()}")
+            return h[at]
+
+        return field
 
 
 def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChart:
@@ -587,8 +601,9 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
     Clause (2): Vol(B(x, d/2)) >= d^beta / C for far points x -- reports inf
     of the contained-region volume over d^beta, using the containment region
     of the classified tangent cone `cone` (a log-annulus for a "ray", a thin
-    annulus sector for a "cone").  The annulus-connectivity clause is
-    structural for circle-fibered bases and is reported, not computed.
+    annulus sector for a "cone").  The annulus-connectivity clause is not
+    computed: it is taken as structural for a circle-fibered base, and
+    `connectivity` says so.
     """
     c1 = []
     c2 = []
@@ -609,7 +624,8 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
         "clause1_stable": max(c1) / min(c1),
         "clause2_stable": max(c2) / min(c2),
         "quad_rel_err": profile.quad_rel_err(max(radii)),
-        "connectivity": "structural: circle-fibered base, annuli are connected",
+        "connectivity": "annulus connectivity not computed; taken as structural "
+                        "for a circle-fibered base",
     }
 
 

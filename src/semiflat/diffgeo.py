@@ -3,9 +3,15 @@
 All differentiation happens in real coordinates (Re/Im of each complex
 coordinate) with central second-order stencils; Wirtinger combinations are
 assembled afterwards, which keeps the schemes standard and avoids branch
-crossings.  A field is any callable x in R^n -> complex Hermitian matrix,
-where n is even and the complex coordinates are (x[0] + i x[1],
-x[2] + i x[3], ...).
+crossings.  The complex coordinates of a point x in R^{2n} are
+(x[0] + i x[1], x[2] + i x[3], ...).
+
+A `Field` takes stacked points: it maps a (P, 2n) array of real points to
+the (P, n, n) stack of complex Hermitian matrices at them, and must be
+pure (each matrix depends on its own row only).  `closedness_residual`
+and `chern_curvature_norm` list all the points of their stencils and call
+the field once; `ricci_scalar_residual`, a test oracle, calls it once per
+point with a stack of one row.
 
 Two schemes are fixed, and only their step is set:
 
@@ -15,17 +21,19 @@ Two schemes are fixed, and only their step is set:
   differences at steps h and h/2 and combines them with one Richardson
   step (`richardson`), which cancels the h^2 error term.
 
-The stencils of one closedness residual or one Chern-curvature norm share
-points (d and dbar take the same partials, the mixed partial (i, j) repeats
-(j, i)), so both checks evaluate their field once per distinct point.  A
-field must therefore be pure: its value depends on x only.  Closedness
-takes the two real partials of each coordinate once and forms d and dbar
-from them, so each of its points is evaluated once by construction.  A
-Chern norm lists its distinct points first (`chern_stencil`), so a caller
-can evaluate them in one batch, and forms every difference from the
-stacked values with the floating-point operations of the pointwise
-formulas: the norm does not depend, to the last bit, on which way it was
-evaluated.
+`first_partial`, `second_partial`, `wirtinger_second` and `richardson`
+are the pointwise formulas, on a function of one point; the stacked
+checks reproduce them to the last bit.  Closedness takes the two real
+partials of each coordinate once and forms d and dbar from them, so it
+lists 12n points: the points x + e, x - e of `first_partial` at each
+step and real direction.  The stencils of one Chern norm share points (d
+and dbar take the same partials, the mixed partial (i, j) repeats
+(j, i)), so it lists its distinct points (`chern_stencil`), which lets a
+caller evaluate the stencils of many norms in one batch.  Both checks
+form every point with the float operations of the pointwise formulas and
+every difference from the stacked values in their operation order: a
+check's value does not depend, to the last bit, on which way its field
+was evaluated.
 """
 
 from __future__ import annotations
@@ -40,7 +48,10 @@ import numpy as np
 
 from .errors import StepTooSmall
 
+# (P, 2n) stacked points -> (P, n, n) stacked matrices
 Field = Callable[[np.ndarray], np.ndarray]
+# one point (2n,) -> one matrix (n, n): the pointwise formulas' argument
+PointFunction = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -54,14 +65,14 @@ class FDScheme:
             raise ValueError("step must lie in [1e-8, 1e-2]")
 
 
-def first_partial(field: Field, x: np.ndarray, i: int, h: float) -> np.ndarray:
+def first_partial(field: PointFunction, x: np.ndarray, i: int, h: float) -> np.ndarray:
     """d/dx_i of the field at x by the central difference of step h."""
     e = np.zeros_like(x)
     e[i] = h
     return (field(x + e) - field(x - e)) / (2 * h)
 
 
-def second_partial(field: Field, x: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
+def second_partial(field: PointFunction, x: np.ndarray, i: int, j: int, h: float) -> np.ndarray:
     """d^2/(dx_i dx_j) of the field at x by the central difference of step h."""
     ei = np.zeros_like(x)
     ei[i] = h
@@ -79,7 +90,7 @@ def richardson(difference: Callable[[float], np.ndarray], h: float) -> np.ndarra
     return (4 * difference(h / 2) - difference(h)) / 3
 
 
-def wirtinger_second(field: Field, x: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
+def wirtinger_second(field: PointFunction, x: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
     """d^2 / (dxi_a d conj(xi_b)) of the field at x, step h."""
     i, j = 2 * a, 2 * b
     dxx = second_partial(field, x, i, j, h)
@@ -87,29 +98,6 @@ def wirtinger_second(field: Field, x: np.ndarray, a: int, b: int, h: float) -> n
     dxy = second_partial(field, x, i, j + 1, h)
     dyx = second_partial(field, x, i + 1, j, h)
     return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
-
-
-def _closedness_at_step(field: Field, x: np.ndarray, h: float,
-                        scales: Sequence[float]) -> tuple[float, float]:
-    n = x.size // 2
-    d, dbar = [], []
-    for a in range(n):
-        dx = first_partial(field, x, 2 * a, h * scales[a])
-        dy = first_partial(field, x, 2 * a + 1, h * scales[a])
-        d.append(0.5 * (dx - 1j * dy))
-        dbar.append(0.5 * (dx + 1j * dy))
-    scale = max(float(np.max(np.abs(m))) for m in d + dbar)
-    res = 0.0
-    # d omega = 0: (d_l h_{jk} - d_j h_{lk}) and (dbar_l h_{jk} - dbar_k h_{jl})
-    for l in range(n):
-        for j in range(l + 1, n):
-            for k in range(n):
-                res = max(res, abs(d[l][j, k] - d[j][l, k]))
-    for l in range(n):
-        for k in range(l + 1, n):
-            for j in range(n):
-                res = max(res, abs(dbar[l][j, k] - dbar[k][j, l]))
-    return res, max(scale, 1e-300)
 
 
 def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
@@ -123,12 +111,33 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     first residual already sits at the noise floor the order is reported as
     infinity, and StepTooSmall is raised if shrinking the step makes things
     worse above that floor.
+
+    The field is called once, on the 12n points x + e, x - e of
+    `first_partial` at each step and real direction; each residual is the
+    one the pointwise formulas give, bit for bit.
     """
     n = x.size // 2
     scales = tuple(scales) if scales is not None else (1.0,) * n
     h = scheme.step
-    pairs = [_closedness_at_step(field, x, h / 2 ** k, scales) for k in range(3)]
-    r = [res / scl for res, scl in pairs]
+    # [level, direction]: first_partial's step at h / 2 ** level
+    steps = np.array([[h / 2 ** k * scales[i // 2] for i in range(2 * n)] for k in range(3)])
+    e = np.zeros((3, 2 * n) + x.shape, dtype=x.dtype)
+    e[:, range(2 * n), range(2 * n)] = steps
+    points = np.stack([x + e, x - e], axis=2).reshape(-1, x.size)
+    f = field(points).reshape(3, 2 * n, 2, n, n)
+    partial = (f[:, :, 0] - f[:, :, 1]) / (2 * steps)[..., None, None]
+    dx, dy = partial[:, 0::2], partial[:, 1::2]
+    d = 0.5 * (dx - 1j * dy)           # [level, a]: the matrix d_a h
+    dbar = 0.5 * (dx + 1j * dy)
+    scale = np.maximum(np.abs(d).max(axis=(1, 2, 3)), np.abs(dbar).max(axis=(1, 2, 3)))
+    # d omega = 0: (d_l h_{jk} - d_j h_{lk}) and (dbar_l h_{jk} - dbar_k h_{jl}), l < j, k
+    lo, hi = np.triu_indices(n, 1)
+    dbar_t = dbar.transpose(0, 1, 3, 2)
+    diff = np.concatenate([d[:, lo, hi] - d[:, hi, lo],
+                           dbar_t[:, lo, hi] - dbar_t[:, hi, lo]], axis=1)
+    # hypot rounds as abs of one complex entry; np.abs of a complex array may not
+    res = np.hypot(diff.real, diff.imag).max(axis=(1, 2), initial=0.0)
+    r = [float(res[k]) / max(float(scale[k]), 1e-300) for k in range(3)]
     if r[0] < 1e-10:
         return r[0], math.inf
     if r[1] > 1.3 * r[0] or r[2] > 1.3 * r[1]:
@@ -199,13 +208,20 @@ def _chern_layout(n: int) -> SimpleNamespace:
     return layout
 
 
+def row_keys(points: np.ndarray) -> np.ndarray:
+    """Each row of a (P, K) float array as one scalar of its K * 8 bytes:
+    keys compare, sort and search as the rows' bytes, so 0.0 and -0.0
+    differ."""
+    points = np.ascontiguousarray(points, dtype=float)
+    return points.view(np.dtype((np.void, points.shape[1] * points.itemsize))).ravel()
+
+
 def distinct_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of `points`, in order of first appearance, and the
-    index of each row among them.  Rows are compared by their bytes, so
-    0.0 and -0.0 differ."""
+    index of each row among them.  Rows are compared by their bytes
+    (`row_keys`)."""
     points = np.ascontiguousarray(points, dtype=float)
-    rows = points.view(np.dtype((np.void, points.shape[1] * points.itemsize))).ravel()
-    _, first, index = np.unique(rows, return_index=True, return_inverse=True)
+    _, first, index = np.unique(row_keys(points), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -312,21 +328,24 @@ def chern_curvature_norm(field: Field, x: np.ndarray, scheme: FDScheme,
                          scales: Sequence[float] | None = None) -> float:
     """Pointwise norm |Rm| of the Chern curvature with respect to the field.
 
-    The field is called once per distinct point of the stencil
+    The field is called once, on the distinct points of the stencil
     (`chern_stencil`); its matrices are n x n for x in R^{2n}.
     """
     stencil = chern_stencil(x, scheme, scales)
-    return stencil.norm(np.array([field(p) for p in stencil.points]))
+    return stencil.norm(field(stencil.points))
 
 
 def ricci_scalar_residual(field: Field, x: np.ndarray, scheme: FDScheme,
                           scales: Sequence[float] | None = None) -> float:
-    """|i d dbar log det h| coefficient magnitude (Ricci form of a Kahler field)."""
+    """|i d dbar log det h| coefficient magnitude (Ricci form of a Kahler field).
+
+    A test oracle on the pointwise formulas: the field is called once per
+    stencil point, on a stack of one row."""
     n = x.size // 2
     scales = tuple(scales) if scales is not None else (1.0,) * n
 
     def logdet(xx: np.ndarray) -> np.ndarray:
-        sign, ld = np.linalg.slogdet(field(xx))
+        sign, ld = np.linalg.slogdet(field(xx[None])[0])
         return np.array([[ld]], dtype=complex)
 
     res = 0.0

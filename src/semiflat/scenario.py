@@ -394,10 +394,12 @@ def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckR
         k = pt.d
 
         def fld(x: np.ndarray) -> np.ndarray:
-            z = complex(x[0], x[1])
-            p = PuncturedPoint(s=z ** (1.0 / k), d=k)
-            vs = tuple(complex(x[2 + 2 * j], x[3 + 2 * j]) for j in range(model.m))
-            return metric_at(model, ctx.eps, ctx.vf, p, vs).h
+            # the stencil as one numpy batch of metric_at, as `ma` evaluates
+            # its samples (docs/decisions.md, "`closedness` evaluates its
+            # stencil as one batch")
+            zv = np.ascontiguousarray(x).view(complex)      # columns z, v_1, ..., v_m
+            p = PuncturedPoint(s=zv[:, 0] ** (1.0 / k), d=k)
+            return metric_at(model, ctx.eps, ctx.vf, p, tuple(zv[:, 1:].T)).h
 
         x = np.array([z0.real, z0.imag]
                      + [w for vj in v for w in (vj.real, vj.imag)])

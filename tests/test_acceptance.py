@@ -105,14 +105,16 @@ def test_criterion_2_closedness():
         pt, v = sample_point(model, rng)
         z0, k = pt.z, pt.d
 
-        def field(x, model=model, mvf=mvf, eps=eps, k=k):
-            z = complex(x[0], x[1])
-            p = PuncturedPoint(s=z ** (1.0 / k), d=k)
-            vs = tuple(complex(x[2 + 2 * j], x[3 + 2 * j])
-                       for j in range(model.m))
-            if model.m == 1:
-                return elliptic_metric_at(model, eps, mvf, p, vs[0]).h
-            return metric_at(model, eps, mvf, p, vs).h
+        def field(xs, model=model, mvf=mvf, eps=eps, k=k):
+            def at(x):
+                z = complex(x[0], x[1])
+                p = PuncturedPoint(s=z ** (1.0 / k), d=k)
+                vs = tuple(complex(x[2 + 2 * j], x[3 + 2 * j])
+                           for j in range(model.m))
+                if model.m == 1:
+                    return elliptic_metric_at(model, eps, mvf, p, vs[0]).h
+                return metric_at(model, eps, mvf, p, vs).h
+            return np.array([at(x) for x in xs])
 
         x = np.array([z0.real, z0.imag]
                      + [w for vj in v for w in (vj.real, vj.imag)])
@@ -147,9 +149,11 @@ def test_criterion_3_case13_flatness():
         dev = max(dev, float(np.max(np.abs(h - chart.flat_h))))
     alpha = 6.0 * chart.alpha0 * cmath.exp(1j * chart.sector[1] / 2)
 
-    def field(x):
-        return chart.pulled_h(complex(x[0], x[1]),
-                              (complex(x[2], x[3]), complex(x[4], x[5])))
+    def field(xs):
+        def at(x):
+            return chart.pulled_h(complex(x[0], x[1]),
+                                  (complex(x[2], x[3]), complex(x[4], x[5])))
+        return np.array([at(x) for x in xs])
 
     x = np.array([alpha.real, alpha.imag, 0.31, 0.12, 0.22, 0.41])
     curv = chern_curvature_norm(field, x, FDScheme(step=2e-3),

@@ -128,6 +128,32 @@ def test_batched_pulled_h_is_a_stack_of_scalar_calls(left, right, radius):
     assert np.array_equal(one.view(np.uint64), oracle[0].view(np.uint64))
 
 
+def test_field_on_looks_up_rows_by_their_bytes():
+    # a Chern norm reads its stencil rows from the batch of a whole fit: in
+    # any order and repeated, each row gets its pulled_h matrix bit for bit;
+    # a row the batch does not hold raises, also one that differs from a
+    # batch row only in the sign of a zero
+    chart = to_chart(iistar_iiistar(), 0.9, VolumeFormSpec(k0=1.2))
+    (alpha,) = _fit_radii(chart, [3e3])
+    x = np.array([alpha.real, alpha.imag, 0.3, -0.0, 0.7, 0.45])
+    points = chern_stencil(x, FDScheme(step=2e-3), (abs(alpha), 4.0, 4.0)).points
+    z = points.view(complex)
+    batch = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
+    field = chart.field_on(points)
+    rows = np.random.default_rng(16).integers(0, len(points), 300)
+    assert np.array_equal(field(points[rows]).view(np.uint64), batch[rows].view(np.uint64))
+    assert np.array_equal(field(points).view(np.uint64), batch.view(np.uint64))
+    # the batch holds rows with 0.0 and rows with -0.0 there
+    flips = points[points[:, 3] == 0.0] * [1, 1, 1, -1, 1, 1]
+    held = {p.tobytes() for p in points}
+    flipped = next(q for q in flips if q.tobytes() not in held)
+    assert np.array_equal(flipped, points[(points == flipped).all(axis=1)][0])
+    with pytest.raises(KeyError):
+        field(np.stack([points[0], flipped]))
+    with pytest.raises(KeyError):
+        field(points[:2] + [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3])
+
+
 def test_batched_pulled_h_raises_outside_the_validity_disk():
     # periods that lose their orientation outside |s| < 1/2 (on the cover
     # of the right factor): a batch with one point there raises.  pulled_h
@@ -490,11 +516,13 @@ def test_star_curvature_decay_istar_istar():
         z = math.exp(-L) * cmath.exp(0.7j)
         s = z ** 0.5
 
-        def field(x):
-            zz = complex(x[0], x[1])
-            pt = PuncturedPoint(s=zz ** 0.5, d=2)
-            return metric_at(ss, eps, vf, pt,
-                             (complex(x[2], x[3]), complex(x[4], x[5]))).h
+        def field(xs):
+            def at(x):
+                zz = complex(x[0], x[1])
+                pt = PuncturedPoint(s=zz ** 0.5, d=2)
+                return metric_at(ss, eps, vf, pt,
+                                 (complex(x[2], x[3]), complex(x[4], x[5]))).h
+            return np.array([at(x) for x in xs])
 
         x = np.array([z.real, z.imag, 0.2 * abs(s), 0.1 * abs(s),
                       -0.15 * abs(s), 0.12 * abs(s)])

@@ -17,6 +17,11 @@ from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_produc
 from semiflat.metric import ComplexPairs, VolumeFormSpec, _square, metric_at, real_log
 
 
+def stacked(f):
+    """The field of the point function f: f over the rows of a (P, 2n) stack."""
+    return lambda xs: np.array([f(x) for x in xs])
+
+
 def test_fd_battery_polynomial_exponential():
     # nominal order on an analytic test field before trusting it elsewhere;
     # for a holomorphic field d/dx equals the complex derivative
@@ -40,7 +45,7 @@ def test_fd_battery_polynomial_exponential():
 
 
 def test_closedness_flat_and_convergence_order():
-    flat = lambda x: np.eye(3, dtype=complex)
+    flat = stacked(lambda x: np.eye(3, dtype=complex))
     res, order = closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
     assert res < 1e-13 and order == math.inf
 
@@ -56,7 +61,7 @@ def test_closedness_flat_and_convergence_order():
 
     z0 = (0.9 * cmath.exp(0.43j)) ** 12
     x0 = np.array([z0.real, z0.imag, 0.3, 0.2, -0.1, 0.4])
-    res, order = closedness_residual(field, x0, FDScheme(step=1e-4),
+    res, order = closedness_residual(stacked(field), x0, FDScheme(step=1e-4),
                                      (abs(z0), 1.0, 1.0))
     assert res < 1e-6
     assert order >= 1.9
@@ -74,19 +79,20 @@ def test_closedness_case13():
 
     z0 = (0.6 * cmath.exp(0.9j)) ** 6
     x0 = np.array([z0.real, z0.imag, 0.05, 0.02, 0.03, -0.04])
-    res, order = closedness_residual(field, x0, FDScheme(step=1e-4),
+    res, order = closedness_residual(stacked(field), x0, FDScheme(step=1e-4),
                                      (abs(z0), 1.0, 1.0))
     assert res < 1e-6 and order >= 1.9
 
 
 def test_curvature_flat_zero():
-    flat = lambda x: np.diag([2.0, 1.0, 0.5]).astype(complex)
+    flat = stacked(lambda x: np.diag([2.0, 1.0, 0.5]).astype(complex))
     assert chern_curvature_norm(flat, np.zeros(6), FDScheme()) < 1e-10
 
 
 def test_curvature_eh_nonzero_ricci_flat():
     cfg = EHConfig(a=0.3)
 
+    @stacked
     def ehf(x):
         return eh_metric(cfg, (complex(x[0], x[1]), complex(x[2], x[3]),
                                complex(x[4], x[5])))
@@ -108,6 +114,7 @@ def test_case13_chart_curvature_zero():
     mid = 0.5 * sum(chart.sector)
     alpha = 9.0 * cmath.exp(1j * mid)
 
+    @stacked
     def field(x):
         return chart.pulled_h(complex(x[0], x[1]),
                               (complex(x[2], x[3]), complex(x[4], x[5])))
@@ -124,6 +131,7 @@ def test_semiflat_ricci_vanishes():
     pm = fiber_product(FiberType(FiberKind.Istar, b=1),
                        FiberType(FiberKind.IVstar))
 
+    @stacked
     def field(x):
         z = complex(x[0], x[1])
         pt = PuncturedPoint(s=z ** (1.0 / pm.k), d=pm.k)
@@ -148,6 +156,7 @@ def test_step_too_small_detection():
     # as the step shrinks toward the ripple wavelength
     lam = 2.9e-5
 
+    @stacked
     def fld(x):
         xi0 = complex(x[0], x[1])
         xi1 = complex(x[2], x[3])
@@ -168,11 +177,12 @@ def test_fd_scheme_validation():
 
 
 def counted(field):
-    calls = [0]
+    """The field and the number of rows of each call made to it."""
+    calls = []
 
-    def wrapper(x):
-        calls[0] += 1
-        return field(x)
+    def wrapper(xs):
+        calls.append(len(xs))
+        return field(xs)
 
     return wrapper, calls
 
@@ -180,13 +190,13 @@ def counted(field):
 def test_chern_norm_evaluates_each_point_once():
     # d and dbar take the same first partials and the mixed partial (i, j)
     # repeats (j, i): the 326 stencil evaluations of a 3-coordinate field
-    # fall on 145 distinct points
+    # fall on 145 distinct points, evaluated in one call
     cfg = EHConfig(a=0.3)
-    ehf, calls = counted(lambda x: eh_metric(
-        cfg, (complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5]))))
+    ehf, calls = counted(stacked(lambda x: eh_metric(
+        cfg, (complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5])))))
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
     chern_curvature_norm(ehf, x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0))
-    assert calls[0] <= 145
+    assert len(calls) == 1 and calls[0] <= 145
 
 
 def _pointwise_chern_norm(field, x, scheme, scales):
@@ -249,16 +259,76 @@ def test_chern_norm_equals_the_pointwise_formulas_bit_for_bit():
               (abs(alpha), 4.0, 4.0)),
              (real2, np.array([0.3, 0.2, 0.7, -0.1]), (2.0, 0.5))]
     for field, x, scales in cases:
-        assert (chern_curvature_norm(field, x, scheme, scales)
+        assert (chern_curvature_norm(stacked(field), x, scheme, scales)
                 == _pointwise_chern_norm(field, x, scheme, scales))
+
+
+def _pointwise_closedness(field, x, scheme, scales):
+    """The closedness residual and order from the pointwise formulas, one
+    matrix at a time: the reference for the stacked closedness_residual.
+    d and dbar are formed from `first_partial` at steps h, h/2 and h/4."""
+    n = x.size // 2
+    r = []
+    for k in range(3):
+        h = scheme.step / 2 ** k
+        d, dbar = [], []
+        for a in range(n):
+            dx = first_partial(field, x, 2 * a, h * scales[a])
+            dy = first_partial(field, x, 2 * a + 1, h * scales[a])
+            d.append(0.5 * (dx - 1j * dy))
+            dbar.append(0.5 * (dx + 1j * dy))
+        scale = max(float(np.max(np.abs(m))) for m in d + dbar)
+        res = 0.0
+        for l in range(n):
+            for j in range(l + 1, n):
+                for c in range(n):
+                    res = max(res, abs(d[l][j, c] - d[j][l, c]))
+        for l in range(n):
+            for c in range(l + 1, n):
+                for j in range(n):
+                    res = max(res, abs(dbar[l][j, c] - dbar[c][j, l]))
+        r.append(res / max(scale, 1e-300))
+    if r[0] < 1e-10:
+        return r[0], math.inf
+    orders = [math.log2(r[k] / r[k + 1]) for k in range(2) if r[k + 1] > 0 and r[k] > 0]
+    return r[2], sum(orders) / len(orders) if orders else math.inf
+
+
+def test_closedness_equals_the_pointwise_formulas_bit_for_bit():
+    cfg = EHConfig(a=0.3)
+
+    def ehf(x):
+        return eh_metric(cfg, (complex(x[0], x[1]), complex(x[2], x[3]),
+                               complex(x[4], x[5])))
+
+    chart = to_chart(fiber_product(FiberType(FiberKind.IIstar),
+                                   FiberType(FiberKind.IIIstar)), 1.0, VolumeFormSpec(k0=0.9))
+    alpha = 500 * cmath.exp(0.5j * sum(chart.sector))
+
+    def pulled(x):
+        return chart.pulled_h(complex(x[0], x[1]), (complex(x[2], x[3]), complex(x[4], x[5])))
+
+    def real2(x):
+        return np.array([[2 + x[0] ** 2, 0.1 * x[1]], [0.1 * x[1], 1 + x[2] ** 2 * x[3]]])
+
+    cases = [(ehf, np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4]), (1.7, 4.0, 4.0)),
+             (ehf, np.array([0.5, -0.0, 0.0, 0.2, -0.0, -0.4]), (1.0, 1.0, 1.0)),
+             (pulled, np.array([alpha.real, alpha.imag, 0.3, 0.1, 0.2, 0.4]),
+              (abs(alpha), 4.0, 4.0)),
+             (real2, np.array([0.3, 0.2, 0.7, -0.1]), (2.0, 0.5))]
+    scheme = FDScheme(step=1e-3)
+    for field, x, scales in cases:
+        assert (closedness_residual(stacked(field), x, scheme, scales)
+                == _pointwise_closedness(field, x, scheme, scales))
 
 
 def test_closedness_evaluates_each_point_once():
     # d and dbar share their first partials: 3 steps x 3 coordinates x
-    # 2 real directions x 2 points, where the stencils make 72 calls
-    flat, calls = counted(lambda x: np.eye(3, dtype=complex))
+    # 2 real directions x 2 points, where the stencils make 72 evaluations,
+    # all in one call
+    flat, calls = counted(stacked(lambda x: np.eye(3, dtype=complex)))
     closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
-    assert calls[0] == 36
+    assert calls == [36]
 
 
 def _bits_equal(a, b) -> bool:

@@ -169,23 +169,6 @@ def test_m_congruence_validation():
     FiberType(FK.III, m_mult=3)
 
 
-@pytest.mark.parametrize("seed", [5, 6, 7])
-def test_deck_action_closes_after_k_steps(seed):
-    # product of the k deck multipliers around the fiber is the identity
-    rng = SplitMix64(seed)
-    for left, right in [(FK.IIstar, FK.IIIstar), (FK.II, FK.IIstar),
-                        (FK.IV, FK.IVstar)]:
-        pm = fiber_product(FiberType(left), FiberType(right))
-        zk = cmath.exp(2j * cmath.pi / pm.k)
-        s = rng.complex_annulus(0.4, 0.9, 0.03, 2 * math.pi / pm.k - 0.03)
-        p1 = p2 = 1.0 + 0j
-        for j in range(pm.k):
-            m1, m2 = pm.deck_multipliers(zk ** j * s)
-            p1 *= m1
-            p2 *= m2
-        assert abs(p1 - 1) < 1e-12 * pm.k and abs(p2 - 1) < 1e-12 * pm.k
-
-
 def test_case13_model_data():
     c13 = isotrivial_case13()
     assert (c13.k, c13.alpha, c13.beta, c13.a1, c13.a2) == (6, 5, 2, 1, 4)

@@ -27,6 +27,8 @@ ALLOWED = {
     "ProductModel.deck_multipliers": "the acceptance gate calls it",
     "elliptic_metric_at": "the acceptance gate calls it",
     "ricci_scalar_residual": "test oracle; the jet Ricci-flatness check revives it",
+    "first_partial": "test oracle: the pointwise formula closedness_residual reproduces "
+                     "bit for bit",
     "eisenstein_g4_g6": "the acceptance gate calls it; the checks take G_4 and G_6 "
                         "from EllipticData.lattice",
     "BaseProfile.dist": "the benchmark tracer wraps it; the tests use it as the "
