@@ -258,8 +258,9 @@ def _beta_samples(chart: AsymptoticChart, rng: SplitMix64,
 
 def _fit_radii(chart: AsymptoticChart, radii: Sequence[float]) -> list[complex]:
     """The chart point of each radius, as a Python complex: numpy radii
-    would make numpy complex scalars, and both fits build their points and
-    the curvature fit its stencil scales with Python's arithmetic."""
+    would make numpy complex scalars, and both fits and `tangent_cone`
+    build their points, and the curvature fit its stencil scales, with
+    Python's arithmetic."""
     lo, hi = chart.sector
     mid = 0.5 * (lo + hi)
     if chart.kind == "power":
@@ -661,11 +662,9 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
     cls = classify_asymptotics(pm)
     if cls.kind in ("ALG", "ALH"):
         chart = to_chart(pm, eps, vf)
-        mid = 0.5 * (chart.sector[0] + chart.sector[1])
-        if chart.kind == "power":
-            alphas = [10.0 ** (2 + i) * cmath.exp(1j * mid) for i in range(_CONE_DECADES)]
-        else:
-            alphas = [(8.0 * (i + 1)) / chart.rate + 1j * mid / 2 for i in range(_CONE_DECADES)]
+        radii = [10.0 ** (2 + i) if chart.kind == "power" else 8.0 * (i + 1)
+                 for i in range(_CONE_DECADES)]
+        alphas = _fit_radii(chart, radii)
         vals = chart.pulled_h(np.array(alphas), (0j, 0j))[:, 0, 0].real.tolist()
         if not _cauchy_ok(vals):
             raise NoConvergence(f"chart base coefficient not Cauchy: {vals}")

@@ -32,17 +32,15 @@ expressions run on both, after the array API standard
 
 Rounding.  Each expression is written once, in complex notation, and the
 number type decides how it rounds.  A point runs on Python `complex` and
-`cmath`.  A batch on `ComplexPairs`, float64 arrays whose operators follow
-CPython 3.11's `complex` operation by operation and whose namespace applies
-`cmath` per entry, has the bits of a point at every position
-(docs/decisions.md, "`curvature_decay` reproduces only bit for bit"):
-`AsymptoticChart.pulled_h` runs the period closures, `base_terms` and the
-entries of h on them.  A batch of `metric_at` (`ma`) takes numpy complex
-arrays: its pairings, Christoffel symbols and entries of h run on
-ComplexPairs, but its base-point part (the period closures, dtau/dz, g_eff
-and B) runs numpy's complex loops, so it may differ from a scalar call in
-the last bits there (docs/decisions.md, "`ma` evaluates its samples as one
-batch").
+`cmath`, the reference.  A batch of `metric_at` (`ma`, `closedness`) runs
+numpy's complex arrays from the period closures to h, so it may differ from
+a scalar call in the last bits (docs/decisions.md, "`ma` and `closedness`
+evaluate their points as one numpy batch").  Only
+`AsymptoticChart.pulled_h` runs on `ComplexPairs`, float64 arrays whose
+operators follow CPython 3.11's `complex` operation by operation and whose
+namespace applies `cmath` per entry: its closures, `base_terms` and the
+entries of h have the bits of a point at every position (docs/decisions.md,
+"`curvature_decay` reproduces only bit for bit").
 """
 
 from __future__ import annotations
@@ -126,10 +124,10 @@ class ComplexPairs:
       from 1+0j;
     - abs is libm `hypot`.
 
-    `exp`, `log` and `phase` of its namespace apply `cmath` per entry
-    (`__array_namespace__`).  numpy's complex loops, and its `exp`, `log`
-    and `arctan2` where numpy dispatches them to SVML, round differently
-    (docs/decisions.md)."""
+    `exp` and `phase` of its namespace apply `cmath` per entry
+    (`__array_namespace__`).  numpy's complex loops, and its `exp` and
+    `arctan2` where numpy dispatches them to SVML, round differently
+    (docs/decisions.md).  `AsymptoticChart.pulled_h` is its one client."""
 
     __slots__ = ("real", "imag")
     __array_ufunc__ = None       # an ndarray operand defers to the reflected method
@@ -243,11 +241,6 @@ class _PairMath:
         return ComplexPairs(out.real, out.imag)
 
     @staticmethod
-    def log(z: ComplexPairs) -> ComplexPairs:
-        out = _each(cmath.log, z, complex)
-        return ComplexPairs(out.real, out.imag)
-
-    @staticmethod
     def phase(z: ComplexPairs) -> np.ndarray:
         return _each(cmath.phase, z, float)
 
@@ -353,16 +346,14 @@ def base_terms(model: Model, eps: float, vf: VolumeFormSpec, pt: PuncturedPoint)
     periods = periods_at(model, pt)
     F, imp = _fiber_terms(model, pt, periods, eps)
     g_eff = effective_g(model, vf, pt.z)
-    # |g_eff|^2 as Python squares a float (libm pow) on ComplexPairs too;
-    # `ma`'s numpy batch keeps numpy's square (docs/decisions.md)
-    g2 = _square(abs(g_eff)) if isinstance(g_eff, ComplexPairs) else abs(g_eff) ** 2
-    return periods, imp, F, g_eff, g2 / math.prod(F)
+    return periods, imp, F, g_eff, _square(abs(g_eff)) / math.prod(F)
 
 
 def hermitian_entries(base: tuple, v: Sequence[complex]) -> list[complex]:
     """Entries of the Hermitian matrix h at fiber coordinates v, row by row:
-    Python numbers at a point, ComplexPairs and float arrays (or constants)
-    over a batch; `base` is what base_terms gives at the base point(s)."""
+    Python numbers at a point, numpy arrays over a `metric_at` batch, and
+    ComplexPairs and float arrays (or constants) over a `pulled_h` batch;
+    `base` is what base_terms gives at the base point(s)."""
     periods, imp, F, _, B = base
     m = len(F)
     h = [0] * ((m + 1) * (m + 1))
@@ -403,10 +394,6 @@ def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
         raise ValueError(f"need {m} fiber coordinates")
     base = base_terms(model, eps, vf, pt)
     lead = pt.s.shape if isinstance(pt.s, np.ndarray) else ()
-    if lead:                # the per-point part rounds as a point's
-        (tau, dt), *rest = base
-        base = ((ComplexPairs.of(tau), ComplexPairs.of(dt)), *rest)
-        v = ComplexPairs.of(v)
     h = filled(hermitian_entries(base, v), lead)
     return MetricSample(h=h.reshape(lead + (m + 1, m + 1)), omega_coeff=base[3])
 

@@ -27,7 +27,7 @@ import numpy as np
 # and weierstrass are imported inside the checks that call them (and
 # eguchi_hanson by build_context for an eh scenario), so a CLI run loads
 # (and, without a bytecode cache, compiles) only what its checks use.
-from .diffgeo import FDScheme, chern_curvature_norm, chern_stencil, closedness_residual
+from .diffgeo import FDScheme, chern_curvature_norm, closedness_residual
 from .errors import BranchPoint, PolePoint, ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint, array_namespace,
                       canonical_coefficient, classify_asymptotics, correction_exponent,
@@ -214,14 +214,21 @@ def validate_scenario(cfg: dict) -> dict:
                 cfg[key] = val
             if not isinstance(val, typ):
                 raise ScenarioError(f"{key} must be {typ.__name__}")
+            if typ is float and not math.isfinite(val):     # json reads NaN, Infinity
+                raise ScenarioError(f"{key} must be finite, got {val!r}")
         elif required:
             raise ScenarioError(f"missing required key: {key!r}")
     for key in _POSITIVE:
         if key in cfg and not cfg[key] > 0:
             raise ScenarioError(f"{key} must be positive, got {cfg[key]!r}")
+    # the name is the stem of the report and CSV files
+    if not cfg["name"] or set(cfg["name"]) & set("/\\\0"):
+        raise ScenarioError(f"name must be a non-empty file stem, got {cfg['name']!r}")
     kind = cfg["model_kind"]
     if kind not in _MODEL_CHECKS:
         raise ScenarioError(f"unknown model_kind {kind!r}")
+    if not all(isinstance(c, str) for c in cfg["checks"]):
+        raise ScenarioError("checks must be a list of check names")
     checks = [_CHECK_ALIASES.get(c, c) for c in cfg["checks"]]
     if not checks:
         raise ScenarioError("empty check list")
@@ -395,8 +402,8 @@ def _check_closedness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckR
 
         def fld(x: np.ndarray) -> np.ndarray:
             # the stencil as one numpy batch of metric_at, as `ma` evaluates
-            # its samples (docs/decisions.md, "`closedness` evaluates its
-            # stencil as one batch")
+            # its samples (docs/decisions.md, "`ma` and `closedness`
+            # evaluate their points as one numpy batch")
             zv = np.ascontiguousarray(x).view(complex)      # columns z, v_1, ..., v_m
             p = PuncturedPoint(s=zv[:, 0] ** (1.0 / k), d=k)
             return metric_at(model, ctx.eps, ctx.vf, p, tuple(zv[:, 1:].T)).h
@@ -430,7 +437,11 @@ def _check_flatness(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckRes
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
     scheme = FDScheme(step=2e-3)
     scales = (abs(alpha), 1.0, 1.0)
-    fld = chart.field_on(chern_stencil(x, scheme, scales).points)
+
+    def fld(points: np.ndarray) -> np.ndarray:
+        z = np.ascontiguousarray(points).view(complex)      # columns alpha, beta1, beta2
+        return chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
+
     curv = chern_curvature_norm(fld, x, scheme, scales)
     return CheckResult(name="flatness", info={}, conditions={
         "max_coefficient_deviation": Condition("within", dev, 0.0, 1e-12 * tol_scale,

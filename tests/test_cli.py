@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -184,10 +185,19 @@ def test_fd_scheme_keys_are_unknown(tmp_path, key, value):
     ("weierstrass_i1.json", "grid_z", 0),
     ("weierstrass_i1.json", "b", 0),
     ("elliptic_iv.json", "name", None),        # a 0xff byte: not UTF-8
+    # json reads NaN and Infinity
+    ("pair_iistar_x_iiistar.json", "k0_re", math.nan),
+    ("pair_iistar_x_iiistar.json", "k0_re", math.inf),
+    ("eh_gluing.json", "eh_a", math.nan),
+    ("elliptic_iv.json", "checks", [["ma"]]),
+    # the name is the stem of the report and CSV files
+    ("elliptic_iv.json", "name", "sub/x"),
+    ("elliptic_iv.json", "name", ""),
 ])
 def test_malformed_values_exit_two(tmp_path, name, key, value):
     # a value out of range is malformed configuration: exit code 2 and a
     # one-line message, not a traceback, and never a check run over nothing
+    # nor a file written
     raw = bundled_path(name).read_bytes()
     if value is None:
         data = raw.replace(b'"elliptic_iv"', b'"elliptic_\xffiv"', 1)
@@ -202,6 +212,7 @@ def test_malformed_values_exit_two(tmp_path, name, key, value):
     with contextlib.redirect_stderr(err):
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
     assert err.getvalue().startswith("scenario error:")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])

@@ -456,8 +456,6 @@ def test_complex_pairs_operators_and_namespace_round_as_python_complex():
     s = [complex(u, v) for u, v in zip(small.real.tolist(), small.imag.tolist())]
     assert pairs_equal(xp.exp(small), [cmath.exp(u) for u in s]), "exp is cmath.exp per entry"
     live = (ar != 0) | (ai != 0)
-    assert pairs_equal(xp.log(A[live]), [cmath.log(u) for u, keep in zip(a, live) if keep],
-                       live), "log is cmath.log per entry"
     assert _bits_equal(xp.phase(A), [cmath.phase(u) for u in a]), "phase is cmath.phase per entry"
     assert _bits_equal(real_log(abs(A[live])),
                        [math.log(abs(u)) for u, keep in zip(a, live) if keep]), \

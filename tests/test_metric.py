@@ -339,6 +339,35 @@ def test_batched_metric_at_is_the_scalar_metric_at_per_point(cfg):
         assert abs(batch.omega_coeff[i] - one.omega_coeff) <= 1e-14 * abs(one.omega_coeff)
 
 
+def test_only_pulled_h_runs_on_complex_pairs(monkeypatch):
+    # a metric_at batch (ma, closedness) runs numpy's complex arithmetic from
+    # the period closures to h; ComplexPairs, which round as Python complex,
+    # serve the chart's pulled_h alone
+    from semiflat import metric
+    from semiflat.asymptotics import to_chart
+    from semiflat.cli import bundled_path
+    from semiflat.scenario import build_context, load_scenario, sample_points
+    made = []
+    init = metric.ComplexPairs.__init__
+
+    def counted(self, real, imag):
+        made.append(self)
+        init(self, real, imag)
+
+    monkeypatch.setattr(metric.ComplexPairs, "__init__", counted)
+    contexts = [build_context(load_scenario(bundled_path(f"{name}.json")))
+                for name in ("pair_iistar_x_iiistar", "elliptic_i2")]
+    for ctx in contexts:
+        pt, v = sample_points(ctx.model, SplitMix64(5), 50)
+        batch = metric_at(ctx.model, ctx.eps, ctx.vf, pt, v)
+        assert batch.h.shape == (50, ctx.model.m + 1, ctx.model.m + 1)
+        assert made == [], ctx.cfg["name"]
+    chart = to_chart(contexts[0].model, contexts[0].eps, contexts[0].vf)
+    alphas = np.array([r * chart.alpha0 * cmath.exp(0.5j * chart.sector[1]) for r in (2.0, 4.0)])
+    assert chart.pulled_h(alphas, (0.3 + 0.2j, 0.4 + 0.1j)).shape == (2, 3, 3)
+    assert made
+
+
 def test_sample_point_is_the_first_of_sample_points():
     # one sampler: sample_point takes the draws of sample_points(model, rng, 1)
     # and ends in the same state
