@@ -12,6 +12,12 @@ coefficient H with
 computed both ways as a cross-check.  Scaled to H(eps), its diagonal is
 the independent oracle of the `fiber_volume` check for the fiber
 coefficients F_j that `metric` assembles.
+
+Stack axis.  T may be one m x 2m matrix or a stack of them, shape
+(..., m, 2m), one per sample; Q is shared.  R, Z and H then carry the same
+leading axes, and a single matrix is the stack of none.  Every self-check
+holds per matrix, at that matrix's own scale, and raises if any one
+matrix fails it, naming its sample.
 """
 
 from __future__ import annotations
@@ -23,16 +29,45 @@ import numpy as np
 from .errors import NotPositive, SingularPolarization
 
 STD_TOL = 1e-12          # exact identities in double precision
-INV_TOL = 1e-10          # identities passing through one inversion
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+def _maxabs(a: np.ndarray) -> np.ndarray:
+    """max |a| of each matrix of a stack (a number for a single matrix)."""
+    return np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _refuse(bad, error: type, message: str, min_eigenvalue=None) -> None:
+    """Raise error if any matrix of a stack is bad (one flag per matrix).
+
+    The message names the first bad sample, and its min_eigenvalue when
+    one is given.
+    """
+    bad = np.asarray(bad)
+    if not bad.any():
+        return
+    at = tuple(np.argwhere(bad)[0].tolist())
+    if at:
+        message += f" at sample {at[0] if len(at) == 1 else at}"
+    if min_eigenvalue is not None:
+        message += f" (min eigenvalue {float(np.asarray(min_eigenvalue)[at]):.3e})"
+    raise error(message)
+
+
+def _positive_definite(a: np.ndarray, what: str) -> None:
+    """Raise NotPositive unless each Hermitian matrix of the stack a is
+    positive definite."""
+    w = np.linalg.eigvalsh(a).min(axis=-1)
+    _refuse(w <= 0, NotPositive, f"{what} is not positive definite", w)
 
 
 @dataclass(frozen=True)
 class PolarizedFamily:
-    """Period matrix T (m x 2m) with constant antisymmetric polarization Q."""
+    """Period matrix T (m x 2m, or a stack (..., m, 2m)) with constant
+    antisymmetric polarization Q."""
 
     T: np.ndarray
     Q: np.ndarray
@@ -43,8 +78,9 @@ class PolarizedFamily:
         Q = np.asarray(self.Q, dtype=float)
         if self.m not in (1, 2):
             raise ValueError("only fiber dimensions m=1 and m=2 are supported")
-        if T.shape != (self.m, 2 * self.m):
-            raise ValueError(f"T must be {self.m}x{2 * self.m}, got {T.shape}")
+        if T.shape[-2:] != (self.m, 2 * self.m):
+            raise ValueError(f"T must be {self.m}x{2 * self.m} (or a stack of them), "
+                             f"got {T.shape}")
         if Q.shape != (2 * self.m, 2 * self.m):
             raise ValueError(f"Q must be {2 * self.m}x{2 * self.m}, got {Q.shape}")
         if not np.array_equal(Q, -Q.T):
@@ -78,16 +114,10 @@ def standard_symplectic(m: int) -> np.ndarray:
     return J
 
 
-def siegel_normalize(fam: PolarizedFamily) -> SiegelData:
-    """Bring (T, Q) to Siegel normal form.
-
-    S is produced by a symplectic Gram-Schmidt over the reals with
-    largest-pivot selection (ties broken by lowest index), which makes the
-    result reproducible across runs and platforms.  Raises NotPositive when
-    Im Z fails to be symmetric positive definite, which signals a
-    non-Kahler polarization or a wrongly oriented basis.
-    """
-    m, Q = fam.m, fam.Q
+def _symplectic_basis(Q: np.ndarray, m: int) -> np.ndarray:
+    """S with S^t Q S the standard symplectic form, by a symplectic
+    Gram-Schmidt over the reals with largest-pivot selection (ties broken
+    by lowest index)."""
     n = 2 * m
     cand = [np.eye(n)[:, i] for i in range(n)]
     es: list[np.ndarray] = []
@@ -113,18 +143,29 @@ def siegel_normalize(fam: PolarizedFamily) -> SiegelData:
     S = np.column_stack(es + fs)
     if _maxabs(S.T @ Q @ S - standard_symplectic(m)) > STD_TOL:
         raise SingularPolarization("S^t Q S does not reach the standard symplectic form")
+    return S
 
+
+def siegel_normalize(fam: PolarizedFamily) -> SiegelData:
+    """Bring (T, Q) to Siegel normal form, for each matrix of a stack.
+
+    S depends on Q alone, so it is built once; its largest-pivot choice
+    makes the result reproducible across runs and platforms.  Raises
+    NotPositive when Im Z fails to be symmetric positive definite, which
+    signals a non-Kahler polarization or a wrongly oriented basis.
+    """
+    m = fam.m
+    S = _symplectic_basis(fam.Q, m)
     TS = fam.T @ S
-    R = TS[:, :m]
-    if abs(np.linalg.det(R)) < 1e-300:
-        raise NotPositive("leading m x m block of TS is singular")
-    Z = np.linalg.solve(R, TS[:, m:])
-    if _maxabs(Z - Z.T) > 1e-9:
-        raise NotPositive("Z is not symmetric: Riemann relations fail for this (T, Q)")
-    Z = 0.5 * (Z + Z.T)
-    w = np.linalg.eigvalsh(0.5 * (Z.imag + Z.imag.T))
-    if w.min() <= 0:
-        raise NotPositive(f"Im Z is not positive definite (min eigenvalue {w.min():.3e})")
+    R = TS[..., :m]
+    _refuse(np.abs(np.linalg.det(R)) < 1e-300, NotPositive,
+            "leading m x m block of TS is singular")
+    Z = np.linalg.solve(R, TS[..., m:])
+    Zt = Z.swapaxes(-1, -2)
+    _refuse(_maxabs(Z - Zt) > 1e-9, NotPositive,
+            "Z is not symmetric: Riemann relations fail for this (T, Q)")
+    Z = 0.5 * (Z + Zt)
+    _positive_definite(0.5 * (Z.imag + Z.imag.swapaxes(-1, -2)), "Im Z")
     return SiegelData(S=S, R=R, Z=Z)
 
 
@@ -132,24 +173,23 @@ def hermitian_h(fam: PolarizedFamily) -> HermitianForm:
     """Fiber metric coefficient H, computed along both routes.
 
     H^{-1} is evaluated via the Siegel data (2 conj(R) Im(Z) R^t) and via
-    i conj(T) Q^{-1} T^t; the two must agree to STD_TOL.  The returned H is
-    the symmetrized inverse.
+    i conj(T) Q^{-1} T^t; the two must agree to STD_TOL of each matrix's
+    own scale.  The returned H is the symmetrized inverse.
     """
     sd = siegel_normalize(fam)
-    hinv_siegel = 2.0 * sd.R.conj() @ sd.Z.imag @ sd.R.T
-    hinv_direct = 1j * fam.T.conj() @ np.linalg.solve(fam.Q, fam.T.T)
-    if _maxabs(hinv_siegel - hinv_direct) > STD_TOL * max(1.0, _maxabs(hinv_direct)):
-        raise NotPositive("the two routes to H^{-1} disagree beyond tolerance")
-    w = np.linalg.eigvalsh(0.5 * (hinv_direct + hinv_direct.conj().T))
-    if w.min() <= 0:
-        raise NotPositive("H^{-1} is not positive definite")
+    hinv_siegel = 2.0 * sd.R.conj() @ sd.Z.imag @ sd.R.swapaxes(-1, -2)
+    hinv_direct = 1j * fam.T.conj() @ np.linalg.solve(fam.Q, fam.T.swapaxes(-1, -2))
+    _refuse(_maxabs(hinv_siegel - hinv_direct)
+            > STD_TOL * np.maximum(1.0, _maxabs(hinv_direct)),
+            NotPositive, "the two routes to H^{-1} disagree beyond tolerance")
+    _positive_definite(0.5 * (hinv_direct + _adjoint(hinv_direct)), "H^{-1}")
     H = np.linalg.inv(hinv_direct)
-    H = 0.5 * (H + H.conj().T)
-    return HermitianForm(H=H)
+    return HermitianForm(H=0.5 * (H + _adjoint(H)))
 
 
 def scaled_h(H: HermitianForm, Q: np.ndarray, eps: float, m: int) -> HermitianForm:
-    """Volume normalization H(eps) = eps * det(Q)^(-1/2m) * H.
+    """Volume normalization H(eps) = eps * det(Q)^(-1/2m) * H, of one H or
+    of each H of a stack.
 
     The scale is fixed so that each elliptic-curve factor of a fiber with a
     principal polarization (det Q = 1) acquires area exactly eps; for m = 1
@@ -163,10 +203,13 @@ def scaled_h(H: HermitianForm, Q: np.ndarray, eps: float, m: int) -> HermitianFo
     return HermitianForm(H=eps * detq ** (-0.5 / m) * H.H)
 
 
-def product_family(taus: tuple[complex, complex, complex, complex]) -> PolarizedFamily:
-    """Rank-4 family of a fiber product: block-diagonal T and block J polarization."""
-    t1, t2, t3, t4 = taus
-    T = np.array([[t1, t2, 0, 0], [0, 0, t3, t4]], dtype=complex)
+def product_family(taus) -> PolarizedFamily:
+    """Rank-4 family of a fiber product: block-diagonal T and block J
+    polarization.  taus holds the four periods, each a number or an array
+    of samples (numbers broadcast), and T gets their leading axes."""
+    T = np.zeros(np.broadcast(*taus).shape + (2, 4), dtype=complex)
+    for c, t in enumerate(taus):
+        T[..., c // 2, c] = t
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     Q = np.zeros((4, 4))
     Q[:2, :2] = j2

@@ -23,19 +23,21 @@ The periods, F_j, g_eff and B depend on the base point alone
 base point computes the first part once.
 
 Batch axis.  `periods_at`, `_fiber_terms`, `base_terms`,
-`hermitian_entries` and `metric_at` take either one point (a
-`PuncturedPoint` with a complex s, and complex fiber coordinates v) or a
-batch of N points (s and every v_j 1-D arrays of length N).  The same
-expressions run on both, after the array API standard
+`hermitian_entries`, `metric_at` and `christoffel_closed` take either one
+point (a `PuncturedPoint` with a complex s, and complex fiber coordinates
+v) or a batch of N points (s and every v_j 1-D arrays of length N).  The
+same expressions run on both, after the array API standard
 (https://data-apis.org/array-api/); a batch gives h with shape
-(N, m+1, m+1) and g_eff with shape (N,).
+(N, m+1, m+1) and g_eff with shape (N,).  `christoffel_general` solves the
+(N, 2m, 2m) stack of a batch's period matrices at once.
 
 Rounding.  Each expression is written once, in complex notation, and the
 number type decides how it rounds.  A point runs on Python `complex` and
 `cmath`, the reference.  A batch of `metric_at` (`ma`, `closedness`) runs
 numpy's complex arrays from the period closures to h, so it may differ from
 a scalar call in the last bits (docs/decisions.md, "`ma` and `closedness`
-evaluate their points as one numpy batch").  Only
+evaluate their points as one numpy batch"); so do the `periods_at`
+batches of `christoffel` and `fiber_volume`.  Only
 `AsymptoticChart.pulled_h` runs on `ComplexPairs`, float64 arrays whose
 operators follow CPython 3.11's `complex` operation by operation and whose
 namespace applies `cmath` per entry: its closures, `base_terms` and the
@@ -314,19 +316,31 @@ def christoffel_closed(model: Model, pt: PuncturedPoint,
 
 def christoffel_general(tau: Sequence[complex], dtau_dz: Sequence[complex],
                         v: Sequence[complex]) -> tuple[complex, ...]:
-    """Gamma = (dT/dz) (T; conj T)^{-1} (v; conj v) for an arbitrary family."""
+    """Gamma = (dT/dz) (T; conj T)^{-1} (v; conj v) for an arbitrary family.
+
+    At a point, the periods and v are numbers and Gamma is a tuple of m
+    numbers; over a batch (the periods_at of a batch, v_j arrays of N
+    samples) the (N, 2m, 2m) stack is solved at once and each Gamma^j is an
+    array.  Raises SingularPeriods, naming the sample, if any stacked
+    period matrix has a condition number above 1e12.
+    """
     m = len(v)
-    T = np.zeros((m, 2 * m), dtype=complex)
-    dT = np.zeros((m, 2 * m), dtype=complex)
+    lead = np.broadcast(*tau, *v).shape
+    stack = np.zeros(lead + (2 * m, 2 * m), dtype=complex)     # (T; conj T)
+    dT = np.zeros(lead + (m, 2 * m), dtype=complex)
+    vv = np.empty(lead + (2 * m, 1), dtype=complex)             # (v; conj v)
     for j in range(m):
-        T[j, 2 * j: 2 * j + 2] = tau[2 * j: 2 * j + 2]
-        dT[j, 2 * j: 2 * j + 2] = dtau_dz[2 * j: 2 * j + 2]
-    stack = np.vstack([T, T.conj()])
-    if np.linalg.cond(stack) > 1e12:
-        raise SingularPeriods("stacked period matrix is numerically singular")
-    vv = np.concatenate([np.asarray(v, dtype=complex),
-                         np.asarray(v, dtype=complex).conj()])
-    return tuple(dT @ np.linalg.solve(stack, vv))
+        for c in (2 * j, 2 * j + 1):
+            stack[..., j, c], dT[..., j, c] = tau[c], dtau_dz[c]
+        vv[..., j, 0] = v[j]
+    stack[..., m:, :] = stack[..., :m, :].conj()
+    vv[..., m:, :] = vv[..., :m, :].conj()
+    bad = np.flatnonzero(np.linalg.cond(stack) > 1e12)
+    if bad.size:
+        where = f" at sample {bad[0]}" if lead else ""
+        raise SingularPeriods(f"stacked period matrix is numerically singular{where}")
+    gamma = (dT @ np.linalg.solve(stack, vv))[..., 0]
+    return tuple(np.moveaxis(gamma, -1, 0))
 
 
 def effective_g(model: Model, vf: VolumeFormSpec, z: complex) -> complex:

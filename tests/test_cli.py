@@ -48,6 +48,17 @@ _RELATION = {
 }
 
 
+def _measured(check: dict, key: str):
+    """The measured value of a condition.  Strict JSON has no infinity: a
+    non-finite value is null, and the check's note must say how it was
+    taken."""
+    m = check["measured"][key]
+    if m is None:
+        assert f"{key} not measured, taken as infinite" in check["note"], check["name"]
+        return math.inf
+    return m
+
+
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("name", bundled_scenarios())
 def test_report_explains_each_verdict(tmp_path, name, seed):
@@ -61,10 +72,28 @@ def test_report_explains_each_verdict(tmp_path, name, seed):
         assert keys, c["name"]
         assert c["expected"].keys() == c["tolerance"].keys() == c["provenance"].keys() == keys
         assert keys <= c["measured"].keys(), c["name"]
-        holds = [_RELATION[c["relation"][k]](c["measured"][k], c["expected"][k],
+        holds = [_RELATION[c["relation"][k]](_measured(c, k), c["expected"][k],
                                              c["tolerance"][k]) for k in keys]
         assert c["status"] == ("pass" if all(holds) else "fail"), c["name"]
     assert report["passed"] == all(c["status"] == "pass" for c in report["checks"])
+
+
+@pytest.mark.parametrize("name, seed", [("pair_iistar_x_iiistar", 1), ("elliptic_i2", 7),
+                                        ("elliptic_iistar", 7), ("elliptic_iiistar", 7)])
+def test_report_is_strict_json(tmp_path, name, seed):
+    # at both closedness samples of these runs the residual at step h is
+    # already below the 1e-10 floor, so the order is not finite: the report
+    # writes null (RFC 8259 has no Infinity) and says why in the note
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    run_scenario(json.loads(bundled_path(f"{name}.json").read_text()), out_dir=tmp_path,
+                 seed=seed, log=io.StringIO())
+    report = json.loads((tmp_path / f"{name}_report.json").read_text(), parse_constant=refuse)
+    (closed,) = [c for c in report["checks"] if c["name"] == "closedness"]
+    assert closed["measured"]["min_order"] is None
+    assert closed["status"] == "pass"
+    assert "below the 1e-10 floor" in closed["note"]
 
 
 def test_a_check_without_conditions_fails():

@@ -1,14 +1,17 @@
 """Siegel normalization and the Hermitian metric coefficient."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from semiflat.cli import bundled_path
 from semiflat.errors import NotPositive, SingularPolarization
 from semiflat.lattice import (HermitianForm, PolarizedFamily, hermitian_h, product_family,
                               scaled_h, siegel_normalize)
 from semiflat.rng import SplitMix64
+from semiflat.scenario import build_context, sample_points, validate_scenario
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -159,3 +162,79 @@ def test_not_positive_for_wrong_orientation():
     fam = PolarizedFamily(T=np.array([[1j, 1.0]]), Q=J2, m=1)
     with pytest.raises(NotPositive):
         siegel_normalize(fam)
+
+
+# --- stacks of period matrices --------------------------------------------
+
+STACK_REL = 1e-14         # stacked against per-sample results, relative to the sample
+
+
+def bundled_taus(name: str, n: int = 5) -> tuple:
+    """The four periods of n seeded samples of a bundled pair scenario, each
+    an array of n entries, as the fiber_volume check draws them."""
+    cfg = validate_scenario(json.loads(bundled_path(f"{name}.json").read_text()))
+    model = build_context(cfg).model
+    pt, _ = sample_points(model, SplitMix64(cfg["seed"]), n)
+    return tuple(np.broadcast_to(t, pt.s.shape) for t in model.tau4(pt.s))
+
+
+def sample_of(taus: tuple, i: int) -> tuple:
+    return tuple(complex(t[i]) for t in taus)
+
+
+def assert_close(stacked: np.ndarray, single: np.ndarray):
+    assert stacked.shape == single.shape
+    assert np.max(np.abs(stacked - single)) <= STACK_REL * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("name", ["pair_istar_x_ivstar", "pair_iistar_x_iiistar",
+                                  "pair_ii_x_iistar", "pair_istar_x_istar"])
+def test_stacked_oracle_equals_per_sample_calls(name):
+    taus = bundled_taus(name)
+    fam = product_family(taus)
+    assert fam.T.shape == (5, 2, 4)
+    sd = siegel_normalize(fam)
+    H = hermitian_h(fam)
+    Heps = scaled_h(H, fam.Q, 0.7, 2).H
+    assert H.H.shape == Heps.shape == (5, 2, 2)
+    for i in range(5):
+        one = product_family(sample_of(taus, i))
+        sd1 = siegel_normalize(one)
+        H1 = hermitian_h(one)
+        assert np.array_equal(sd.S, sd1.S)
+        assert_close(sd.R[i], sd1.R)
+        assert_close(sd.Z[i], sd1.Z)
+        assert_close(H.H[i], H1.H)
+        assert_close(Heps[i], scaled_h(H1, one.Q, 0.7, 2).H)
+
+
+def test_one_wrongly_oriented_sample_fails_the_stack():
+    taus = [np.array(t) for t in bundled_taus("pair_istar_x_ivstar")]
+    taus[2][3], taus[3][3] = taus[3][3], taus[2][3]       # sample 3: Im Z < 0
+    with pytest.raises(NotPositive, match="Im Z is not positive definite at sample 3 "):
+        siegel_normalize(product_family(taus))
+    taus[0][4], taus[1][4] = taus[1][4], taus[0][4]       # and sample 4: the first is named
+    with pytest.raises(NotPositive, match="at sample 3 "):
+        hermitian_h(product_family(taus))
+
+
+def test_one_singular_sample_fails_the_stack():
+    taus = [np.array(t) for t in bundled_taus("pair_iistar_x_iiistar")]
+    taus[0][1] = 0.0                                        # sample 1: R is singular
+    with pytest.raises(NotPositive, match="TS is singular at sample 1"):
+        hermitian_h(product_family(taus))
+
+
+def test_routes_to_h_inverse_agree_at_each_sample_scale():
+    # sample 0 breaks the Riemann relation by 1e-10 (an entry off the block
+    # diagonal), inside the 1e-9 bound on the asymmetry of Z; its two routes
+    # to H^{-1} then disagree far beyond 1e-12 at its own scale |H^{-1}| ~ 1.
+    # Sample 1 is a valid lattice 1e3 times larger, |H^{-1}| ~ 1e6: at the
+    # scale of the whole batch, sample 0 would pass.
+    T = np.array([[1.0, 0.4 + 1.1j, 0, 0], [0, 0, 0.8 - 0.2j, 0.1 + 0.9j]])
+    bent = T.copy()
+    bent[0, 2] = 1e-10
+    fam = PolarizedFamily(T=np.stack([bent, 1e3 * T]), Q=block_q(), m=2)
+    with pytest.raises(NotPositive, match="routes to H\\^\\{-1\\} disagree .* at sample 0"):
+        hermitian_h(fam)
+    hermitian_h(PolarizedFamily(T=1e3 * T, Q=block_q(), m=2))

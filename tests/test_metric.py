@@ -168,6 +168,38 @@ def test_christoffel_general_agrees_with_closed(seed):
             assert max(abs(a - b) for a, b in zip(g1, g2)) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("model", [
+    fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar)),
+    fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.IVstar)),
+    isotrivial_case13(),
+    local_model(FiberType(FK.I, b=2)),           # a constant period in the batch
+    local_model(FiberType(FK.Istar, b=1))],
+    ids=["IIstar_x_IIIstar", "Istar1_x_IVstar", "case13", "I2", "Istar1"])
+def test_stacked_christoffel_general_equals_scalar_calls(model):
+    from semiflat.scenario import sample_points
+    pt, v = sample_points(model, SplitMix64(5), 8)
+    tau, dtz = periods_at(model, pt)
+    stacked = christoffel_general(tau, dtz, v)
+    assert len(stacked) == model.m and all(g.shape == (8,) for g in stacked)
+
+    def at(xs, i):
+        return tuple(complex(np.broadcast_to(x, (8,))[i]) for x in xs)
+
+    for i in range(8):
+        one = christoffel_general(at(tau, i), at(dtz, i), at(v, i))
+        scale = max(1.0, max(abs(g) for g in one))
+        # per sample, relative to that sample (equal bit for bit where measured)
+        assert max(abs(g[i] - g1) for g, g1 in zip(stacked, one)) <= 1e-14 * scale
+
+
+def test_a_singular_sample_fails_the_stacked_solve():
+    # samples 1 and 3 are numerically singular; the first is named
+    tau = (np.ones(4, dtype=complex), np.array([1j, 1.0 + 1e-14j, 0.5 + 1j, 2.0 + 1e-15j]))
+    v = (np.full(4, 0.1 + 0.1j),)
+    with pytest.raises(SingularPeriods, match="singular at sample 1$"):
+        christoffel_general(tau, (0j, 0j), v)
+
+
 def test_ma_residual_all_models():
     rng = SplitMix64(42)
     vf = VolumeFormSpec(k0=0.8 + 0.3j)
