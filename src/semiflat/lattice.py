@@ -23,6 +23,7 @@ matrix fails it, naming its sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,10 +116,18 @@ def standard_symplectic(m: int) -> np.ndarray:
 
 
 def _symplectic_basis(Q: np.ndarray, m: int) -> np.ndarray:
-    """S with S^t Q S the standard symplectic form, by a symplectic
-    Gram-Schmidt over the reals with largest-pivot selection (ties broken
-    by lowest index)."""
+    """S with S^t Q S the standard symplectic form, built and checked once
+    for each of the last 8 (Q, m), keyed on Q's bits; S is read-only."""
+    return _symplectic_basis_of(np.ascontiguousarray(Q, dtype=float).tobytes(), m)
+
+
+@lru_cache(maxsize=8)
+def _symplectic_basis_of(q: bytes, m: int) -> np.ndarray:
+    """S for the 2m x 2m form with bytes q, by a symplectic Gram-Schmidt
+    over the reals with largest-pivot selection (ties broken by lowest
+    index).  A Q that fails raises on every call: errors are not cached."""
     n = 2 * m
+    Q = np.frombuffer(q).reshape(n, n)
     cand = [np.eye(n)[:, i] for i in range(n)]
     es: list[np.ndarray] = []
     fs: list[np.ndarray] = []
@@ -143,13 +152,14 @@ def _symplectic_basis(Q: np.ndarray, m: int) -> np.ndarray:
     S = np.column_stack(es + fs)
     if _maxabs(S.T @ Q @ S - standard_symplectic(m)) > STD_TOL:
         raise SingularPolarization("S^t Q S does not reach the standard symplectic form")
+    S.flags.writeable = False
     return S
 
 
 def siegel_normalize(fam: PolarizedFamily) -> SiegelData:
     """Bring (T, Q) to Siegel normal form, for each matrix of a stack.
 
-    S depends on Q alone, so it is built once; its largest-pivot choice
+    S depends on Q alone, so it is built once per Q; its largest-pivot choice
     makes the result reproducible across runs and platforms.  Raises
     NotPositive when Im Z fails to be symmetric positive definite, which
     signals a non-Kahler polarization or a wrongly oriented basis.

@@ -303,14 +303,16 @@ def _christoffel(periods, imp: Sequence[float], v: Sequence[complex]) -> list[co
     return gamma
 
 
-def christoffel_closed(model: Model, pt: PuncturedPoint,
-                       v: Sequence[complex]) -> tuple[complex, ...]:
+def christoffel_closed(model: Model, pt: PuncturedPoint, v: Sequence[complex],
+                       periods=None) -> tuple[complex, ...]:
     """Closed-form Christoffel symbols of the flat lattice connection.
 
     Gamma^j = [Im(conj(tau_1) v_j) tau_2' - Im(conj(tau_2) v_j) tau_1'] /
-    Im(conj(tau_1) tau_2), per fiber factor.
+    Im(conj(tau_1) tau_2), per fiber factor.  `periods` is periods_at(model,
+    pt), computed here unless the caller already has it.
     """
-    periods = periods_at(model, pt)
+    if periods is None:
+        periods = periods_at(model, pt)
     return tuple(_christoffel(periods, _fiber_terms(model, pt, periods)[1], v))
 
 
@@ -418,12 +420,29 @@ def elliptic_metric_at(model: LocalModel, eps: float, vf: VolumeFormSpec,
     return metric_at(model, eps, vf, pt, (v,))
 
 
+def laplace_det(h) -> complex:
+    """det h of a 2 x 2 or 3 x 3 matrix (an ndarray or nested lists) by
+    cofactor (Laplace) expansion along the first row, on Python numbers.
+    Raises ValueError for any other size: a fiber has m = 1 or 2."""
+    if isinstance(h, np.ndarray):
+        h = h.tolist()
+    if len(h) == 2:
+        (a, b), (c, d) = h
+        return a * d - b * c
+    if len(h) == 3:
+        (a, b, c), (d, e, f), (g, i, j) = h
+        return a * (e * j - f * i) - b * (d * j - f * g) + c * (d * i - e * g)
+    raise ValueError(f"need a 2 x 2 or 3 x 3 matrix, got {np.shape(h)}")
+
+
 def ma_residual(sample: MetricSample) -> float:
     """Relative residual of the Monge-Ampere determinant identity.
 
     Returns |det(h) - |g_eff|^2| / |g_eff|^2; zero means the Calabi-Yau
-    identity holds exactly at this point.
+    identity holds exactly at this point.  det h is `laplace_det` of the
+    one (m+1) x (m+1) matrix of the sample, which may be an ndarray or
+    nested lists.
     """
-    det = np.linalg.det(sample.h).real
-    target = abs(sample.omega_coeff) ** 2
-    return abs(det - target) / target
+    g = abs(sample.omega_coeff)
+    target = g * g
+    return abs(laplace_det(sample.h).real - target) / target

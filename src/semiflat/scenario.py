@@ -391,9 +391,11 @@ def _check_ma(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     n = int(ctx.cfg.get("samples", 100))
     pt, v = sample_points(ctx.model, rng, n)
     batch = metric_at(ctx.model, ctx.eps, ctx.vf, pt, v)
-    # the oracle stays per point: one LU determinant per sample, whatever
-    # assembled the stack
-    worst = max(ma_residual(MetricSample(h, g)) for h, g in zip(batch.h, batch.omega_coeff))
+    # the oracle stays per point: one cofactor determinant per sample, on
+    # Python numbers, whatever assembled the stack.  Each matrix becomes
+    # lists only inside its own call: a whole batch as lists keeps 4 000
+    # lists alive at once, and the collector then runs several times per check
+    worst = max(map(ma_residual, map(MetricSample, batch.h, batch.omega_coeff.tolist())))
     return CheckResult(name="ma", info={"samples": n}, conditions={
         "max_residual": Condition("within", worst, 0.0, 1e-10 * tol_scale,
                                   "DERIVED: determinant identity oracle")})
@@ -663,9 +665,9 @@ def _check_fiber_volume(ctx: Context, rng: SplitMix64, tol_scale: float) -> Chec
 def _check_christoffel(ctx: Context, rng: SplitMix64, tol_scale: float) -> CheckResult:
     model = ctx.model
     pt, v = sample_points(model, rng, 8)
-    tau, dtz = periods_at(model, pt)
-    g1 = np.stack(christoffel_closed(model, pt, v))
-    g2 = np.stack(christoffel_general(tau, dtz, v))
+    periods = periods_at(model, pt)
+    g1 = np.stack(christoffel_closed(model, pt, v, periods))
+    g2 = np.stack(christoffel_general(*periods, v))
     # each sample's disagreement at its own scale
     scale = np.maximum(1.0, np.abs(g1).max(axis=0))
     worst = float(np.max(np.abs(g1 - g2).max(axis=0) / scale))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from semiflat.asymptotics import to_chart
-from semiflat.diffgeo import (FDScheme, chern_curvature_norm, closedness_residual,
-                              first_partial, positivity, ricci_scalar_residual,
-                              richardson, second_partial, wirtinger_second)
+from semiflat.diffgeo import (ChernStencil, FDScheme, chern_curvature_norm,
+                              closedness_residual, distinct_points, first_partial, positivity,
+                              ricci_scalar_residual, richardson, second_partial,
+                              wirtinger_second)
 from semiflat.eguchi_hanson import EHConfig, eh_metric
 from semiflat.errors import StepTooSmall
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
@@ -197,6 +198,31 @@ def test_chern_norm_evaluates_each_point_once():
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
     chern_curvature_norm(ehf, x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0))
     assert len(calls) == 1 and calls[0] <= 145
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chern_stencil_lists_each_point_once(n):
+    # the layout merges every repeat symbolically: no two rows of `points`
+    # have the same bytes, for any x and scales
+    rng = np.random.default_rng(19 * n)
+    for _ in range(20):
+        x = rng.normal(size=2 * n) * 10 ** rng.uniform(-2, 2, 2 * n)
+        scales = 10 ** rng.uniform(-3, 3, n)
+        step = FDScheme(step=10 ** rng.uniform(-6, -2))
+        points = ChernStencil(x, step, scales).points
+        assert len(distinct_points(points)[0]) == len(points)
+    assert len(points) == {1: 17, 2: 65, 3: 145}[n]
+
+
+def test_diagonal_second_partials_take_the_first_partial_step():
+    # the pointwise formulas take the step h sqrt(s_k s_k) for the pair
+    # (k, k), and sqrt(s * s) is s to the last bit while s * s is normal,
+    # so the stencil reads the first-partial step h s_k there
+    s = 10 ** np.random.default_rng(19).uniform(-100, 100, 100_000)
+    assert np.array_equal(np.sqrt(s * s), s)
+    for scale in (0.0, -1.0, 1e-160, 1e160, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            ChernStencil(np.zeros(4), FDScheme(), (1.0, scale))
 
 
 def _pointwise_chern_norm(field, x, scheme, scales):

@@ -8,8 +8,8 @@ import pytest
 
 from semiflat.cli import bundled_path
 from semiflat.errors import NotPositive, SingularPolarization
-from semiflat.lattice import (HermitianForm, PolarizedFamily, hermitian_h, product_family,
-                              scaled_h, siegel_normalize)
+from semiflat.lattice import (HermitianForm, PolarizedFamily, _symplectic_basis, hermitian_h,
+                              product_family, scaled_h, siegel_normalize, standard_symplectic)
 from semiflat.rng import SplitMix64
 from semiflat.scenario import build_context, sample_points, validate_scenario
 
@@ -156,6 +156,21 @@ def test_singular_polarization_rejected():
     with pytest.raises(SingularPolarization):
         PolarizedFamily(T=np.array([[1.0, 1j]]),
                         Q=np.array([[0.0, 1.0], [1.0, 0.0]]), m=1)
+
+
+def test_symplectic_basis_is_built_once_per_q_and_read_only():
+    # product_family's Q never changes: its S is built and checked once
+    S = siegel_normalize(product_family((1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j))).S
+    assert _symplectic_basis(block_q(), 2) is S
+    assert np.max(np.abs(S.T @ block_q() @ S - standard_symplectic(2))) < 1e-12
+    with pytest.raises(ValueError):
+        S[0, 0] = 2.0
+    # a Q that fails is not cached: its S^t Q S check raises on every call
+    for Q, why in ((np.array([[0.0, 1.0], [1.0, 0.0]]), "standard symplectic"),
+                   (np.zeros((2, 2)), "pivots")):
+        for _ in range(2):
+            with pytest.raises(SingularPolarization, match=why):
+                _symplectic_basis(Q, 1)
 
 
 def test_not_positive_for_wrong_orientation():

@@ -12,8 +12,9 @@ from semiflat.kodaira import (FiberKind, FiberType, LocalModel, ProductModel,
                               PuncturedPoint, fiber_product, finite_kinds,
                               isotrivial_case13, local_model)
 from semiflat.lattice import hermitian_h, product_family, scaled_h
-from semiflat.metric import (VolumeFormSpec, _fiber_terms, christoffel_closed, christoffel_general, elliptic_metric_at,
-                             ma_residual, metric_at, periods_at)
+from semiflat.metric import (MetricSample, VolumeFormSpec, _fiber_terms, christoffel_closed,
+                             christoffel_general, elliptic_metric_at, laplace_det, ma_residual,
+                             metric_at, periods_at)
 from semiflat.rng import SplitMix64
 
 FK = FiberKind
@@ -214,6 +215,73 @@ def test_ma_residual_all_models():
             assert ma_residual(elliptic_metric_at(lm, 0.9, vf, pt, v[0])) < 1e-10
 
 
+# |laplace_det - LU det| / |det|: n! products of n entries each, so about
+# n! * cond(h) * 2^-53 for the cofactor sum, and the LU's own error is of
+# that order; 1e-13 holds that for condition numbers up to 100
+DET_REL = 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_laplace_det_is_the_lu_det_on_hermitian_positive_matrices(n):
+    # random Hermitian positive-definite matrices, eigenvalues 0.1 ... 10
+    rng = np.random.default_rng(19 + n)
+    for _ in range(500):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        h = (q * 10 ** rng.uniform(-1, 1, n)) @ q.conj().T
+        h = 0.5 * (h + h.conj().T)
+        lu = np.linalg.det(h)
+        assert abs(laplace_det(h) - lu) <= DET_REL * abs(lu)
+
+
+def test_laplace_det_is_the_lu_det_on_metric_samples():
+    rng = SplitMix64(19)
+    vf = VolumeFormSpec(k0=0.8 + 0.3j)
+    models = (all_product_pairs() + [isotrivial_case13()]
+              + [local_model(FiberType(kind)) for kind in finite_kinds()])
+    for model in models:
+        for _ in range(5):
+            h = metric_at(model, 1.3, vf, *sample(model, rng)).h
+            lu = np.linalg.det(h)
+            assert abs(laplace_det(h) - lu) <= DET_REL * abs(lu)
+
+
+def test_ma_residual_reads_an_array_or_nested_lists():
+    rng = SplitMix64(7)
+    vf = VolumeFormSpec(k0=1.2)
+    for model in (fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar)),
+                  local_model(FiberType(FK.IV))):
+        s = metric_at(model, 0.9, vf, *sample(model, rng))
+        listed = MetricSample(s.h.tolist(), complex(s.omega_coeff))
+        assert ma_residual(listed) == ma_residual(s)
+    # the oracle expands 2 x 2 and 3 x 3 matrices only: no fiber has m > 2
+    for bad in (np.eye(1), np.eye(4), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            ma_residual(MetricSample(bad, 1.0))
+
+
+def test_christoffel_check_evaluates_its_periods_once(monkeypatch):
+    # the check hands its periods to christoffel_closed, which then makes
+    # no periods_at call of its own; the closed form is the same either way
+    from semiflat import metric, scenario
+    ctx = scenario.build_context(scenario.validate_scenario(
+        {"name": "x", "checks": ["christoffel"], "model_kind": "pair",
+         "left": "IIstar", "right": "IIIstar"}))
+    pt, v = scenario.sample_points(ctx.model, SplitMix64(3), 8)
+    periods = periods_at(ctx.model, pt)
+    assert np.array_equal(christoffel_closed(ctx.model, pt, v, periods),
+                          christoffel_closed(ctx.model, pt, v))
+    calls = []
+
+    def counted(model, pt):
+        calls.append(pt)
+        return periods_at(model, pt)
+
+    monkeypatch.setattr(metric, "periods_at", counted)
+    monkeypatch.setattr(scenario, "periods_at", counted)
+    assert scenario._check_christoffel(ctx, SplitMix64(3), 1.0).passed
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("cfg", [
     {"model_kind": "elliptic", "fiber": "IV"},
     {"model_kind": "pair", "left": "IIstar", "right": "IIIstar"},
@@ -252,7 +320,7 @@ def test_ma_check_calls_the_oracle_once_per_sample(monkeypatch, cfg):
     shapes = []
 
     def counted(sample):
-        shapes.append(sample.h.shape)
+        shapes.append(np.shape(sample.h))
         return ma_residual(sample)
 
     monkeypatch.setattr(scenario, "ma_residual", counted)
