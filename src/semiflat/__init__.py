@@ -15,7 +15,7 @@ e.g. ``from semiflat.metric import metric_at``:
     metric          semi-flat metric assembly, periods, Christoffel symbols,
                     Monge-Ampere residual
     diffgeo         finite differences: closedness, Chern curvature,
-                    Ricci flatness, positivity
+                    Ricci flatness
     asymptotics     charts at infinity, decay fits, radial profiles,
                     volume growth, SOB clauses, tangent cones
     eguchi_hanson   EH potential/metric, smooth cutoff, gluing report

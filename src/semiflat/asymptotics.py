@@ -28,9 +28,8 @@ do, so each matrix has the same bits in every batch.  A call has a fixed
 cost of about half a millisecond, so each fit makes few: the error fit one
 for all its radii and fiber points, the tangent cone one for its four
 scales, and the curvature fit one per batch of up to `_RADII_PER_BATCH`
-radii, both stencils of each.  `AsymptoticChart.field_on` holds such a
-batch as a stacked field: each Chern norm reads all its stencil rows from
-it in one lookup of their bytes among the batch's sorted row keys.  The
+radii, the points of both stencils of each concatenated, repeats kept.
+Each Chern norm of the batch reads its own stencil's slice of it.  The
 curvature fit reproduces only bit for bit (docs/decisions.md).
 
 Radial geometry of the star-like models is handled entirely in
@@ -55,8 +54,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diffgeo import (FDScheme, Field, chern_curvature_norm, chern_stencil, distinct_points,
-                      row_keys)
+from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm
 from .errors import FitRejected, NoConvergence, Unsupported
 from .kodaira import (ProductModel, PuncturedPoint, array_namespace, classify_asymptotics,
                       correction_exponent)
@@ -172,8 +170,9 @@ class AsymptoticChart:
                  b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (N, 3, 3) stacks of h in the (z, v1, v2) coframe and of the
         Jacobian d(z, v1, v2)/d(alpha, beta1, beta2) at the points."""
-        distinct, index = distinct_points(np.stack([alphas.real, alphas.imag], axis=-1))
-        alpha = ComplexPairs(distinct[:, 0], distinct[:, 1])
+        # chart alphas have no zero part, so equal values have equal bits
+        distinct, index = np.unique(alphas, return_inverse=True)
+        alpha = ComplexPairs(distinct.real, distinct.imag)
         # the terms of alpha alone, once per distinct alpha, then at each point
         pt, *scales = self._alpha_terms(alpha)
         (tau, dt), imp, F, _, B = base_terms(self.model, self.eps, self.vf, pt)
@@ -189,28 +188,6 @@ class AsymptoticChart:
                    index.shape)
         J = filled((dz, 0, 0, dc1 * b1, c1, 0, dc2 * b2, 0, c2), index.shape)
         return h.reshape(-1, 3, 3), J.reshape(-1, 3, 3)
-
-    def field_on(self, points: np.ndarray) -> Field:
-        """A field that looks up pulled_h at `points` (rows of the 6 real
-        coordinates of (alpha, beta1, beta2)).  The distinct rows are
-        evaluated as one batch and their keys (`diffgeo.row_keys`) sorted
-        once; the field finds all the rows it is given with one binary
-        search and checks that each found key has the row's bytes, so -0.0
-        is not 0.0.  A row outside `points` raises KeyError."""
-        keys, first = np.unique(row_keys(points), return_index=True)
-        z = np.ascontiguousarray(points, dtype=float)[first].view(complex)
-        h = self.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
-
-        def field(x: np.ndarray) -> np.ndarray:
-            want = row_keys(x)
-            at = np.minimum(keys.searchsorted(want), len(keys) - 1)
-            outside = np.flatnonzero(keys[at] != want)
-            if outside.size:
-                raise KeyError(f"{outside.size} of {len(want)} rows lie outside the batch, "
-                               f"the first {np.asarray(x)[outside[0]].tolist()}")
-            return h[at]
-
-        return field
 
 
 def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChart:
@@ -322,21 +299,27 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
 
 # the most radii whose stencils one pulled_h call of the curvature fit
 # evaluates.  A call costs about 0.6 ms before its first point, more than
-# one radius (217 points, 37 distinct alphas) saves on it; a 13-radius fit
-# in one call allocates 2.2 MB at its peak (tracemalloc), against 1.3 MB in
-# calls of up to 7 radii and 0.4 MB in calls of one.  diffgeo's stencil
-# cache holds both stencils of this many radii.
+# one radius (290 points, 37 distinct alphas) saves on it; a 13-radius fit
+# in one call allocates 2.2 MB at its peak (tracemalloc), against 1.2 MB in
+# calls of up to 7 radii and 0.2 MB in calls of one.
 _RADII_PER_BATCH = 7
 
 
 def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[FDScheme],
                  ) -> list[list[float]]:
     """The Chern norm at each step of each radius (x, scales) of `at`, all
-    read from one pulled_h batch."""
-    # the h/2 stencil points of the step-h norm are the h points of the
-    # step-h/2 norm: one batch holds both stencils of every radius
-    field = chart.field_on(np.concatenate([chern_stencil(x, scheme, scales).points
-                                           for x, scales in at for scheme in steps]))
+    read from one pulled_h batch of every stencil's points.  Each norm's
+    field returns its own stencil's slice of the batch, found by the bytes
+    of the stencil's points; other rows raise KeyError."""
+    stencils = [ChernStencil(x, scheme, scales) for x, scales in at for scheme in steps]
+    z = np.concatenate([s.points for s in stencils]).view(complex)
+    h = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
+    ends = np.cumsum([len(s.points) for s in stencils])[:-1]
+    rows = {s.points.tobytes(): hs for s, hs in zip(stencils, np.split(h, ends))}
+
+    def field(points: np.ndarray) -> np.ndarray:
+        return rows[points.tobytes()]
+
     return [[chern_curvature_norm(field, x, scheme, scales) for scheme in steps]
             for x, scales in at]
 

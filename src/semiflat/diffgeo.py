@@ -1,4 +1,4 @@
-"""Finite-difference checks: closedness, Chern curvature, Ricci flatness, positivity.
+"""Finite-difference checks: closedness, Chern curvature, Ricci flatness.
 
 All differentiation happens in real coordinates (Re/Im of each complex
 coordinate) with central second-order stencils; Wirtinger combinations are
@@ -32,11 +32,12 @@ the same partials, the mixed partial (i, j) repeats (j, i), and the pure
 second partial (i, i) of a diagonal pair (k, k) takes the rows x + e,
 x - e of the first partial along i, because its step h sqrt(s_k s_k) is
 the first-partial step h s_k to the last bit (`ChernStencil`).  A caller
-can then evaluate the stencils of many norms in one batch
-(`chern_stencil`).  Both checks form every point with the float
-operations of the pointwise formulas and every difference from the
-stacked values in their operation order: a check's value does not
-depend, to the last bit, on which way its field was evaluated.
+that evaluates the stencils of many norms in one batch builds each
+`ChernStencil` to list its points, and hands each norm a field that
+returns its stencil's slice of the batch.  Both checks form every point
+with the float operations of the pointwise formulas and every difference
+from the stacked values in their operation order: a check's value does
+not depend, to the last bit, on which way its field was evaluated.
 """
 
 from __future__ import annotations
@@ -228,26 +229,6 @@ def _chern_layout(n: int) -> SimpleNamespace:
     return layout
 
 
-def row_keys(points: np.ndarray) -> np.ndarray:
-    """Each row of a (P, K) float array as one scalar of its K * 8 bytes:
-    keys compare, sort and search as the rows' bytes, so 0.0 and -0.0
-    differ."""
-    points = np.ascontiguousarray(points, dtype=float)
-    return points.view(np.dtype((np.void, points.shape[1] * points.itemsize))).ravel()
-
-
-def distinct_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of `points`, in order of first appearance, and the
-    index of each row among them.  Rows are compared by their bytes
-    (`row_keys`)."""
-    points = np.ascontiguousarray(points, dtype=float)
-    _, first, index = np.unique(row_keys(points), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return points[first[order]], rank[index]
-
-
 class ChernStencil:
     """The stencil of one Chern-curvature norm at x, each point listed once.
 
@@ -341,32 +322,15 @@ class ChernStencil:
         return float(np.sqrt(np.sum(np.abs(T) ** 2)))
 
 
-# at least both stencils of each radius of a curvature-fit batch
-# (asymptotics._RADII_PER_BATCH), which are listed before the norms read them
-@lru_cache(maxsize=16)
-def _stencil(x: bytes, scheme: FDScheme, scales: bytes | None) -> ChernStencil:
-    return ChernStencil(np.frombuffer(x), scheme,
-                        None if scales is None else np.frombuffer(scales).tolist())
-
-
-def chern_stencil(x: np.ndarray, scheme: FDScheme,
-                  scales: Sequence[float] | None = None) -> ChernStencil:
-    """ChernStencil(x, scheme, scales), built once for each of the last 16
-    (x, scheme, scales), keyed on their bits: a caller that lists the points
-    for one batched evaluation and the norm that then reads them share one
-    build.  Its arrays are read-only."""
-    return _stencil(np.asarray(x, dtype=float).tobytes(), scheme,
-                    None if scales is None else np.asarray(scales, dtype=float).tobytes())
-
-
 def chern_curvature_norm(field: Field, x: np.ndarray, scheme: FDScheme,
                          scales: Sequence[float] | None = None) -> float:
     """Pointwise norm |Rm| of the Chern curvature with respect to the field.
 
-    The field is called once, on the distinct points of the stencil
-    (`chern_stencil`); its matrices are n x n for x in R^{2n}.
+    The field is called once, on the points of the stencil
+    (`ChernStencil(x, scheme, scales).points`, each point once); its
+    matrices are n x n for x in R^{2n}.
     """
-    stencil = chern_stencil(x, scheme, scales)
+    stencil = ChernStencil(x, scheme, scales)
     return stencil.norm(field(stencil.points))
 
 
@@ -390,12 +354,3 @@ def ricci_scalar_residual(field: Field, x: np.ndarray, scheme: FDScheme,
             val = richardson(lambda s: wirtinger_second(logdet, x, a, b, s), h)
             res = max(res, abs(val[0, 0]))
     return res
-
-
-def positivity(h: np.ndarray) -> float:
-    """Smallest eigenvalue via the Hermitian-to-real symmetric embedding."""
-    h = np.asarray(h, dtype=complex)
-    a, b = h.real, h.imag
-    big = np.block([[a, -b], [b, a]])
-    big = 0.5 * (big + big.T)
-    return float(np.linalg.eigvalsh(big).min())

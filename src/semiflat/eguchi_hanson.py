@@ -96,9 +96,9 @@ def _radial_derivatives(cfg: EHConfig, u: float) -> tuple[float, float]:
     """(Phi', Phi'') by central differences of step 1e-5; exact enough for
     eigenvalue signs."""
     h = 1e-5
-    f = glued_potential_u
-    d1 = (f(cfg, u + h) - f(cfg, u - h)) / (2 * h)
-    d2 = (f(cfg, u + h) - 2 * f(cfg, u) + f(cfg, u - h)) / (h * h)
+    up, mid, down = (glued_potential_u(cfg, v) for v in (u + h, u, u - h))
+    d1 = (up - down) / (2 * h)
+    d2 = (up - 2 * mid + down) / (h * h)
     return d1, d2
 
 

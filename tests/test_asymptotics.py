@@ -11,15 +11,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _fit_radii,
-                                  _power_profile, base_profile,
+from semiflat import asymptotics
+from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _batch_norms,
+                                  _fit_radii, _power_profile, base_profile,
                                   cone_limit_coefficient, curvature_decay_fit,
                                   error_decay_fit,
                                   ray_limit_coefficient, sob_check, tangent_cone,
                                   to_chart, volume_growth_fit)
-from semiflat import diffgeo
 from semiflat.cli import bundled_path
-from semiflat.diffgeo import FDScheme, chern_stencil, distinct_points
+from semiflat.diffgeo import ChernStencil, FDScheme
 from semiflat.errors import DegenerateLattice, FitRejected, NoConvergence, Unsupported
 from semiflat.kodaira import FiberKind, FiberType, fiber_product, isotrivial_case13
 from semiflat.metric import ComplexPairs, VolumeFormSpec, base_terms, metric_at
@@ -106,19 +106,29 @@ def python_complex_pulled_h(chart, alpha: complex, b1: complex, b2: complex) -> 
     return J.T @ np.array(h, dtype=complex).reshape(3, 3) @ J.conj()
 
 
+def _distinct_rows(points: np.ndarray) -> np.ndarray:
+    """The rows of `points` with distinct bytes (0.0 is not -0.0), in order
+    of first appearance."""
+    rows = {}
+    for row in points:
+        rows.setdefault(row.tobytes(), row)
+    return np.array(list(rows.values()))
+
+
 @pytest.mark.parametrize("left, right, radius", [(FK.IIstar, FK.IIIstar, 3e3),
                                                  (FK.III, FK.IIIstar, 12.0)],
                          ids=["alg", "alh"])
 def test_batched_pulled_h_is_a_stack_of_scalar_calls(left, right, radius):
-    # one radius batch of the curvature fit (both stencils, each point
-    # once), against the Python complex formula point by point, bit for bit
+    # the points of one radius of the curvature fit (both stencils, each
+    # point once), against the Python complex formula point by point, bit
+    # for bit
     chart = to_chart(fiber_product(FiberType(left), FiberType(right)), 0.9,
                      VolumeFormSpec(k0=1.2))
     (alpha,) = _fit_radii(chart, [radius])
     x = np.array([alpha.real, alpha.imag, 0.3, -0.0, 0.7, 0.45])
     scales = (abs(alpha), 4.0, 4.0)
-    points, _ = distinct_points(np.concatenate(
-        [chern_stencil(x, FDScheme(step=s), scales).points for s in (2e-3, 1e-3)]))
+    points = _distinct_rows(np.concatenate(
+        [ChernStencil(x, FDScheme(step=s), scales).points for s in (2e-3, 1e-3)]))
     z = points.view(complex)
     batch = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
     oracle = np.array([python_complex_pulled_h(chart, *p) for p in z.tolist()])
@@ -128,30 +138,54 @@ def test_batched_pulled_h_is_a_stack_of_scalar_calls(left, right, radius):
     assert np.array_equal(one.view(np.uint64), oracle[0].view(np.uint64))
 
 
-def test_field_on_looks_up_rows_by_their_bytes():
-    # a Chern norm reads its stencil rows from the batch of a whole fit: in
-    # any order and repeated, each row gets its pulled_h matrix bit for bit;
-    # a row the batch does not hold raises, also one that differs from a
-    # batch row only in the sign of a zero
+def _recorded_norms(monkeypatch) -> list:
+    """Patch the curvature fit's Chern norm to record, for each call, its
+    field, its arguments and the points of each call to the field."""
+    norms = []
+    chern_norm = asymptotics.chern_curvature_norm
+
+    def recorded(field, x, scheme, scales):
+        calls = []
+
+        def counted(points):
+            calls.append(points)
+            return field(points)
+
+        norms.append((field, x, scheme, scales, calls))
+        return chern_norm(counted, x, scheme, scales)
+
+    monkeypatch.setattr(asymptotics, "chern_curvature_norm", recorded)
+    return norms
+
+
+def test_each_chern_norm_reads_its_own_stencil_slice(monkeypatch):
+    # the norms of a batch read their stencils' slices of one pulled_h
+    # call: each norm gets its stencil's matrices bit for bit, and its field
+    # raises for any other rows, also for the stencil's rows reordered,
+    # one ulp off, or with the sign of a zero flipped
     chart = to_chart(iistar_iiistar(), 0.9, VolumeFormSpec(k0=1.2))
-    (alpha,) = _fit_radii(chart, [3e3])
-    x = np.array([alpha.real, alpha.imag, 0.3, -0.0, 0.7, 0.45])
-    points = chern_stencil(x, FDScheme(step=2e-3), (abs(alpha), 4.0, 4.0)).points
-    z = points.view(complex)
-    batch = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
-    field = chart.field_on(points)
-    rows = np.random.default_rng(16).integers(0, len(points), 300)
-    assert np.array_equal(field(points[rows]).view(np.uint64), batch[rows].view(np.uint64))
-    assert np.array_equal(field(points).view(np.uint64), batch.view(np.uint64))
-    # the batch holds rows with 0.0 and rows with -0.0 there
-    flips = points[points[:, 3] == 0.0] * [1, 1, 1, -1, 1, 1]
-    held = {p.tobytes() for p in points}
-    flipped = next(q for q in flips if q.tobytes() not in held)
-    assert np.array_equal(flipped, points[(points == flipped).all(axis=1)][0])
-    with pytest.raises(KeyError):
-        field(np.stack([points[0], flipped]))
-    with pytest.raises(KeyError):
-        field(points[:2] + [0.0, 0.0, 0.0, 0.0, 0.0, 1e-3])
+    at = [(np.array([alpha.real, alpha.imag, 0.3, -0.0, 0.7, 0.45]), (abs(alpha), 4.0, 4.0))
+          for alpha in _fit_radii(chart, [3e3, 1e4])]
+    steps = (FDScheme(step=2e-3), FDScheme(step=1e-3))
+    norms = _recorded_norms(monkeypatch)
+    _batch_norms(chart, at, steps)
+    assert len(norms) == 4
+    for field, x, scheme, scales, calls in norms:
+        points = ChernStencil(x, scheme, scales).points
+        (called,) = calls
+        assert called.tobytes() == points.tobytes()
+        z = points.view(complex)
+        alone = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
+        assert np.array_equal(field(points).view(np.uint64), alone.view(np.uint64))
+        one_ulp = points.copy()
+        one_ulp[7, 2] = np.nextafter(one_ulp[7, 2], math.inf)
+        zero = tuple(np.argwhere(points == 0.0)[0])
+        flipped = points.copy()
+        flipped[zero] = -flipped[zero]
+        assert np.array_equal(flipped, points)
+        for other in (points[::-1], points[:2], one_ulp, flipped):
+            with pytest.raises(KeyError):
+                field(other)
 
 
 def test_batched_pulled_h_raises_outside_the_validity_disk():
@@ -247,20 +281,28 @@ def test_curvature_decay_alg():
     assert abs(fit.exponent_or_rate + 20 / 7) < 0.1
 
 
-def test_curvature_decay_shares_points_between_steps(monkeypatch):
-    # the h/2 stencil points of the step norm are the h points of the
-    # step/2 norm: 217 distinct pulled_h points per radius, not 2 x 326
-    points = [0]
+def _recorded_pulled_h(monkeypatch) -> list:
+    """Patch pulled_h to record the alphas of each call."""
+    alphas = []
     pulled_h = AsymptoticChart.pulled_h
 
-    def counted(self, alpha, betas):
-        points[0] += np.size(alpha)
+    def recorded(self, alpha, betas):
+        alphas.append(np.atleast_1d(alpha))
         return pulled_h(self, alpha, betas)
 
-    monkeypatch.setattr(AsymptoticChart, "pulled_h", counted)
+    monkeypatch.setattr(AsymptoticChart, "pulled_h", recorded)
+    return alphas
+
+
+def test_curvature_decay_evaluates_290_rows_over_37_alphas_per_radius(monkeypatch):
+    # both stencils of a radius, 145 points each, repeats kept; pulled_h
+    # computes the terms of alpha alone once for each of the 37 distinct
+    # alphas of a radius: x and its shifts along Re and Im alpha
+    alphas = _recorded_pulled_h(monkeypatch)
     radii = np.geomspace(1e2, 1e5, 13)
     curvature_decay_fit(iistar_iiistar(), 1.0, VF1, radii)
-    assert 145 * len(radii) <= points[0] <= 217 * len(radii)
+    assert sum(len(a) for a in alphas) == 290 * len(radii)
+    assert sum(len(np.unique(a)) for a in alphas) == 37 * len(radii)
 
 
 def _bundled_decay(name: str, seed: int) -> dict:
@@ -335,21 +377,16 @@ def test_fit_alpha_terms_are_the_scalar_alpha_terms(monkeypatch, name):
 
 
 @pytest.mark.parametrize("n_radii", [13, 40])
-def test_curvature_fit_builds_each_stencil_once(monkeypatch, n_radii):
-    # the fit lists both stencils of a batch of radii before the norms read
-    # them; the stencil cache must hold them all
-    builds = [0]
-
-    class Counted(diffgeo.ChernStencil):
-        def __init__(self, *args):
-            builds[0] += 1
-            super().__init__(*args)
-
-    monkeypatch.setattr(diffgeo, "ChernStencil", Counted)
-    diffgeo._stencil.cache_clear()
+def test_curvature_fit_makes_one_pulled_h_call_per_batch(monkeypatch, n_radii):
+    # one pulled_h call per batch of at most 7 radii, as few batches as
+    # that allows; one norm per radius and step, each calling its field once
+    alphas = _recorded_pulled_h(monkeypatch)
+    norms = _recorded_norms(monkeypatch)
     curvature_decay_fit(iistar_iiistar(), 1.0, VF1, np.geomspace(1e2, 1e5, n_radii))
-    diffgeo._stencil.cache_clear()
-    assert builds[0] == 2 * n_radii
+    assert len(alphas) == -(-n_radii // 7)
+    assert all(len(a) <= 7 * 290 for a in alphas)
+    assert len(norms) == 2 * n_radii
+    assert all(len(calls) == 1 for *_, calls in norms)
 
 
 def test_curvature_decay_case13_flat():

@@ -22,7 +22,6 @@ SRC = Path(semiflat.__file__).parent
 # name -> why it stays although nothing in the package names it; each entry
 # must still be unreferenced, so the list cannot outlive its reason
 ALLOWED = {
-    "positivity": "the acceptance gate calls it",
     "finite_kinds": "the acceptance gate calls it",
     "ProductModel.deck_multipliers": "the acceptance gate calls it",
     "elliptic_metric_at": "the acceptance gate calls it",
@@ -239,3 +238,33 @@ def test_every_dataclass_field_is_read():
 
 def test_every_field_allowance_is_needed():
     assert ALLOWED_FIELDS.keys() - _unread_fields() == set()
+
+
+# ---------------------------------------------------------------------------
+# the reasons of the allowances
+# ---------------------------------------------------------------------------
+#
+# A reason that names the code reaching an entry holds only while that code
+# names it: the acceptance gate, or the benchmark tracer (which the package
+# does not import).
+
+CALLERS = {
+    "the acceptance gate": Path(__file__).with_name("test_acceptance.py"),
+    "the benchmark tracer": Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py",
+}
+
+
+def _names_in(path: Path) -> set[str]:
+    return {name for name, _ in _references(ast.parse(path.read_text(encoding="utf-8")))}
+
+
+def test_every_named_caller_names_its_entry():
+    named = {caller: _names_in(path) for caller, path in CALLERS.items()}
+    # the name each entry needs: a definition's or a field's own name, and
+    # the function of a parameter
+    entries = [(key, key.rsplit(".", 1)[-1], reason)
+               for key, reason in (*ALLOWED.items(), *ALLOWED_FIELDS.items())]
+    entries += [(key, key.rsplit(".", 1)[0], reason) for key, reason in ALLOWED_PARAMS.items()]
+    unnamed = {key for key, name, reason in entries for caller in CALLERS
+               if caller in reason and name not in named[caller]}
+    assert unnamed == set()
