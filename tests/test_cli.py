@@ -75,6 +75,10 @@ def test_report_explains_each_verdict(tmp_path, name, seed):
         holds = [_RELATION[c["relation"][k]](_measured(c, k), c["expected"][k],
                                              c["tolerance"][k]) for k in keys]
         assert c["status"] == ("pass" if all(holds) else "fail"), c["name"]
+        if c["name"] == "tangent_cone":
+            # a published constant is named only for the pair it was displayed for
+            shown = cfg["name"] in ("pair_istar_x_istar", "pair_istar_x_ivstar")
+            assert ("published display constant" in c["note"]) == shown, c["note"]
     assert report["passed"] == all(c["status"] == "pass" for c in report["checks"])
 
 

@@ -5,13 +5,14 @@ import io
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from semiflat.cli import bundled_path
-from semiflat.eguchi_hanson import (EHConfig, a_max, cutoff, eh_metric, eh_potential,
-                                    glued_metric_eigenvalues, glued_potential_u,
-                                    gluing_report)
+from semiflat.eguchi_hanson import (EHConfig, _cutoff, a_max, eh_metric, eh_potential,
+                                    glued_metric_eigenvalues, gluing_report,
+                                    sphere_shell_samples)
 from semiflat.errors import OriginSingular
 from semiflat.rng import SplitMix64
 from semiflat.scenario import run_scenario
@@ -78,6 +79,11 @@ def test_z3_invariance():
     z = (0.4 + 0.1j, -0.3 + 0.25j, 0.2 - 0.5j)
     zr = tuple(ZETA3 * c for c in z)
     assert np.max(np.abs(eh_metric(cfg, zr) - eh_metric(cfg, z))) < 1e-12
+    # a (..., 3) stack gives the (..., 3, 3) stack of the single-point matrices
+    stack = eh_metric(cfg, [[z, zr]])
+    assert stack.shape == (1, 2, 3, 3)
+    assert np.array_equal(stack[0, 0], eh_metric(cfg, z))
+    assert np.array_equal(stack[0, 1], eh_metric(cfg, zr))
 
 
 def test_closeness_order_is_cubic():
@@ -98,16 +104,22 @@ def test_closeness_order_is_cubic():
 
 
 def test_glued_potential_regions():
+    # the cutoff and its first two u-derivatives: EH inside, flat outside
     cfg = EHConfig(a=0.1, delta=0.5)
-    assert cutoff(cfg, 0.8) == 1.0
-    assert cutoff(cfg, 1.6) == 0.0
-    assert abs(glued_potential_u(cfg, 0.7) - eh_potential(cfg, 0.7)) < 1e-15
-    assert glued_potential_u(cfg, 1.7) == 1.7
-    u = 1.08                                  # inside the annulus
-    chi = cutoff(cfg, u)
-    assert 0 < chi < 1
-    assert abs(glued_potential_u(cfg, u)
-               - (u + chi * (eh_potential(cfg, u) - u))) < 1e-15
+    inner = np.array([-3.0, 0.2, 0.8, 1.0, np.nextafter(1.0, 2.0), 1.0001])
+    outer = np.array([1.4999, 1.5 - 1e-15, 1.5, 1.6, 1e300])
+    for u, want in ((inner, 1.0), (outer, 0.0)):
+        chi, d1, d2 = _cutoff(cfg, u)
+        assert np.all(chi == want) and np.all(d1 == 0.0) and np.all(d2 == 0.0)
+    u = np.linspace(1.05, 1.45, 25)             # inside the annulus
+    chi, d1, d2 = _cutoff(cfg, u)
+    assert np.all((0 < chi) & (chi < 1)) and np.all(d1 < 0)
+    assert np.all(np.diff(chi) < 0)
+    # at the middle of the annulus chi = 1/2 and chi'' = 0 by symmetry
+    chi, d1, d2 = _cutoff(cfg, 1.25)
+    assert chi == 0.5 and abs(d2) < 1e-12
+    # outside the annulus the glued form is the flat one exactly
+    assert glued_metric_eigenvalues(cfg, 1.7) == (1.0, 1.0)
 
 
 def test_positivity_sweep_and_a_max():
@@ -117,22 +129,42 @@ def test_positivity_sweep_and_a_max():
     assert min(eigs) > 0
 
 
+def _mp_glued_potential(a, delta, u):
+    """Phi_a(u) = u + chi (f_a(u) - u) in mpmath, from the definitions alone."""
+    t = (u - 1) / delta
+    chi = 1 if t <= 0 else 0 if t >= 1 else 1 / (1 + mp.exp(1 / (1 - t) - 1 / t))
+    y = mp.cbrt(1 + (u / a) ** 3)
+    zeta = mp.exp(2j * mp.pi / 3)
+    f = mp.cbrt(a ** 3 + u ** 3) + a / 3 * sum(zeta ** j * mp.log(y - zeta ** j)
+                                              for j in range(3)).real
+    return u + chi * (f - u)
+
+
 def test_radial_derivative_closed_forms():
-    cfg = EHConfig(a=0.23)
-    u = 0.9
-    # f' = (1 + a^3/u^3)^(1/3), the conformal factor of eh_metric, and its derivative
-    phi = (1.0 + (cfg.a / u) ** 3) ** (1.0 / 3.0)
-    dphi = (u * (cfg.a ** 3 + u ** 3) ** (-2.0 / 3.0)
-            - (cfg.a ** 3 + u ** 3) ** (1.0 / 3.0) / u ** 2)
-    h = 1e-6
-    fd1 = (eh_potential(cfg, u + h) - eh_potential(cfg, u - h)) / (2 * h)
-    assert abs(fd1 - phi) < 1e-9
-    fd2 = (eh_potential(cfg, u + h) - 2 * eh_potential(cfg, u)
-           + eh_potential(cfg, u - h)) / h ** 2
-    assert abs(fd2 - dphi) < 1e-4
+    # the closed-form (Phi', Phi' + u Phi'') against 40-digit mpmath
+    # derivatives of Phi, on both sides of the annulus, at its edges and inside
+    for a, delta in ((0.05, 1.0), (0.3, 0.5), (0.9, 1.0), (1.5, 0.25)):
+        us = np.array([0.5, 0.9, 1.0, 1.0 + 1e-3 * delta, 1.0 + 0.1 * delta,
+                       1.0 + 0.5 * delta, 1.0 + 0.9 * delta, 1.0 + delta - 1e-3 * delta,
+                       1.0 + delta, 2.6])
+        e1, e2 = glued_metric_eigenvalues(EHConfig(a=a, delta=delta), us)
+        with mp.workdps(40):
+            for u, got1, got2 in zip(us, e1, e2):
+                u = mp.mpf(float(u))
+                p1, p2 = (mp.diff(lambda x: _mp_glued_potential(mp.mpf(a), mp.mpf(delta), x),
+                                  u, k) for k in (1, 2))
+                assert abs(got1 - p1) < 1e-10
+                assert abs(got2 - (p1 + u * p2)) < 1e-10
 
 
 def test_gluing_report_keys():
+    # the shell samples draw as 7 uniform() calls per point did
+    rng, ref = SplitMix64(2024), []
+    for _ in range(24):
+        v = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)])
+        ref.append(v * math.sqrt(rng.uniform(0.5, 2.5)) / np.linalg.norm(v))
+    z = sphere_shell_samples(SplitMix64(2024), 24, 0.5, 2.5)
+    assert np.max(np.abs(z - np.array(ref))) < 1e-15
     rep = gluing_report(EHConfig(a=0.05, delta=1.0))
     assert rep["min_eigenvalue"] > 0
     assert rep["max_det_residual_inside"] < 1e-10
