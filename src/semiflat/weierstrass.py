@@ -12,8 +12,10 @@ Laurent tail
 so doubling the cut radius moves the value at the 1e-13 level already for
 modest R.  G_4 and G_6 come from the model's own q-series through the
 normalization bridge fixed by matching the cubic (see below); G_8, G_10
-follow from the classical recursion.  Argument reduction into the
-fundamental cell uses a Gauss-reduced basis.
+follow from the classical recursion.  The box terms (the points, 1/lam^2
+at each and the tail sums S_p) are computed once per lattice and cached;
+each evaluation of wp or wp' is then one pass over d = 1/(v - lam).
+Argument reduction into the fundamental cell uses a Gauss-reduced basis.
 
 Normalization bridge (fixed by matching the Kodaira cubic
 Y^2 = 4X^3 + X^2 - g2 X - g3 under X = -1/12 - wp/(4 pi^2),
@@ -146,7 +148,9 @@ def reduce_argument(v: complex, w1: complex, w2: complex) -> complex:
 
 
 @lru_cache(maxsize=256)
-def _box(w1: complex, w2: complex, radius: float) -> tuple:
+def _box(w1: complex, w2: complex, radius: float, G4: complex, G6: complex) -> tuple:
+    """The lattice points with 0 < |lam| <= radius, 1/lam^2 at each, and the
+    tail sums (S_4, S_6, S_8, S_10), G_8 and G_10 from the recursion."""
     b1, b2 = gauss_reduce(w1, w2)
     n1 = int(radius / abs(b1)) + 2
     n2 = int(radius / abs(b2)) + 2
@@ -157,45 +161,44 @@ def _box(w1: complex, w2: complex, radius: float) -> tuple:
     il2 = 1.0 / lam ** 2
     il4 = il2 * il2
     il6 = il4 * il2
-    s = {2: il2.sum(), 4: il4.sum(), 6: il6.sum(),
-         8: (il6 * il2).sum(), 10: (il6 * il4).sum()}
-    return lam, s
-
-
-def _tail_sums(w1: complex, w2: complex, radius: float,
-               G4: complex, G6: complex) -> dict[int, complex]:
-    _, s = _box(w1, w2, radius)
     G8 = (3.0 / 7.0) * G4 * G4
     G10 = (5.0 / 11.0) * G4 * G6
-    return {4: G4 - s[4], 6: G6 - s[6], 8: G8 - s[8], 10: G10 - s[10]}
+    S = (G4 - il4.sum(), G6 - il6.sum(), G8 - (il6 * il2).sum(), G10 - (il6 * il4).sum())
+    return lam, il2, S
+
+
+def _lattice_pass(v: complex, w1: complex, w2: complex, G4: complex, G6: complex,
+                  radius: float) -> tuple:
+    """d = 1/(v - lam) over the box, with the box's 1/lam^2 and tail sums; v as given."""
+    if abs(v) < _POLE_TOL:
+        raise PolePoint(f"v is within {_POLE_TOL:g} of a lattice point")
+    lam, il2, S = _box(w1, w2, radius, G4, G6)
+    return 1.0 / (v - lam), il2, S
+
+
+def _wp(v: complex, w1: complex, w2: complex, G4: complex, G6: complex,
+        radius: float = _RADIUS) -> complex:
+    """wp at v as given, without argument reduction."""
+    d, il2, (S4, S6, S8, S10) = _lattice_pass(v, w1, w2, G4, G6, radius)
+    core = 1.0 / v ** 2 + np.sum(d * d - il2)
+    tail = 3 * v ** 2 * S4 + 5 * v ** 4 * S6 + 7 * v ** 6 * S8 + 9 * v ** 8 * S10
+    return complex(core + tail)
 
 
 def wp_lattice(v: complex, w1: complex, w2: complex, G4: complex, G6: complex,
-               radius: float = _RADIUS, reduce_v: bool = True) -> complex:
+               radius: float = _RADIUS) -> complex:
     """wp(v | Z w1 + Z w2) by tail-corrected direct summation over |lam| <= radius."""
-    if reduce_v:
-        v = reduce_argument(v, w1, w2)
-    if abs(v) < _POLE_TOL:
-        raise PolePoint(f"v is within {_POLE_TOL:g} of a lattice point")
-    lam, _ = _box(w1, w2, radius)
-    core = 1.0 / v ** 2 + np.sum(1.0 / (v - lam) ** 2 - 1.0 / lam ** 2)
-    S = _tail_sums(w1, w2, radius, G4, G6)
-    tail = 3 * v ** 2 * S[4] + 5 * v ** 4 * S[6] + 7 * v ** 6 * S[8] + 9 * v ** 8 * S[10]
-    return complex(core + tail)
+    return _wp(reduce_argument(v, w1, w2), w1, w2, G4, G6, radius)
 
 
 def wp_prime_lattice(v: complex, w1: complex, w2: complex, G4: complex,
                      G6: complex) -> complex:
     """wp'(v) = -2 sum (v - lam)^{-3} with the analogous tail correction."""
     v = reduce_argument(v, w1, w2)
-    if abs(v) < _POLE_TOL:
-        raise PolePoint(f"v is within {_POLE_TOL:g} of a lattice point")
-    lam, _ = _box(w1, w2, _RADIUS)
-    core = -2.0 / v ** 3 + np.sum(-2.0 / (v - lam) ** 3)
-    S = _tail_sums(w1, w2, _RADIUS, G4, G6)
+    d, _, (S4, S6, S8, S10) = _lattice_pass(v, w1, w2, G4, G6, _RADIUS)
+    core = -2.0 * (1.0 / v ** 3 + np.sum(d * d * d))
     # -2 (v-lam)^{-3} = 2 lam^{-3} sum_j C(j+2, 2) (v/lam)^j; odd S vanish
-    tail = 2 * (3 * v * S[4] + 10 * v ** 3 * S[6] + 21 * v ** 5 * S[8]
-                + 36 * v ** 7 * S[10])
+    tail = 2 * (3 * v * S4 + 10 * v ** 3 * S6 + 21 * v ** 5 * S8 + 36 * v ** 7 * S10)
     return complex(core + tail)
 
 
@@ -208,16 +211,10 @@ def wp_prime(ed: EllipticData, v: complex) -> complex:
     return wp_prime_lattice(v, *ed.lattice)
 
 
-def kodaira_xy(ed: EllipticData, v: complex) -> tuple[complex, complex]:
-    """Affine coordinates of the embedding into the Kodaira cubic."""
+def cubic_residual(ed: EllipticData, v: complex) -> float:
+    """|Y^2 - (4X^3 + X^2 - g2 X - g3)| at the image (X, Y) of v in the Kodaira cubic."""
     x = -1.0 / 12.0 - wp(ed, v) / (4 * math.pi ** 2)
     y = 1j * wp_prime(ed, v) / (8 * math.pi ** 3)
-    return x, y
-
-
-def cubic_residual(ed: EllipticData, v: complex) -> float:
-    """|Y^2 - (4X^3 + X^2 - g2 X - g3)| at the image of v."""
-    x, y = kodaira_xy(ed, v)
     g2, g3 = ed.series
     return abs(y * y - (4 * x ** 3 + x * x - g2 * x - g3))
 
@@ -226,18 +223,20 @@ def volume_pullback_ratio(ed: EllipticData, v: complex) -> complex:
     """(dx/dv) / y divided by 2 pi i; the contract value is 1.
 
     dx/dv is measured by a fourth-order central finite difference of the
-    embedding, of step 3e-4, so the check is independent of the closed form
-    wp' = dx/dv * (-4 pi^2).
+    embedding, so the check is independent of the closed form
+    wp' = dx/dv * (-4 pi^2).  The step is 1e-3 |v_r|, v_r the reduced
+    argument, so it shrinks with the distance to the nearest pole.  The
+    stencil points are not reduced again, so none jumps to another
+    representative of its class.
     """
-    h = 3e-4
-    w1, w2, G4, G6 = ed.lattice
-    vr = reduce_argument(v, w1, w2)
+    vr = reduce_argument(v, *ed.lattice[:2])
     wprime = wp_prime(ed, vr)
     if abs(wprime) < 1e-8:
         raise BranchPoint("wp' vanishes: branch point of the cubic")
+    h = 1e-3 * abs(vr)
 
     def x_of(vv: complex) -> complex:
-        return -1.0 / 12.0 - wp_lattice(vv, w1, w2, G4, G6, reduce_v=False) / (4 * math.pi ** 2)
+        return -1.0 / 12.0 - _wp(vv, *ed.lattice) / (4 * math.pi ** 2)
 
     dxdv = (-x_of(vr + 2 * h) + 8 * x_of(vr + h)
             - 8 * x_of(vr - h) + x_of(vr - 2 * h)) / (12 * h)

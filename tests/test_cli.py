@@ -79,6 +79,8 @@ def test_report_explains_each_verdict(tmp_path, name, seed):
             # a published constant is named only for the pair it was displayed for
             shown = cfg["name"] in ("pair_istar_x_istar", "pair_istar_x_ivstar")
             assert ("published display constant" in c["note"]) == shown, c["note"]
+            (prov,) = c["provenance"].values()
+            assert ("differing published display constant" in prov) == shown, prov
     assert report["passed"] == all(c["status"] == "pass" for c in report["checks"])
 
 

@@ -131,6 +131,11 @@ def bridge_coefficient(mp):
     _wrap(mp, weierstrass, "_bridge", make)
 
 
+def wp_prime_sign_flipped(mp):
+    # Y enters the cubic squared, so only the pullback ratio sees the sign
+    _wrap(mp, weierstrass, "wp_prime", lambda original: lambda ed, v: -original(ed, v))
+
+
 def _note(expected: str):
     def then(result):
         assert result.note == expected
@@ -141,6 +146,11 @@ def _measured(key: str, holds: Callable[[float], bool]):
     def then(result):
         assert holds(result.measured[key]), result.measured[key]
     return then
+
+
+def _ratio_minus_one_cubic_blind(result):
+    assert result.measured["max_cubic_residual"] < 1e-12, result.measured
+    assert abs(result.measured["max_ratio_deviation"] - 2.0) < 1e-8, result.measured
 
 
 @dataclass(frozen=True)
@@ -187,6 +197,8 @@ ROWS = [
     Row("eh_gluing", "eh_gluing", never_positive,
         _note("NotPositive: glued form not positive even for tiny a")),
     Row("weierstrass", "weierstrass_i1", bridge_coefficient),
+    # the ratio reads -1 and the cubic residual stays at rounding level
+    Row("weierstrass", "weierstrass_i1", wp_prime_sign_flipped, _ratio_minus_one_cubic_blind),
 ]
 
 

@@ -1,13 +1,18 @@
 """Weierstrass wp, the Kodaira cubic, and the volume-form pullback."""
 
 import cmath
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from semiflat import weierstrass
+from semiflat.cli import bundled_path
 from semiflat.errors import BranchPoint, NotConvergent, PolePoint
 from semiflat.rng import SplitMix64
+from semiflat.scenario import run_scenario
 from semiflat.weierstrass import (EllipticData, cubic_residual, eisenstein_g4_g6,
                                   g2_series, g3_series, gauss_reduce, reduce_argument,
                                   volume_pullback_ratio, wp, wp_lattice, wp_prime)
@@ -130,6 +135,32 @@ def test_volume_pullback_ratio():
     assert abs(r1 - 1.0) < 1e-8
     r2 = volume_pullback_ratio(ed, 0.52 + 0.17j)
     assert abs(r2 - r1) < 2e-8          # v-independence of the constant form
+    # 0.022 from the pole at 0: a fixed step of 3e-4 misses by 3.9e-7, the
+    # step 1e-3 |v_r| by 1.2e-11
+    assert abs(volume_pullback_ratio(ed, 0.02 + 0.01j) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("b, grid_z, grid_v", [(1, 7, 9), (3, 4, 6)])
+def test_check_passes_on_grids_near_a_pole(b, grid_z, grid_v):
+    # each grid has points within about 0.05 of a lattice point; a fixed
+    # finite-difference step missed the 1e-8 ratio bound on both (3.4e-7, 4.6e-6)
+    cfg = {"name": "near_pole", "model_kind": "weierstrass", "b": b,
+           "grid_z": grid_z, "grid_v": grid_v, "checks": ["weierstrass"]}
+    (result,) = run_scenario(cfg, log=io.StringIO()).results
+    assert result.passed, result.measured
+
+
+def test_check_that_measured_nothing_fails(monkeypatch):
+    # a branch point is an error of the check, not a grid point to skip: a
+    # check whose every ratio raises has measured nothing and must not pass
+    def branch_point(ed, v):
+        raise BranchPoint("wp' vanishes: branch point of the cubic")
+
+    monkeypatch.setattr(weierstrass, "volume_pullback_ratio", branch_point)
+    cfg = json.loads(bundled_path("weierstrass_i1.json").read_text())
+    (result,) = run_scenario(cfg, log=io.StringIO()).results
+    assert not result.passed
+    assert result.note.startswith("BranchPoint:"), result.note
 
 
 def test_b_cover_sublattice_consistency():
