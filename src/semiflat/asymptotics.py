@@ -200,7 +200,7 @@ def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChar
     if cls.kind not in ("ALG", "ALH"):
         raise Unsupported(f"{cls.kind} models have no ALG/ALH chart; they are "
                           "measured through volume growth and cones")
-    nu = getattr(pm, "nu", (1, 1))
+    nu = pm.nu
     i1 = pm.left_model.modulus_limit.imag
     i2 = pm.right_model.modulus_limit.imag
     anchor = abs(vf.k0) * math.sqrt(8.0 * nu[0] * nu[1] * i1 * i2) / eps
@@ -476,7 +476,6 @@ class BaseProfile:
     `dataclasses.replace` gives a copy that builds its own.
     """
 
-    label: str
     L0: float
     sqrt_g_radial: Callable[[np.ndarray], np.ndarray]
     area_density: Callable[[np.ndarray], np.ndarray]
@@ -512,9 +511,9 @@ class BaseProfile:
         return abs(self.volume(fine.invert(r)) / self.volume(self._table.invert(r)) - 1.0)
 
 
-def _power_profile(label: str, L0: float, eps: float, cr: float, m: float,
-                   ca: float, n: float) -> BaseProfile:
-    return BaseProfile(label=label, L0=L0, sqrt_g_radial=lambda L: cr * L ** m,
+def _power_profile(L0: float, eps: float, cr: float, m: float, ca: float,
+                   n: float) -> BaseProfile:
+    return BaseProfile(L0=L0, sqrt_g_radial=lambda L: cr * L ** m,
                        area_density=lambda L: ca * L ** n,
                        area=lambda L: ca * L ** (n + 1) / (n + 1), eps=eps,
                        power_law=(cr, m))
@@ -529,7 +528,7 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
         b1, b2 = pm.left.b, pm.right.b
         cr = math.sqrt(2.0 * b1 * b2) * k0 / (math.pi * eps)
         ca = 2.0 * b1 * b2 * k0 ** 2 / (math.pi ** 2 * eps ** 2)
-        return _power_profile(pm.label(), L0, eps, cr, 1, ca, 2)
+        return _power_profile(L0, eps, cr, 1, ca, 2)
     if cls.kind == "ALG_star":
         b = pm.left.b
         i2 = pm.right_model.modulus_limit.imag
@@ -553,8 +552,8 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
             return 2.0 * c2 * (math.exp(e1 * L) * (L / e1 - 1.0 / e1 ** 2)
                                - math.exp(e2 * L) * (L / e2 - 1.0 / e2 ** 2))
 
-        return BaseProfile(label=pm.label(), L0=L0, sqrt_g_radial=sqrtg,
-                           area_density=areaden, area=area, eps=eps)
+        return BaseProfile(L0=L0, sqrt_g_radial=sqrtg, area_density=areaden, area=area,
+                           eps=eps)
     raise Unsupported(f"no radial profile for {cls.kind}")
 
 

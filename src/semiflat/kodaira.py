@@ -156,6 +156,7 @@ class LocalModel:
     modulus_limit: complex       # lim of tau2/tau1 along the cover
 
     m = 1          # fiber complex dimension of an elliptic model
+    nu = (1,)      # lattice volume factor of the one fiber factor
 
     def label(self) -> str:
         return self.fiber.label()
@@ -215,20 +216,23 @@ def _pow_model(t: FiberType) -> LocalModel:
                       deck_tau=deck_tau, modulus_limit=zeta)
 
 
-def _i0star_model(t: FiberType) -> LocalModel:
-    tau0 = 1j          # the square lattice Z + Z i
+def _pure_power_model(t: FiberType, d: int, A: IntMat, e: int, ap: int,
+                      zeta: complex) -> LocalModel:
+    """Periods (s^a, zeta s^a) on the cover z = s^d (I0star and the isotrivial
+    factors); a + e = 0 (mod d), so tau(s)/tau(zeta_d s) is zeta_d^e."""
+    zd = cmath.exp(2j * cmath.pi / d)
 
     def tau(s: complex) -> tuple[complex, complex]:
-        return (s, s * tau0)
+        sa = s ** ap
+        return (sa, zeta * sa)
 
     def dtau_ds(s: complex) -> tuple[complex, complex]:
-        return (1.0 + 0j, tau0)
+        sa1 = s ** (ap - 1)
+        return (ap * sa1, ap * zeta * sa1)
 
-    return LocalModel(fiber=t, d=2, A=((-1, 0), (0, -1)), deck_exponent=1,
-                      coord_power=1, tau=tau, dtau_ds=dtau_ds,
-                      deck_multiplier=lambda s: -1.0 + 0j,
-                      deck_tau=lambda s: (-s, -s * tau0),
-                      modulus_limit=tau0)
+    return LocalModel(fiber=t, d=d, A=A, deck_exponent=e, coord_power=ap,
+                      tau=tau, dtau_ds=dtau_ds, deck_multiplier=lambda s: zd ** e,
+                      deck_tau=lambda s: tau(zd * s), modulus_limit=zeta)
 
 
 def _ib_model(t: FiberType) -> LocalModel:
@@ -321,7 +325,7 @@ def local_model(t: FiberType) -> LocalModel:
     if t.kind in _FINITE_TABLE:
         model = _pow_model(t)
     elif t.kind is FiberKind.I0star:
-        model = _i0star_model(t)
+        model = _pure_power_model(t, 2, ((-1, 0), (0, -1)), 1, 1, 1j)
     elif t.kind is FiberKind.I:
         model = _ib_model(t)
     elif t.kind is FiberKind.Istar:
@@ -357,7 +361,10 @@ class Classification:
 
 @dataclass(frozen=True)
 class ProductModel:
-    """Fiber product of two elliptic local models on the common s-cover z = s^k."""
+    """Fiber product of two elliptic local models on the common s-cover z = s^k.
+
+    `tau` and `dtau_ds` give the four periods (left pair, then right pair) and
+    their s-derivatives under a LocalModel's names, so both kinds read alike."""
 
     left: FiberType
     right: FiberType
@@ -382,12 +389,12 @@ class ProductModel:
     def e_right(self) -> int:
         return self.k // self.right_model.d
 
-    def tau4(self, s: complex) -> tuple[complex, complex, complex, complex]:
+    def tau(self, s: complex) -> tuple[complex, complex, complex, complex]:
         t1, t2 = self.left_model.tau(s ** self.e_left)
         t3, t4 = self.right_model.tau(s ** self.e_right)
         return (t1, t2, t3, t4)
 
-    def dtau4_ds(self, s: complex) -> tuple[complex, complex, complex, complex]:
+    def dtau_ds(self, s: complex) -> tuple[complex, complex, complex, complex]:
         el, er = self.e_left, self.e_right
         d1, d2 = self.left_model.dtau_ds(s ** el)
         d3, d4 = self.right_model.dtau_ds(s ** er)
@@ -536,29 +543,8 @@ def isotrivial_case13() -> ProductModel:
     """
     # placeholder type of both factors: finite monodromy, pure-power periods
     hexa = FiberType(FiberKind.I0star)
-
-    def tau(s: complex) -> tuple[complex, complex]:
-        return (s, ZETA3 * s)
-
-    def dtau(s: complex) -> tuple[complex, complex]:
-        return (1.0 + 0j, ZETA3)
-
-    def tau_r(s: complex) -> tuple[complex, complex]:
-        return (s ** 4, ZETA3 * s ** 4)
-
-    def dtau_r(s: complex) -> tuple[complex, complex]:
-        return (4 * s ** 3, 4 * ZETA3 * s ** 3)
-
-    lm = LocalModel(fiber=hexa, d=6, A=((1, -1), (1, 0)), deck_exponent=5,
-                    coord_power=1, tau=tau, dtau_ds=dtau,
-                    deck_multiplier=lambda s: cmath.exp(2j * cmath.pi / 6),
-                    deck_tau=lambda s: tau(cmath.exp(2j * cmath.pi / 6) * s),
-                    modulus_limit=ZETA3)
-    rmm = LocalModel(fiber=hexa, d=6, A=((-1, 1), (-1, 0)), deck_exponent=2,
-                     coord_power=4, tau=tau_r, dtau_ds=dtau_r,
-                     deck_multiplier=lambda s: cmath.exp(2j * cmath.pi / 6) ** 4,
-                     deck_tau=lambda s: tau_r(cmath.exp(2j * cmath.pi / 6) * s),
-                     modulus_limit=ZETA3)
+    lm = _pure_power_model(hexa, 6, ((1, -1), (1, 0)), 5, 1, ZETA3)
+    rmm = _pure_power_model(hexa, 6, ((-1, 1), (-1, 0)), 2, 4, ZETA3)
     pm = ProductModel(left=hexa, right=hexa, left_model=lm, right_model=rmm,
                       k=6, alpha=5, beta=2, a1=1, a2=4, nu=(2, 2),
                       label_override="isotrivial case 13",

@@ -88,23 +88,12 @@ class MetricSample:
     omega_coeff: complex      # effective holomorphic volume coefficient g_eff
 
 
-def period_maps(model: Model):
-    """(tau, dtau/ds) as functions of the cover coordinate s, for either model kind.
-
-    `period_maps(model)[0](pt.s)` is the period vector alone, for callers
-    that need no derivative.
-    """
-    if model.m == 1:
-        return model.tau, model.dtau_ds
-    return model.tau4, model.dtau4_ds
-
-
 def periods_at(model: Model, pt: PuncturedPoint):
-    """Period vector and its z-derivative at a cover point."""
+    """Period vector and its z-derivative at a cover point: `model.tau` and
+    `model.dtau_ds`, two periods of a LocalModel or four of a ProductModel."""
     s = pt.s
-    tau_of, dtau_of = period_maps(model)
-    tau = tau_of(s)
-    dts = dtau_of(s)
+    tau = model.tau(s)
+    dts = model.dtau_ds(s)
     dz_ds = pt.d * s ** (pt.d - 1)
     dtau_dz = tuple(d / dz_ds for d in dts)
     return tau, dtau_dz
@@ -280,7 +269,7 @@ def _fiber_terms(model: Model, pt: PuncturedPoint, periods, eps: float | None = 
     if eps is not None and eps <= 0:
         raise ValueError("eps must be positive")
     tau = periods[0]
-    nu = getattr(model, "nu", (1,) * model.m)
+    nu = model.nu
     F, imp = [], []
     for j in range(model.m):
         p = _im_pair(tau[2 * j], tau[2 * j + 1])

@@ -400,7 +400,7 @@ def test_curvature_decay_case13_flat():
 def euclidean_profile() -> BaseProfile:
     """Flat-plane sanity profile: g = |dz|^2 in direct radius with eps = 1,
     so the volume of a ball of radius R is pi R^2."""
-    return _power_profile("euclidean", 0.0, 1.0, 1.0, 0, 1.0, 1)
+    return _power_profile(0.0, 1.0, 1.0, 0, 1.0, 1)
 
 
 def test_volume_growth_exponents():
@@ -476,7 +476,7 @@ def test_invert_dist_roundtrip(right):
 
 def test_bounded_distance_raises():
     # dist tends to 1: no radius over 1 is reached, however far the table grows
-    prof = BaseProfile(label="bounded", L0=0.0, sqrt_g_radial=lambda L: np.exp(-L),
+    prof = BaseProfile(L0=0.0, sqrt_g_radial=lambda L: np.exp(-L),
                        area_density=lambda L: np.exp(-L), area=lambda L: -math.exp(-L),
                        eps=1.0)
     assert abs(prof.dist(40.0) - 1.0) < 1e-12

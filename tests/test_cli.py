@@ -262,6 +262,27 @@ def test_tolerance_scale_must_be_finite_and_positive(tmp_path, scale):
     assert not list(tmp_path.iterdir())
 
 
+def test_tolerance_scale_relaxes_only_upper_error_bounds():
+    # run_scenario multiplies each within and below tolerance by the scale;
+    # at_least, above and equal bounds, and every measured value, stay
+    def checks(name, scale):
+        cfg = json.loads(bundled_path(name).read_text(encoding="utf-8"))
+        report = run_scenario(cfg, seed=1, tolerance_scale=scale, log=io.StringIO())
+        return json.loads(report.to_json())["checks"]
+
+    relations = set()
+    for name in bundled_scenarios():
+        for one, three in zip(checks(name, 1.0), checks(name, 3.0), strict=True):
+            assert (one["name"], one["measured"], one["expected"], one["relation"]) == \
+                (three["name"], three["measured"], three["expected"], three["relation"])
+            for key, relation in one["relation"].items():
+                relations.add(relation)
+                t1, t3 = one["tolerance"][key], three["tolerance"][key]
+                scaled = relation in ("within", "below")
+                assert t3 == (t1 * 3 if scaled else t1), (name, one["name"], key)
+    assert relations == {"within", "below", "at_least", "above", "equal"}
+
+
 @pytest.mark.parametrize("window", [{"r_min": 1e5, "r_max": 1e2}, {"r_min": 2e5}],
                          ids=["reversed", "r_min_over_default_r_max"])
 def test_empty_radius_window_exits_two(tmp_path, window):

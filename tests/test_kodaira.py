@@ -75,11 +75,34 @@ def test_deck_period_compatibility(kind, seed):
         assert abs(n2 - (t1 * A[0][1] + t2 * A[1][1])) < 1e-12 * scale
 
 
+def _deck_models():
+    """Every local model: the catalog rows and both isotrivial factors."""
+    types = [FiberType(k) for k in finite_kinds()]
+    types += [FiberType(FK.II, m_mult=4), FiberType(FK.IIIstar, m_mult=3),
+              FiberType(FK.I, b=1), FiberType(FK.I, b=2),
+              FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2)]
+    c13 = isotrivial_case13()
+    return ([pytest.param(local_model(t), id=t.label()) for t in types]
+            + [pytest.param(c13.left_model, id="case13 left"),
+               pytest.param(c13.right_model, id="case13 right")])
+
+
+@pytest.mark.parametrize("lm", _deck_models())
+def test_deck_multiplier_is_the_period_ratio(lm):
+    # the multiplier that factors Phi through the deck action is
+    # tau_1(s) / tau_1(zeta_d s), for every model
+    rng = SplitMix64(0xDEC)
+    for _ in range(8):
+        s = rng.complex_annulus(0.1, 0.6, 0.05, 2 * math.pi / lm.d - 0.05)
+        ratio = lm.tau(s)[0] / lm.deck_tau(s)[0]
+        assert abs(lm.deck_multiplier(s) - ratio) < 1e-12 * abs(ratio)
+
+
 def test_fiber_product_iistar_iiistar():
     pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     assert (pm.k, pm.alpha, pm.beta, pm.a1, pm.a2) == (12, 10, 9, 2, 3)
     s = 0.8 * cmath.exp(0.25j)
-    t = pm.tau4(s)
+    t = pm.tau(s)
     # tau1(z) = (1 - z^{m1/3}) z^{1/6} on the 12-cover with m1 = 2
     assert abs(t[0] - (1 - s ** 8) * s ** 2) < 1e-14
 
@@ -94,7 +117,7 @@ def test_fiber_product_istar_istar_periods():
     pm = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2))
     assert pm.k == 2
     s = 0.4 * cmath.exp(0.8j)
-    t = pm.tau4(s)
+    t = pm.tau(s)
     z = s * s
     assert abs(t[0] - s) < 1e-14
     assert abs(t[1] - (1 / (2j * math.pi)) * s * cmath.log(z)) < 1e-13
@@ -175,9 +198,9 @@ def test_case13_model_data():
     assert c13.nu == (2, 2)
     s = 0.5 * cmath.exp(0.3j)
     # tau-lattice stability under s -> zeta_6 s, blockwise integral
-    t = c13.tau4(s)
+    t = c13.tau(s)
     z6 = cmath.exp(2j * cmath.pi / 6)
-    tn = c13.tau4(z6 * s)
+    tn = c13.tau(z6 * s)
     assert abs(tn[0] - (t[0] + t[1])) < 1e-14      # left block: [[1,-1],[1,0]]
     assert abs(tn[1] - (-t[0])) < 1e-14
     assert abs(tn[2] - (-t[2] - t[3])) < 1e-14     # right block: [[-1,1],[-1,0]]

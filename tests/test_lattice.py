@@ -190,7 +190,7 @@ def bundled_taus(name: str, n: int = 5) -> tuple:
     cfg = validate_scenario(json.loads(bundled_path(f"{name}.json").read_text()))
     model = build_context(cfg).model
     pt, _ = sample_points(model, SplitMix64(cfg["seed"]), n)
-    return tuple(np.broadcast_to(t, pt.s.shape) for t in model.tau4(pt.s))
+    return tuple(np.broadcast_to(t, pt.s.shape) for t in model.tau(pt.s))
 
 
 def sample_of(taus: tuple, i: int) -> tuple:

@@ -101,7 +101,7 @@ def test_pairing_closed_forms():
     # Im(t3-bar t4) = (1-|z|^{m2})|z|^{1/2}
     pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     s = 0.82 * cmath.exp(0.37j)
-    t = pm.tau4(s)
+    t = pm.tau(s)
     z = s ** 12
     i12 = (t[0].conjugate() * t[1]).imag
     i34 = (t[2].conjugate() * t[3]).imag
@@ -277,7 +277,7 @@ def test_christoffel_check_evaluates_its_periods_once(monkeypatch):
 
     monkeypatch.setattr(metric, "periods_at", counted)
     monkeypatch.setattr(scenario, "periods_at", counted)
-    assert scenario._check_christoffel(ctx, SplitMix64(3), 1.0).passed
+    assert scenario._check_christoffel(ctx, SplitMix64(3)).passed
     assert len(calls) == 1
 
 
@@ -300,7 +300,7 @@ def test_ma_check_computes_periods_once_per_sample(monkeypatch, cfg):
 
     monkeypatch.setattr(metric, "periods_at", counted)
     monkeypatch.setattr(scenario, "periods_at", counted)
-    assert scenario._check_ma(ctx, SplitMix64(3), 1.0).passed
+    assert scenario._check_ma(ctx, SplitMix64(3)).passed
     assert len(calls) == 1
     assert np.shape(calls[0].s) == (7,)
     assert len(set(np.asarray(calls[0].s).tolist())) == 7
@@ -323,7 +323,7 @@ def test_ma_check_calls_the_oracle_once_per_sample(monkeypatch, cfg):
         return ma_residual(sample)
 
     monkeypatch.setattr(scenario, "ma_residual", counted)
-    assert scenario._check_ma(ctx, SplitMix64(3), 1.0).passed
+    assert scenario._check_ma(ctx, SplitMix64(3)).passed
     m = ctx.model.m
     assert shapes == [(m + 1, m + 1)] * 7
 

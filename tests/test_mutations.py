@@ -90,15 +90,15 @@ def iiistar_periods_with_m_plus_2(mp):
 def area_power_raised(mp):
     # the area density of the Istar x Istar profile grows like L^3, not L^2
     _wrap(mp, asymptotics, "_power_profile",
-          lambda original: lambda label, L0, eps, cr, m, ca, n:
-          original(label, L0, eps, cr, m, ca, n + 1))
+          lambda original: lambda L0, eps, cr, m, ca, n:
+          original(L0, eps, cr, m, ca, n + 1))
 
 
 def area_scale_doubled(mp):
     # the area density of the Istar x Istar profile is twice its closed form
     _wrap(mp, asymptotics, "_power_profile",
-          lambda original: lambda label, L0, eps, cr, m, ca, n:
-          original(label, L0, eps, cr, m, 2 * ca, n))
+          lambda original: lambda L0, eps, cr, m, ca, n:
+          original(L0, eps, cr, m, 2 * ca, n))
 
 
 def curvature_norm(name: str, *norms):
