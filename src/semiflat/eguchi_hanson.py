@@ -148,13 +148,14 @@ def sphere_shell_samples(rng: SplitMix64, n: int, r_min: float,
     return v * (np.sqrt(u) / np.linalg.norm(v, axis=1))[:, None]
 
 
-def gluing_report(cfg: EHConfig, seed: int = 2024) -> dict:
+def gluing_report(cfg: EHConfig, rng: SplitMix64) -> dict:
     """Quantitative closeness/positivity summary of the gluing.
 
-    Keys: min eigenvalue of the glued Hessian over 24 shell samples, maximum
-    |det g - 1| inside u <= 1, and the empirical a_max for this delta.
+    Keys: min eigenvalue of the glued Hessian over 24 shell samples drawn
+    from rng, maximum |det g - 1| inside u <= 1, and the empirical a_max for
+    this delta.
     """
-    z = sphere_shell_samples(SplitMix64(seed), 24, 0.5, 1.0 + cfg.delta + 0.5)
+    z = sphere_shell_samples(rng, 24, 0.5, 1.0 + cfg.delta + 0.5)
     u = np.sum(np.abs(z) ** 2, axis=-1)
     det = np.linalg.det(eh_metric(cfg, z[u <= 1.0])).real
     return {

@@ -157,6 +157,7 @@ class LocalModel:
 
     m = 1          # fiber complex dimension of an elliptic model
     nu = (1,)      # lattice volume factor of the one fiber factor
+    default_k0 = 1.0 + 0j
 
     def label(self) -> str:
         return self.fiber.label()

@@ -1,11 +1,11 @@
 """Scenario configuration, check orchestration, and report/CSV emission.
 
 A scenario is a flat-key JSON object selecting a model, a list of checks,
-and the sampling/window/FD parameters.  Reports are deterministic for a
-fixed seed: sample points come from the package SplitMix64 generator, the
-JSON is emitted with sorted keys, and wall times go to the log stream
-only.  Exit codes: 0 all checks passed, 1 any check failed, 2 malformed
-configuration.
+and the sampling and radius-window parameters.  Reports are deterministic
+for a fixed seed: each check draws its sample points from its own stream of
+the package SplitMix64 generator, split from the seed, the JSON is emitted
+with sorted keys, and wall times go to the log stream only.  Exit codes:
+0 all checks passed, 1 any check failed, 2 malformed configuration.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ _SCHEMA: dict[str, tuple[type, bool]] = {
     "r_min": (float, False),
     "r_max": (float, False),
     "n_radii": (int, False),
-    "fd_step": (float, False),
     "eh_a": (float, False),
     "eh_delta": (float, False),
     "grid_z": (int, False),
@@ -236,6 +235,8 @@ def validate_scenario(cfg: dict) -> dict:
     checks = [_CHECK_ALIASES.get(c, c) for c in cfg["checks"]]
     if not checks:
         raise ScenarioError("empty check list")
+    if twice := sorted({c for c in checks if checks.count(c) > 1}):
+        raise ScenarioError(f"checks named more than once: {twice}")
     allowed = _MODEL_CHECKS[kind]
     for c in checks:
         if c not in allowed:
@@ -277,7 +278,6 @@ class Context:
     model: object          # ProductModel | LocalModel | EHConfig | None
     vf: VolumeFormSpec
     eps: float
-    scheme: FDScheme
 
 
 def _configured(keys: str, make: Callable, **kwargs):
@@ -296,19 +296,17 @@ def _volume_form(cfg: dict, default_k0_re: float) -> VolumeFormSpec:
 
 def build_context(cfg: dict) -> Context:
     eps = float(cfg.get("epsilon", 1.0))
-    scheme = _configured("fd_step", FDScheme, step=float(cfg.get("fd_step", 1e-4)))
     kind = cfg["model_kind"]
     if kind in ("pair", "isotrivial", "elliptic"):
         model = _catalog_model(cfg)
-        default_k0 = model.default_k0.real if kind == "isotrivial" else 1.0
-        return Context(cfg=cfg, model=model, vf=_volume_form(cfg, default_k0), eps=eps,
-                       scheme=scheme)
+        return Context(cfg=cfg, model=model, vf=_volume_form(cfg, model.default_k0.real),
+                       eps=eps)
     model = None
     if kind == "eh":
         from .eguchi_hanson import EHConfig
         model = _configured("eh_a, eh_delta", EHConfig, a=float(cfg.get("eh_a", 0.05)),
                             delta=float(cfg.get("eh_delta", 1.0)))
-    return Context(cfg=cfg, model=model, vf=VolumeFormSpec(k0=1.0), eps=eps, scheme=scheme)
+    return Context(cfg=cfg, model=model, vf=VolumeFormSpec(k0=1.0), eps=eps)
 
 
 def _catalog_model(cfg: dict):
@@ -419,7 +417,7 @@ def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
         x = np.array([z0.real, z0.imag]
                      + [w for vj in v for w in (vj.real, vj.imag)])
         scales = (abs(z0),) + (1.0,) * model.m
-        res, order = closedness_residual(fld, x, ctx.scheme, scales)
+        res, order = closedness_residual(fld, x, FDScheme(step=1e-4), scales)
         worst_res = max(worst_res, res)
         worst_order = min(worst_order, order)
     note = ("" if math.isfinite(worst_order) else
@@ -435,25 +433,19 @@ def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
 def _check_flatness(ctx: Context, rng: SplitMix64) -> CheckResult:
     from . import asymptotics as asy
     chart = asy.to_chart(ctx.model, ctx.eps, ctx.vf)
-    dev = 0.0
     mid = 0.5 * sum(chart.sector)
-    b1, b2 = [], []
-    for _ in range(6):
-        b1.append(rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * chart.limit_moduli[0])
-        b2.append(rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * chart.limit_moduli[1])
+    b1, b2 = np.array(asy._beta_samples(chart, rng, 6)).T
     alphas = [(2.0 + 5.0 * i) * chart.alpha0 * cmath.exp(1j * mid) for i in range(6)]
-    for h in chart.pulled_h(np.array(alphas), (np.array(b1), np.array(b2))):
-        dev = max(dev, float(np.max(np.abs(h - chart.flat_h))))
+    dev = float(np.max(np.abs(chart.pulled_h(np.array(alphas), (b1, b2)) - chart.flat_h)))
     alpha = 4.0 * chart.alpha0 * cmath.exp(1j * mid)
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
-    scheme = FDScheme(step=2e-3)
     scales = (abs(alpha), 1.0, 1.0)
 
     def fld(points: np.ndarray) -> np.ndarray:
         z = np.ascontiguousarray(points).view(complex)      # columns alpha, beta1, beta2
         return chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
 
-    curv = chern_curvature_norm(fld, x, scheme, scales)
+    curv = chern_curvature_norm(fld, x, FDScheme(step=2e-3), scales)
     return CheckResult(name="flatness", info={}, conditions={
         "max_coefficient_deviation": Condition("within", dev, 0.0, 1e-12,
                                                "PAPER: isotrivial ansatz is flat"),
@@ -611,17 +603,15 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64) -> CheckResult:
 
 
 def _check_canonical(ctx: Context, rng: SplitMix64) -> CheckResult:
-    if ctx.cfg["model_kind"] == "isotrivial":
-        expect = Fraction(-2, 6)
-        cross = Fraction((ctx.model.k - 1) + ctx.model.a1 + ctx.model.a2
-                         - 2 * ctx.model.k, ctx.model.k)
-        return CheckResult(name="canonical", info={}, conditions={
-            "coefficient": Condition("equal", isotrivial_coefficient(6), expect, 0,
-                                     "PAPER: pole order 2, multiplicity k"),
-            "power_count": Condition("equal", cross, expect, 0,
-                                     "PAPER: pole order 2, multiplicity k")})
     pm = ctx.model
     got = canonical_coefficient(pm)
+    if ctx.cfg["model_kind"] == "isotrivial":
+        expect = Fraction(-2, pm.k)
+        return CheckResult(name="canonical", info={}, conditions={
+            "coefficient": Condition("equal", isotrivial_coefficient(pm.k), expect, 0,
+                                     "PAPER: pole order 2, multiplicity k"),
+            "power_count": Condition("equal", got, expect, 0,
+                                     "PAPER: pole order 2, multiplicity k")})
     # the coordinate powers satisfy a_i = k - (alpha, beta) across the catalog,
     # so the closed form cross-checks the power count for every pair
     cross = Fraction(pm.k - pm.alpha - pm.beta - 1, pm.k)
@@ -681,7 +671,7 @@ def _check_christoffel(ctx: Context, rng: SplitMix64) -> CheckResult:
 def _check_eh(ctx: Context, rng: SplitMix64) -> CheckResult:
     from . import eguchi_hanson as eh
     delta = ctx.model.delta
-    rep = eh.gluing_report(ctx.model, seed=int(ctx.cfg.get("seed", 2024)))
+    rep = eh.gluing_report(ctx.model, rng)
     # 24 annulus points on the diagonal |z_i|^2 = u/3, one stacked call per scale
     u = 1.0 + delta * (np.arange(24) + 0.5) / 24
     z = np.repeat(np.sqrt(u / 3)[:, None], 3, axis=1)

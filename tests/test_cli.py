@@ -195,10 +195,11 @@ def test_exit_code_two_on_malformed(tmp_path):
     assert main(["run", str(unknown), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("key,value", [("fd_richardson", False), ("fd_order", 4)])
+@pytest.mark.parametrize("key,value", [("fd_richardson", False), ("fd_order", 4),
+                                       ("fd_step", 1e-3)])
 def test_fd_scheme_keys_are_unknown(tmp_path, key, value):
     # closedness always differences at second order without Richardson steps,
-    # so these keys could only be ignored or misreported
+    # at the fixed step 1e-4, so these keys could only be ignored or misreported
     path = tmp_path / "fd.json"
     path.write_text(json.dumps({"name": "x", "model_kind": "elliptic", "fiber": "IV",
                                 "checks": ["closedness"], key: value}), encoding="utf-8")
@@ -212,7 +213,6 @@ def test_fd_scheme_keys_are_unknown(tmp_path, key, value):
     ("elliptic_iv.json", "samples", 0),
     ("elliptic_iv.json", "samples", True),
     ("elliptic_iv.json", "epsilon", -1.0),
-    ("elliptic_iv.json", "fd_step", 0.5),
     ("pair_iistar_x_iiistar.json", "k0_re", 0.0),
     ("pair_iistar_x_iiistar.json", "r_min", 0.0),
     ("eh_gluing.json", "eh_a", -0.1),
@@ -224,7 +224,11 @@ def test_fd_scheme_keys_are_unknown(tmp_path, key, value):
     ("pair_iistar_x_iiistar.json", "k0_re", math.nan),
     ("pair_iistar_x_iiistar.json", "k0_re", math.inf),
     ("eh_gluing.json", "eh_a", math.nan),
+    # each entry of checks a string naming a check once, also through an
+    # alias: a check named twice would report two entries under one name
+    ("elliptic_iv.json", "checks", ["ma", "ma"]),
     ("elliptic_iv.json", "checks", [["ma"]]),
+    ("elliptic_iv.json", "checks", ["closed", "closedness"]),
     # the name is the stem of the report and CSV files
     ("elliptic_iv.json", "name", "sub/x"),
     ("elliptic_iv.json", "name", ""),
@@ -309,6 +313,10 @@ def test_validate_scenario_rules():
     cfg = validate_scenario({"name": "x", "model_kind": "pair", "left": "IIstar",
                              "right": "IIIstar", "checks": ["closed", "cone"]})
     assert cfg["checks"] == ["closedness", "tangent_cone"]
+    for twice in (["ma", "ma"], ["closed", "closedness"]):
+        with pytest.raises(ScenarioError, match="named more than once"):
+            validate_scenario({"name": "x", "model_kind": "elliptic", "fiber": "IV",
+                               "checks": twice})
 
 
 def test_star_check_validation():
@@ -344,6 +352,18 @@ def test_seed_changes_samples(tmp_path):
     m1 = next(r.measured for r in r1.results if r.name == "ma")
     m2 = next(r.measured for r in r2.results if r.name == "ma")
     assert m1["max_residual"] != m2["max_residual"]
+
+
+@pytest.mark.parametrize("name", bundled_scenarios())
+def test_seed_defaults_to_zero_for_every_check(name):
+    # a scenario without a seed draws every check's samples from seed 0;
+    # no check falls back to a seed of its own
+    cfg = json.loads(bundled_path(name).read_text())
+    cfg.pop("seed", None)
+    unseeded = run_scenario(dict(cfg), log=io.StringIO())
+    seeded = run_scenario(dict(cfg), seed=0, log=io.StringIO())
+    assert (json.loads(unseeded.to_json())["checks"]
+            == json.loads(seeded.to_json())["checks"])
 
 
 def test_csv_format_and_external_regression(tmp_path):

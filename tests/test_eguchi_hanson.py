@@ -165,7 +165,7 @@ def test_gluing_report_keys():
         ref.append(v * math.sqrt(rng.uniform(0.5, 2.5)) / np.linalg.norm(v))
     z = sphere_shell_samples(SplitMix64(2024), 24, 0.5, 2.5)
     assert np.max(np.abs(z - np.array(ref))) < 1e-15
-    rep = gluing_report(EHConfig(a=0.05, delta=1.0))
+    rep = gluing_report(EHConfig(a=0.05, delta=1.0), SplitMix64(2024))
     assert rep["min_eigenvalue"] > 0
     assert rep["max_det_residual_inside"] < 1e-10
     assert rep["a_max"] > 0

@@ -190,6 +190,7 @@ ROWS = [
     Row("tangent_cone", "pair_istar_x_istar", area_scale_doubled),
     Row("canonical", "pair_iistar_x_iiistar", pole_order_one),
     Row("canonical", "pair_ii_x_iistar", pole_order_one),
+    Row("canonical", "isotrivial_case13", pole_order_one),
     # the Siegel oracle does not go through _im_pair
     Row("fiber_volume", "pair_istar_x_ivstar", pairing_scaled,
         _measured("max_fiber_coeff_rel_err", lambda e: e > 5e-3)),
