@@ -250,8 +250,12 @@ def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray
     leave a value at or over `flat_below`, or FitRejected is raised: the
     rejected radii hid the decay.  ALG charts fit a power exponent against
     log radius; ALH charts fit a rate against Re(alpha) = radius /
-    chart.rate, the window reported in the same units.
+    chart.rate, the window reported in the same units.  A value that is
+    not finite raises FitRejected; `keep` would otherwise drop it as noise.
     """
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FitRejected(f"non-finite value at radius {radii[np.argmin(finite)]:g}")
     if values.max() < flat_below:
         return DecayFit(kind="flat", exponent_or_rate=0.0,
                         window=(min(radii), max(radii)), ss_res_over_ss_tot=0.0)
@@ -597,12 +601,14 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
         else:                   # cone: thin annulus, angular fraction shrink/pi
             inner, frac = L - math.log(1 + _SOB_SHRINK), _SOB_SHRINK / math.pi
         c2.append(frac * (vol - profile.volume(inner)) / float(r) ** beta)
+    # numpy folds: a NaN constant reaches the report, where Python's max drops it
+    c1, c2 = np.array(c1), np.array(c2)
     return {
         "beta": beta,
-        "clause1_sup": max(c1), "clause1_inf": min(c1),
-        "clause2_sup": max(c2), "clause2_inf": min(c2),
-        "clause1_stable": max(c1) / min(c1),
-        "clause2_stable": max(c2) / min(c2),
+        "clause1_sup": float(c1.max()), "clause1_inf": float(c1.min()),
+        "clause2_sup": float(c2.max()), "clause2_inf": float(c2.min()),
+        "clause1_stable": float(c1.max() / c1.min()),
+        "clause2_stable": float(c2.max() / c2.min()),
         "quad_rel_err": profile.quad_rel_err(max(radii)),
         "connectivity": "annulus connectivity not computed; taken as structural "
                         "for a circle-fibered base",
@@ -616,7 +622,6 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
 
 @dataclass(frozen=True)
 class ConeDescription:
-    kind: str                         # ray | cone
     angle_over_pi: Optional[Fraction]
     limit_coefficient: Optional[float]
     measured: tuple[float, ...]
@@ -647,8 +652,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
         vals = chart.pulled_h(np.array(alphas), (0j, 0j))[:, 0, 0].real.tolist()
         if not _cauchy_ok(vals):
             raise NoConvergence(f"chart base coefficient not Cauchy: {vals}")
-        return ConeDescription(kind=cls.cone,
-                               angle_over_pi=cls.angle_over_pi,
+        return ConeDescription(angle_over_pi=cls.angle_over_pi,
                                limit_coefficient=vals[-1], measured=tuple(vals))
     profile = base_profile(pm, eps, vf)        # star-like from here on
     if cls.kind == "ALH_star":
@@ -662,7 +666,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
             vals.append(lam ** 2 * grr / (4 * lam * s_par))
         if not _cauchy_ok(vals):
             raise NoConvergence(f"ray rescaling not Cauchy: {vals}")
-        return ConeDescription(kind="ray", angle_over_pi=None,
+        return ConeDescription(angle_over_pi=None,
                                limit_coefficient=vals[-1], measured=tuple(vals))
     # ALG_star: Phi_lambda(alpha) = (alpha/alpha_lam)^{-P} with P the cone
     # power 2k/(k-2a2) (the angle is 2 pi / P), alpha_lam -> 0 and
@@ -682,7 +686,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
         raise NoConvergence(f"cone rescaling not Cauchy: {vals}")
     # the limit is approached affinely in 1/|log alpha_lam|
     slope, intercept, _ = _ols(np.asarray(xs), np.asarray(vals))
-    return ConeDescription(kind="cone", angle_over_pi=cls.angle_over_pi,
+    return ConeDescription(angle_over_pi=cls.angle_over_pi,
                            limit_coefficient=intercept, measured=tuple(vals))
 
 

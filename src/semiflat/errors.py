@@ -22,11 +22,12 @@ class UnsupportedType(SemiflatError):
 
 
 class UnsupportedPair(SemiflatError):
-    """Fiber pair outside the supported fiber-product constructions."""
+    """Fiber pair that fiber_product does not build: one with an I_b factor."""
 
 
 class Unsupported(SemiflatError):
-    """Operation not defined for this model (e.g. classification with alpha+beta < k)."""
+    """Operation not defined for this model; among others, the classification of
+    a fiber pair with no complete model, which `classify_asymptotics` alone decides."""
 
 
 class DegenerateLattice(SemiflatError):

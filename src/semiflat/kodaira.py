@@ -418,28 +418,17 @@ class ProductModel:
 
 
 def fiber_product(left: FiberType, right: FiberType) -> ProductModel:
-    """Build the supported fiber-product model for a pair of fiber types.
+    """Build the fiber-product model of a pair of fiber types.
 
-    Supported pairs, following the classification of complete Calabi-Yau
-    ansatz models: finite x finite, Istar x Istar, and Istar x {IIstar,
-    IIIstar, IVstar} (either order).  I_b factors never appear (those
-    products resolve crepantly and carry no complete metric of this kind),
-    and Istar x {II, III, IV, I0star} is rejected because the canonical
-    coefficient would be >= 0.
+    Every pair without an I_b factor is built (those products resolve
+    crepantly and carry no complete metric of this kind); an Istar factor
+    goes on the left.  Whether the pair has a complete model is for
+    `classify_asymptotics` to say, not this constructor.
     """
     if left.kind is FiberKind.I or right.kind is FiberKind.I:
         raise UnsupportedPair("I_b admits no supported fiber-product model")
-    stars = {left.kind, right.kind} & {FiberKind.Istar}
-    if stars:
-        # normalize so the Istar factor sits on the left
-        if right.kind is FiberKind.Istar and left.kind is not FiberKind.Istar:
-            left, right = right, left
-        if right.kind is FiberKind.Istar:
-            pass  # Istar x Istar
-        elif right.kind not in _STAR_CONE_ANGLE:
-            raise UnsupportedPair(
-                f"Istar x {right.kind.value} has canonical coefficient >= 0 "
-                "and is outside the supported list")
+    if right.kind is FiberKind.Istar and left.kind is not FiberKind.Istar:
+        left, right = right, left
     lm = local_model(left)
     rm = local_model(right)
     k = math.lcm(lm.d, rm.d)
@@ -508,22 +497,21 @@ def isotrivial_coefficient(case_k: int) -> Fraction:
 
 
 def classify_asymptotics(pm: ProductModel) -> Classification:
-    """Asymptotic class per the fiber-pair dichotomy.
+    """Asymptotic class per the fiber-pair dichotomy; the one rule for which
+    pairs have a complete model.
 
     finite x finite with alpha+beta > k is ALG with cone angle
     2 (alpha+beta-k) pi / k; alpha+beta = k is ALH; Istar x Istar collapses
     to a ray with volume growth 3/2; Istar x E-star opens a cone of angle
-    2pi/3, pi/2, pi/3 with volume growth 2.
+    2pi/3, pi/2, pi/3 with volume growth 2.  Every other pair (finite x
+    finite with alpha+beta < k, Istar x {II, III, IV, I0star}) raises
+    Unsupported.
     """
-    fin_l, fin_r = pm.monodromy_finite
-    if fin_l and fin_r:
-        total = pm.alpha + pm.beta
-        if total > pm.k:
-            return Classification(kind="ALG",
-                                  angle_over_pi=Fraction(2 * (total - pm.k), pm.k))
-        if total == pm.k:
-            return Classification(kind="ALH", cone="ray")
-        raise Unsupported(f"alpha+beta < k for {pm.label()}: no complete model")
+    total = pm.alpha + pm.beta
+    if all(pm.monodromy_finite) and total > pm.k:
+        return Classification(kind="ALG", angle_over_pi=Fraction(2 * (total - pm.k), pm.k))
+    if all(pm.monodromy_finite) and total == pm.k:
+        return Classification(kind="ALH", cone="ray")
     if pm.left.kind is FiberKind.Istar and pm.right.kind is FiberKind.Istar:
         return Classification(kind="ALH_star", volume_exponent=Fraction(3, 2),
                               cone="ray")
@@ -531,7 +519,8 @@ def classify_asymptotics(pm: ProductModel) -> Classification:
         return Classification(kind="ALG_star",
                               angle_over_pi=_STAR_CONE_ANGLE[pm.right.kind],
                               volume_exponent=Fraction(2, 1))
-    raise Unsupported(f"unclassified pair {pm.label()}")  # pragma: no cover
+    raise Unsupported(f"{pm.label()} has no complete model: it is neither finite x finite "
+                      "with alpha+beta >= k nor Istar x {Istar, IIstar, IIIstar, IVstar}")
 
 
 def isotrivial_case13() -> ProductModel:

@@ -81,10 +81,12 @@ _MODEL_CHECKS = {
     "weierstrass": {"weierstrass"},
 }
 
-# a pair is a star pair exactly when Istar is one of its factors: those
-# have a radial profile and no ALG/ALH chart
-_STAR_ONLY = {"volume_growth", "sob"}
+# the pair checks each asymptotic class cannot run: an ALG/ALH model has a
+# flat chart and no radial profile, a star model the reverse
 _CHART_ONLY = {"error_decay", "curvature_decay"}
+_STAR_ONLY = {"volume_growth", "sob"}
+_NOT_FOR_CLASS = {"ALG": _STAR_ONLY, "ALH": _STAR_ONLY,
+                  "ALH_star": _CHART_ONLY, "ALG_star": _CHART_ONLY}
 
 
 # The pass rule of each relation, on the measured value m, the expected
@@ -242,15 +244,8 @@ def validate_scenario(cfg: dict) -> dict:
         if c not in allowed:
             raise ScenarioError(f"check {c!r} not applicable to model_kind {kind!r}")
     cfg["checks"] = checks
-    if kind == "pair":
-        if "left" not in cfg or "right" not in cfg:
-            raise ScenarioError("pair scenarios need 'left' and 'right'")
-        if "Istar" in (cfg["left"], cfg["right"]):
-            if wrong := _CHART_ONLY.intersection(checks):
-                raise ScenarioError(f"{sorted(wrong)} need an ALG/ALH chart; star pairs "
-                                    "use volume_growth/sob/tangent_cone")
-        elif wrong := _STAR_ONLY.intersection(checks):
-            raise ScenarioError(f"{sorted(wrong)} apply only to star-type pairs")
+    if kind == "pair" and ("left" not in cfg or "right" not in cfg):
+        raise ScenarioError("pair scenarios need 'left' and 'right'")
     if kind == "elliptic" and "fiber" not in cfg:
         raise ScenarioError("elliptic scenarios need 'fiber'")
     return cfg
@@ -311,17 +306,22 @@ def build_context(cfg: dict) -> Context:
 
 def _catalog_model(cfg: dict):
     """The catalog model of a pair, isotrivial or elliptic scenario.  A
-    catalog error (an unsupported pair, a failed construction self-check)
-    is a ScenarioError of the scenario."""
+    catalog error (a pair without a complete model, a failed construction
+    self-check) is a ScenarioError of the scenario, and so is a check that
+    the pair's asymptotic class cannot run."""
     kind = cfg["model_kind"]
     if kind == "isotrivial" and cfg.get("case", 13) != 13:
         raise ScenarioError("only the case-13 isotrivial model carries metric checks; "
                             "other cases enter through the canonical coefficient")
     try:
         if kind == "pair":
-            return fiber_product(_fiber_type(cfg["left"], cfg.get("m_left"), cfg.get("b_left")),
-                                 _fiber_type(cfg["right"], cfg.get("m_right"),
-                                             cfg.get("b_right")))
+            pm = fiber_product(_fiber_type(cfg["left"], cfg.get("m_left"), cfg.get("b_left")),
+                               _fiber_type(cfg["right"], cfg.get("m_right"), cfg.get("b_right")))
+            cls = classify_asymptotics(pm)
+            if wrong := _NOT_FOR_CLASS[cls.kind].intersection(cfg["checks"]):
+                raise ScenarioError(f"{sorted(wrong)} do not apply to {pm.label()}, "
+                                    f"an {cls.kind} model")
+            return pm
         if kind == "isotrivial":
             return isotrivial_case13()
         return local_model(_fiber_type(cfg["fiber"], cfg.get("m"), cfg.get("b")))
@@ -392,7 +392,9 @@ def _check_ma(ctx: Context, rng: SplitMix64) -> CheckResult:
     # Python numbers, whatever assembled the stack.  Each matrix becomes
     # lists only inside its own call: a whole batch as lists keeps 4 000
     # lists alive at once, and the collector then runs several times per check
-    worst = max(map(ma_residual, map(MetricSample, batch.h, batch.omega_coeff.tolist())))
+    samples = map(MetricSample, batch.h, batch.omega_coeff.tolist())
+    # numpy folds the residuals: its max is NaN when one is, Python's max is not
+    worst = float(np.fromiter(map(ma_residual, samples), float, n).max())
     return CheckResult(name="ma", info={"samples": n}, conditions={
         "max_residual": Condition("within", worst, 0.0, 1e-10,
                                   "DERIVED: determinant identity oracle")})
@@ -400,7 +402,7 @@ def _check_ma(ctx: Context, rng: SplitMix64) -> CheckResult:
 
 def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
     model = ctx.model
-    worst_res, worst_order = 0.0, math.inf
+    residuals, orders = [], []
     for _ in range(2):
         pt, v = sample_point(model, rng)
         z0 = pt.z
@@ -418,9 +420,11 @@ def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
                      + [w for vj in v for w in (vj.real, vj.imag)])
         scales = (abs(z0),) + (1.0,) * model.m
         res, order = closedness_residual(fld, x, FDScheme(step=1e-4), scales)
-        worst_res = max(worst_res, res)
-        worst_order = min(worst_order, order)
-    note = ("" if math.isfinite(worst_order) else
+        residuals.append(res)
+        orders.append(order)
+    worst_res, worst_order = float(np.max(residuals)), float(np.min(orders))
+    # a NaN residual also comes with an infinite order, and is no residual below the floor
+    note = ("" if math.isfinite(worst_order) or math.isnan(worst_res) else
             "min_order not measured, taken as infinite: at both samples the residual "
             "at step h was already below the 1e-10 floor")
     return CheckResult(name="closedness", info={}, note=note, conditions={
@@ -510,7 +514,7 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64) -> CheckResult:
     fit, rows = getattr(asy, spec.fit)(pm, ctx.eps, ctx.vf, radii, rng)
     csv = [(r, spec.label, v) for r, v in rows]
     if fit.kind == "flat":
-        worst = max(v for _, v in rows)
+        worst = float(np.max([v for _, v in rows]))
         return CheckResult(name=name, info={"kind": "flat"}, csv_rows=csv, conditions={
             spec.flat_key: Condition("within", worst, 0.0, spec.flat_tol,
                                      spec.flat_provenance)})
@@ -559,7 +563,7 @@ def _check_sob(ctx: Context, rng: SplitMix64) -> CheckResult:
                                     "positive constant")
         for i in (1, 2)}
     conditions["stability_ratio"] = Condition(
-        "below", max(rep["clause1_stable"], rep["clause2_stable"]), 1.0, 10.0,
+        "below", float(np.max([rep["clause1_stable"], rep["clause2_stable"]])), 1.0, 10.0,
         "DERIVED: each clause constant is stable over the radius window")
     return CheckResult(name="sob", conditions=conditions, note=rep["connectivity"],
                        info={k: v for k, v in rep.items()
@@ -571,7 +575,7 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64) -> CheckResult:
     pm = ctx.model
     cls = classify_asymptotics(pm)
     cone = asy.tangent_cone(pm, ctx.eps, ctx.vf)
-    info = {"kind": cone.kind, "measured_sequence": list(cone.measured)}
+    info = {"kind": cls.cone, "measured_sequence": list(cone.measured)}
     notes = []
     if cls.angle_over_pi is not None:
         notes.append(f"cone angle {cls.angle_over_pi} pi is the classification's, "
@@ -643,10 +647,8 @@ def _check_fiber_volume(ctx: Context, rng: SplitMix64) -> CheckResult:
     F, _ = _fiber_terms(pm, pt, periods, eps=ctx.eps)
     fam = lattice.product_family(periods[0])
     H = lattice.scaled_h(lattice.hermitian_h(fam), fam.Q, ctx.eps, 2).H
-    worst = 0.0
-    for j in range(2):
-        oracle = H[:, j, j].real / nu[j]
-        worst = max(worst, float(np.max(np.abs(F[j] - oracle) / oracle)))
+    oracle = [H[:, j, j].real / nu[j] for j in range(2)]
+    worst = float(np.max(np.abs(np.subtract(F, oracle)) / oracle))
     return CheckResult(name="fiber_volume", info={}, conditions={
         "max_fiber_coeff_rel_err": Condition(
             "within", worst, 0.0, 1e-8,
@@ -686,7 +688,7 @@ def _check_eh(ctx: Context, rng: SplitMix64) -> CheckResult:
                            "PAPER: the gluing holds for every small enough scale a; "
                            "the configured eh_a must be one"),
         "dev_over_a3_spread": Condition(
-            "within", max(ratios3) / min(ratios3) - 1.0, 0.0, 0.2,
+            "within", float(np.max(ratios3) / np.min(ratios3)) - 1.0, 0.0, 0.2,
             "DERIVED: sharp closeness order; the published bound C_k a^2 holds a fortiori")})
 
 
@@ -695,19 +697,18 @@ def _check_weierstrass(ctx: Context, rng: SplitMix64) -> CheckResult:
     nz = int(ctx.cfg.get("grid_z", 5))
     nv = int(ctx.cfg.get("grid_v", 5))
     b = int(ctx.cfg.get("b", 1))
-    worst_cubic = 0.0
-    worst_ratio = 0.0
+    cubic, ratio = [], []
     for i in range(nz):
         z = (0.08 + 0.42 * i / max(nz - 1, 1)) * cmath.exp(1j * (0.3 + 0.8 * i))
         ed = wst.EllipticData(z=z, b=b)
         for j in range(nv):
             v = (0.18 + 0.5 * j / max(nv - 1, 1)) + 0.13j * (j + 1)
-            worst_cubic = max(worst_cubic, wst.cubic_residual(ed, v))
-            worst_ratio = max(worst_ratio, abs(wst.volume_pullback_ratio(ed, v) - 1.0))
+            cubic.append(wst.cubic_residual(ed, v))
+            ratio.append(abs(wst.volume_pullback_ratio(ed, v) - 1.0))
     return CheckResult(name="weierstrass", info={}, conditions={
-        "max_cubic_residual": Condition("within", worst_cubic, 0.0, 1e-8,
+        "max_cubic_residual": Condition("within", float(np.max(cubic)), 0.0, 1e-8,
                                         "DERIVED: the embedding identity itself"),
-        "max_ratio_deviation": Condition("within", worst_ratio, 0.0, 1e-8,
+        "max_ratio_deviation": Condition("within", float(np.max(ratio)), 0.0, 1e-8,
                                          "DERIVED: FD Jacobian oracle")})
 
 

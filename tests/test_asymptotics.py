@@ -21,7 +21,8 @@ from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _batch
 from semiflat.cli import bundled_path
 from semiflat.diffgeo import ChernStencil, FDScheme
 from semiflat.errors import DegenerateLattice, FitRejected, NoConvergence, Unsupported
-from semiflat.kodaira import FiberKind, FiberType, fiber_product, isotrivial_case13
+from semiflat.kodaira import (FiberKind, FiberType, classify_asymptotics, fiber_product,
+                              isotrivial_case13)
 from semiflat.metric import ComplexPairs, VolumeFormSpec, base_terms, metric_at
 from semiflat.rng import SplitMix64
 from semiflat.scenario import run_scenario
@@ -507,12 +508,15 @@ def test_replaced_profile_integrates_once():
 
 
 def test_tangent_cone_alg_and_alh():
-    cone = tangent_cone(iistar_iiistar(), 1.0, VF1)
-    assert cone.kind == "cone" and cone.angle_over_pi == Fraction(7, 6)
+    # the classification names the cone or ray; tangent_cone measures its coefficient
+    pm = iistar_iiistar()
+    cone = tangent_cone(pm, 1.0, VF1)
+    assert classify_asymptotics(pm).cone == "cone" and cone.angle_over_pi == Fraction(7, 6)
     assert abs(cone.limit_coefficient - 0.5) < 0.005
-    pm = fiber_product(FiberType(FK.IV), FiberType(FK.IVstar))
-    ray = tangent_cone(pm, 1.0, VF1)
-    assert ray.kind == "ray"
+    alh = fiber_product(FiberType(FK.IV), FiberType(FK.IVstar))
+    ray = tangent_cone(alh, 1.0, VF1)
+    assert classify_asymptotics(alh).cone == "ray" and ray.angle_over_pi is None
+    assert abs(ray.limit_coefficient - 0.5) < 0.005
 
 
 def test_tangent_cone_ray_coefficient():
@@ -520,7 +524,7 @@ def test_tangent_cone_ray_coefficient():
     ss = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2))
     vf = VolumeFormSpec(k0=k0)
     cone = tangent_cone(ss, eps, vf)
-    assert cone.kind == "ray"
+    assert classify_asymptotics(ss).cone == "ray" and cone.angle_over_pi is None
     honest = ray_limit_coefficient(ss, eps, vf)
     assert abs(honest - 1 * 2 * k0 ** 2 / (2 * math.pi ** 2 * eps ** 2)) < 1e-14
     assert abs(cone.limit_coefficient / honest - 1.0) < 0.01

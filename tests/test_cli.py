@@ -320,16 +320,32 @@ def test_validate_scenario_rules():
 
 
 def test_star_check_validation():
-    # a pair is a star pair exactly when Istar is a factor; the scenario is
-    # rejected before any model is built
+    # the pair's asymptotic class decides which family of checks it runs; a
+    # check of the other family is a scenario error before any check runs
     cfg = {"name": "x", "model_kind": "pair", "left": "IIstar", "right": "IIIstar",
-           "checks": ["volume_growth"], "samples": 4}
-    with pytest.raises(ScenarioError, match="apply only to star-type pairs"):
-        validate_scenario(cfg)
+           "checks": ["canonical", "volume_growth"], "samples": 4}
+    validate_scenario(dict(cfg))
+    with pytest.raises(ScenarioError, match=r"\['volume_growth'\] do not apply to "
+                                            r"IIstar\[m=2\] x IIIstar\[m=1\], an ALG model"):
+        run_scenario(cfg, log=io.StringIO())
     cfg2 = {"name": "x", "model_kind": "pair", "left": "Istar", "right": "Istar",
-            "b_left": 1, "b_right": 1, "checks": ["error_decay"], "samples": 4}
-    with pytest.raises(ScenarioError, match="need an ALG/ALH chart"):
-        validate_scenario(cfg2)
+            "b_left": 1, "b_right": 1, "checks": ["error_decay", "sob"], "samples": 4}
+    with pytest.raises(ScenarioError, match=r"\['error_decay'\] do not apply to .*"
+                                            "an ALH_star model"):
+        run_scenario(cfg2, log=io.StringIO())
+
+
+def test_pair_without_complete_model_exits_two(tmp_path, capsys):
+    # II x III has alpha + beta < k: fiber_product builds it, but it has no
+    # complete model, so no check runs and no file is written
+    path = tmp_path / "ii_x_iii.json"
+    path.write_text(json.dumps({"name": "ii_x_iii", "model_kind": "pair", "left": "II",
+                                "right": "III", "checks": ["ma", "canonical"]}),
+                    encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: II[m=1] x III[m=1] has no "
+                                              "complete model")
+    assert not (tmp_path / "out").exists()
 
 
 def test_deterministic_reports_and_csv(tmp_path):

@@ -1,17 +1,19 @@
 """Catalog rows, fiber products, canonical coefficients, classification."""
 
 import cmath
+import io
 import math
 from fractions import Fraction
 
 import pytest
 
-from semiflat.errors import Unsupported, UnsupportedPair
+from semiflat.errors import ScenarioError, Unsupported, UnsupportedPair
 from semiflat.kodaira import (FiberKind, FiberType, canonical_coefficient,
                               classify_asymptotics, det_a, fiber_product, finite_kinds,
                               isotrivial_case13, isotrivial_coefficient, local_model,
                               monodromy_order)
 from semiflat.rng import SplitMix64
+from semiflat.scenario import run_scenario
 
 FK = FiberKind
 
@@ -172,15 +174,67 @@ def test_classification_angles():
 
 
 def test_unsupported_pairs():
+    # fiber_product builds every pair without an I_b factor, with Istar on
+    # the left; classify_asymptotics alone says which have a complete model
     with pytest.raises(UnsupportedPair):
         fiber_product(FiberType(FK.I, b=1), FiberType(FK.II))
-    with pytest.raises(UnsupportedPair):
-        fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.IV))
-    with pytest.raises(UnsupportedPair):
-        fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.I0star))
-    pm = fiber_product(FiberType(FK.II), FiberType(FK.III))  # alpha+beta < k
-    with pytest.raises(Unsupported):
-        classify_asymptotics(pm)
+    swapped = fiber_product(FiberType(FK.IV), FiberType(FK.Istar, b=1))
+    assert (swapped.left.kind, swapped.right.kind) == (FK.Istar, FK.IV)
+    for pm in (swapped, fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.I0star)),
+               fiber_product(FiberType(FK.II), FiberType(FK.III))):      # alpha+beta < k
+        with pytest.raises(Unsupported, match="has no complete model"):
+            classify_asymptotics(pm)
+
+
+def _fiber_types() -> list[FiberType]:
+    """Every fiber type fiber_product takes: each finite kind at every
+    allowed m <= 7, and Istar with b = 1, 2, 3."""
+    out = [FiberType(FK.I0star)] + [FiberType(FK.Istar, b=b) for b in (1, 2, 3)]
+    for kind in finite_kinds():         # I0star takes no m and is already in
+        for m in range(1, 8):
+            try:
+                out.append(FiberType(kind, m_mult=m))
+            except ValueError:
+                pass
+    return out
+
+
+def _pair_scenario(left: FiberType, right: FiberType) -> dict:
+    cfg = {"name": "pair", "model_kind": "pair", "checks": ["canonical"]}
+    for side, t in (("left", left), ("right", right)):
+        cfg[side] = t.kind.value
+        if t.kind is FK.Istar:
+            cfg[f"b_{side}"] = t.b
+        elif t.m_mult is not None:
+            cfg[f"m_{side}"] = t.m_mult
+    return cfg
+
+
+def test_classification_is_the_support_rule():
+    # every pair fiber_product builds: a classified one has a negative
+    # canonical bundle, an unclassified one is a scenario error (exit 2)
+    types = _fiber_types()
+    pairs = [(a, b) for i, a in enumerate(types) for b in types[i:]]
+    assert len(pairs) == 253
+    classified, negative_unclassified = 0, set()
+    for a, b in pairs:
+        pm = fiber_product(a, b)
+        try:
+            classify_asymptotics(pm)
+        except Unsupported:
+            with pytest.raises(ScenarioError, match="has no complete model"):
+                run_scenario(_pair_scenario(a, b), log=io.StringIO())
+            if canonical_coefficient(pm) < 0:
+                negative_unclassified.add((pm.left.kind, pm.right.kind))
+            continue
+        assert canonical_coefficient(pm) < 0, pm.label()
+        classified += 1
+    assert classified == 136
+    # c < 0 exactly when a complete model exists holds for finite x finite
+    # pairs only: Istar x I0star has c = -1/2 and no classified model
+    assert negative_unclassified == {(FK.Istar, FK.I0star)}
+    assert canonical_coefficient(fiber_product(FiberType(FK.Istar, b=1),
+                                               FiberType(FK.I0star))) == Fraction(-1, 2)
 
 
 def test_m_congruence_validation():

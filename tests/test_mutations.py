@@ -6,7 +6,9 @@ asserts that it passes without the fault and fails with it.  A check that
 no fault can fail is a check in name only.  This is mutation analysis by
 hand (DeMillo, Lipton & Sayward, "Hints on test data selection", IEEE
 Computer 11(4), 1978).  `test_every_registered_check_has_a_row` keeps the
-table complete: a new check needs a row.
+table complete: a new check needs a row.  `NAN_ROWS` puts a NaN into what
+each check but `canonical` measures, and the check must fail, also where a
+Python `max` or `min` fold would drop the NaN.
 
 The decay rows change an exponent, not a constant: a constant factor on
 the metric (Gamma doubled, B doubled) leaves a fitted decay exponent where
@@ -19,10 +21,11 @@ import re
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from semiflat import asymptotics, eguchi_hanson, kodaira, metric, scenario, weierstrass
@@ -211,7 +214,135 @@ def _run_alone(row: Row):
     return result
 
 
-@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.id)
+def test_every_registered_check_has_a_row():
+    assert set(scenario._CHECKS) - {row.check for row in ROWS} == set()
+
+
+# ---------------------------------------------------------------------------
+# a NaN fails its check
+# ---------------------------------------------------------------------------
+#
+# Python's max and min drop a NaN that is not their first argument (every
+# comparison with it is false), and a decay fit's radius filter would drop a
+# NaN radius as rounding noise.  Each row puts a NaN into what a check
+# measures, past the first sample where it can, and the check must fail.
+
+
+def metric_at_nan(mp):
+    def make(original):
+        def all_nan(*args):
+            batch = original(*args)
+            return replace(batch, h=np.full_like(batch.h, math.nan))
+        return all_nan
+    _wrap(mp, metric, "metric_at", make)
+
+
+def metric_at_nan_at_second_sample(mp):
+    def make(original):
+        def second_nan(*args):
+            batch = original(*args)
+            h = batch.h.copy()
+            h[1] = math.nan
+            return replace(batch, h=h)
+        return second_nan
+    _wrap(mp, metric, "metric_at", make)
+
+
+def cubic_residual_nan(mp):
+    _wrap(mp, weierstrass, "cubic_residual", lambda original: lambda ed, v: math.nan)
+
+
+def volume_pullback_ratio_nan(mp):
+    _wrap(mp, weierstrass, "volume_pullback_ratio", lambda original: lambda ed, v: math.nan)
+
+
+def left_fiber_coefficient_nan(mp):
+    def make(original):
+        def left_nan(*args, **kwargs):
+            F, imp = original(*args, **kwargs)
+            return (np.full_like(F[0], math.nan), *F[1:]), imp
+        return left_nan
+    _wrap(mp, metric, "_fiber_terms", make)
+
+
+def eh_metric_nan_at_middle_scale(mp):
+    # the closeness ratio is read at a = 0.02, 0.04, 0.08
+    _wrap(mp, eguchi_hanson, "eh_metric", lambda original: lambda cfg, z: (
+        np.full_like(original(cfg, z), math.nan) if cfg.a == 0.04 else original(cfg, z)))
+
+
+def volume_nan_beyond_1e4(mp):
+    # radii 1e2 .. 1e6: the volumes of the first radii stay finite
+    def make(original):
+        def profile(*args):
+            prof = original(*args)
+            L_mid = prof.invert_dist(1e4)
+            return replace(
+                prof, area=lambda L: math.nan if L > L_mid else prof.area(L))
+        return profile
+    _wrap(mp, asymptotics, "base_profile", make)
+
+
+def pulled_h_nan(name: str, lo: float, hi: float):
+    """The chart metric NaN wherever lo < |alpha| < hi; on an ALG chart
+    |alpha| is the radius."""
+    def mutate(mp):
+        original = asymptotics.AsymptoticChart.pulled_h
+
+        def pulled_h(self, alpha, betas):
+            r = np.abs(alpha)
+            return np.where(((lo < r) & (r < hi))[..., None, None], math.nan,
+                            original(self, alpha, betas))
+        mp.setattr(asymptotics.AsymptoticChart, "pulled_h", pulled_h)
+    mutate.__name__ = name
+    return mutate
+
+
+def christoffel_closed_nan(mp):
+    _wrap(mp, metric, "christoffel_closed", lambda original: lambda *args: tuple(
+        np.full_like(g, math.nan) for g in original(*args)))
+
+
+def area_density_nan(mp):
+    def make(original):
+        def profile(*args):
+            prof = original(*args)
+            return replace(prof, area_density=lambda L: np.full_like(L, math.nan))
+        return profile
+    _wrap(mp, asymptotics, "base_profile", make)
+
+
+NAN_ROWS = [
+    Row("ma", "pair_iistar_x_iiistar", metric_at_nan_at_second_sample,
+        _measured("max_residual", math.isnan)),
+    Row("closedness", "elliptic_iv", metric_at_nan, _measured("max_residual", math.isnan)),
+    Row("weierstrass", "weierstrass_i1", cubic_residual_nan,
+        _measured("max_cubic_residual", math.isnan)),
+    Row("weierstrass", "weierstrass_i1", volume_pullback_ratio_nan,
+        _measured("max_ratio_deviation", math.isnan)),
+    Row("fiber_volume", "pair_istar_x_ivstar", left_fiber_coefficient_nan,
+        _measured("max_fiber_coeff_rel_err", math.isnan)),
+    Row("eh_gluing", "eh_gluing", eh_metric_nan_at_middle_scale,
+        _measured("dev_over_a3_spread", math.isnan)),
+    Row("sob", "pair_istar_x_istar", volume_nan_beyond_1e4,
+        _measured("clause1_inf", math.isnan)),
+    Row("volume_growth", "pair_istar_x_istar", volume_nan_beyond_1e4,
+        _measured("exponent", math.isnan)),
+    Row("christoffel", "pair_iistar_x_iiistar", christoffel_closed_nan,
+        _measured("max_rel_disagreement", math.isnan)),
+    Row("flatness", "isotrivial_case13", pulled_h_nan("pulled_h_nan", 0.0, math.inf),
+        _measured("max_coefficient_deviation", math.isnan)),
+    # radii 1e2 .. 1e5: a fit does not drop a NaN radius as rounding noise
+    Row("error_decay", "pair_iistar_x_iiistar", pulled_h_nan("pulled_h_nan_mid", 5e2, 5e3),
+        _note("FitRejected: non-finite value at radius 562.341")),
+    Row("curvature_decay", "pair_iistar_x_iiistar", pulled_h_nan("pulled_h_nan_mid", 5e2, 5e3),
+        _note("FitRejected: non-finite value at radius 562.341")),
+    Row("tangent_cone", "pair_iistar_x_iiistar", pulled_h_nan("pulled_h_nan_mid", 5e2, 5e3)),
+    Row("tangent_cone", "pair_istar_x_istar", area_density_nan),
+]
+
+
+@pytest.mark.parametrize("row", ROWS + NAN_ROWS, ids=lambda row: row.id)
 def test_check_fails_under_mutation(monkeypatch, row):
     assert _run_alone(row).passed
     row.mutation(monkeypatch)
@@ -220,8 +351,9 @@ def test_check_fails_under_mutation(monkeypatch, row):
     row.then(result)
 
 
-def test_every_registered_check_has_a_row():
-    assert set(scenario._CHECKS) - {row.check for row in ROWS} == set()
+def test_every_float_check_has_a_nan_row():
+    # canonical compares exact rationals, which cannot be NaN
+    assert set(scenario._CHECKS) - {row.check for row in NAN_ROWS} == {"canonical"}
 
 
 # ---------------------------------------------------------------------------
