@@ -81,7 +81,7 @@ class DecayFit:
             efold = abs(self.exponent_or_rate) * (self.window[1] - self.window[0])
             if efold < 3:
                 raise FitRejected(f"exponential window spans only {efold:.2f} e-foldings")
-        if self.kind in ("power", "exponential") and self.ss_res_over_ss_tot >= 0.01:
+        if self.kind in ("power", "exponential") and not self.ss_res_over_ss_tot < 0.01:
             raise FitRejected(f"regression residual {self.ss_res_over_ss_tot:.3e} >= 0.01")
 
 
@@ -92,7 +92,8 @@ def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     resid = ys - A @ coef
     sstot = float(np.sum((ys - ys.mean()) ** 2))
     ssres = float(np.sum(resid ** 2))
-    return float(coef[0]), float(coef[1]), (ssres / sstot if sstot > 0 else 0.0)
+    # SStot = 0 (constant ys) fits exactly; a NaN SStot gives a NaN ratio
+    return float(coef[0]), float(coef[1]), (ssres / sstot if sstot != 0 else 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,10 @@ class AsymptoticChart:
     alpha0: float
     sector: tuple[float, float]       # admissible arg(alpha) (power) / Im(alpha) (exp)
     flat_h: np.ndarray
-    limit_moduli: tuple[complex, complex]
+
+    @property
+    def limit_moduli(self) -> tuple[complex, complex]:     # of tau2/tau1, per factor
+        return (self.model.left_model.modulus_limit, self.model.right_model.modulus_limit)
 
     def _log_w(self, alpha):
         # log(alpha/alpha0) with the phase taken in the chart sector (0, theta),
@@ -211,15 +215,11 @@ def to_chart(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> AsymptoticChar
         sector = (0.0, float(cls.angle_over_pi) * math.pi)
         return AsymptoticChart(model=pm, kind="power", eps=eps,
                                vf=vf, p=p, rate=0.0, alpha0=alpha0, sector=sector,
-                               flat_h=flat,
-                               limit_moduli=(pm.left_model.modulus_limit,
-                                             pm.right_model.modulus_limit))
+                               flat_h=flat)
     rate = 1.0 / anchor
     sector = (0.0, 2 * math.pi / rate)
     return AsymptoticChart(model=pm, kind="exp", eps=eps, vf=vf,
-                           p=0.0, rate=rate, alpha0=0.0, sector=sector, flat_h=flat,
-                           limit_moduli=(pm.left_model.modulus_limit,
-                                         pm.right_model.modulus_limit))
+                           p=0.0, rate=rate, alpha0=0.0, sector=sector, flat_h=flat)
 
 
 def _beta_samples(chart: AsymptoticChart, rng: SplitMix64,
@@ -232,9 +232,9 @@ def _beta_samples(chart: AsymptoticChart, rng: SplitMix64,
 
 def _fit_radii(chart: AsymptoticChart, radii: Sequence[float]) -> list[complex]:
     """The chart point of each radius, as a Python complex: numpy radii
-    would make numpy complex scalars, and both fits and `tangent_cone`
-    build their points, and the curvature fit its stencil scales, with
-    Python's arithmetic."""
+    would make numpy complex scalars, and both fits, `tangent_cone` and the
+    flatness check build their points, and the curvature fit and the
+    flatness check their stencil scales, with Python's arithmetic."""
     lo, hi = chart.sector
     mid = 0.5 * (lo + hi)
     if chart.kind == "power":
@@ -669,9 +669,9 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
         return ConeDescription(angle_over_pi=None,
                                limit_coefficient=vals[-1], measured=tuple(vals))
     # ALG_star: Phi_lambda(alpha) = (alpha/alpha_lam)^{-P} with P the cone
-    # power 2k/(k-2a2) (the angle is 2 pi / P), alpha_lam -> 0 and
+    # power (the angle is 2 pi / P), alpha_lam -> 0 and
     # lam = alpha_lam |log alpha_lam|^{-1/2}
-    P = 2.0 * pm.k / (pm.k - 2.0 * pm.a2)
+    P = float(2 / cls.angle_over_pi)
     a0 = 2.0
     vals = []
     xs = []
@@ -707,5 +707,5 @@ def cone_limit_coefficient(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> 
         raise Unsupported("cone limit coefficient applies to Istar x E-star")
     b = pm.left.b
     i2 = pm.right_model.modulus_limit.imag
-    P = 2.0 * pm.k / (pm.k - 2.0 * pm.a2)   # cone power; angle is 2 pi / P
+    P = float(2 / cls.angle_over_pi)        # cone power; angle is 2 pi / P
     return 2.0 * b * abs(vf.k0) ** 2 * i2 * P ** 3 / (math.pi * eps ** 2)

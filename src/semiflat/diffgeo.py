@@ -116,7 +116,7 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     truncation and must shrink at second order until rounding noise takes over; when the
     first residual already sits at the noise floor the order is reported as
     infinity, and StepTooSmall is raised if shrinking the step makes things
-    worse above that floor.
+    worse above that floor.  A residual that is not finite makes the order NaN.
 
     The field is called once, on the 12n points x + e, x - e of
     `first_partial` at each step and real direction; each residual is the
@@ -144,6 +144,8 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     # hypot rounds as abs of one complex entry; np.abs of a complex array may not
     res = np.hypot(diff.real, diff.imag).max(axis=(1, 2), initial=0.0)
     r = [float(res[k]) / max(float(scale[k]), 1e-300) for k in range(3)]
+    if not all(map(math.isfinite, r)):
+        return r[2], math.nan
     if r[0] < 1e-10:
         return r[0], math.inf
     if r[1] > 1.3 * r[0] or r[2] > 1.3 * r[1]:

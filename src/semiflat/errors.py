@@ -39,11 +39,15 @@ class StepTooSmall(SemiflatError):
 
 
 class FitRejected(SemiflatError):
-    """Regression residual of a decay fit exceeds the acceptance threshold."""
+    """A decay or volume-growth fit is refused: its window is too short, a value
+    is not finite, every radius over the flat threshold was rejected, or the
+    regression residual is not below its threshold."""
 
 
 class NoConvergence(SemiflatError):
-    """Rescaled metric coefficients fail the Cauchy criterion across decades."""
+    """Rescaled metric coefficients fail the Cauchy criterion across decades, or
+    the radial distance table or its inversion does not converge (a distance
+    out of reach, an integrand not finite or not positive)."""
 
 
 class PolePoint(SemiflatError):

@@ -7,9 +7,9 @@ for one fiber type: the cover degree d, the integer monodromy matrix A,
 the deck action (s, w) -> (zeta_d s, zeta_d^e h(s) w), the coordinate
 power a with v = (unit) * s^a * w, and the two period functions of s with
 their s-derivatives.  A ProductModel does the same for a pair of elliptic
-fibers pulled back to the common lcm cover, carrying the four periods and
-the deck exponents (alpha, beta) that drive the canonical-divisor
-arithmetic and the asymptotic classification.
+fibers pulled back to the common lcm cover; its data (k, the deck exponents
+alpha, beta and the coordinate powers) comes from the two factor models and
+drives the canonical-divisor arithmetic and the asymptotic classification.
 
 All discrete data (A, orders, k, alpha, beta, coordinate powers, canonical
 coefficients) is exact integer / rational arithmetic; floating point only
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
@@ -58,8 +58,9 @@ _FINITE_TABLE: dict[FiberKind, tuple[int, IntMat, int, str, int]] = {
     FiberKind.IVstar: (3, ((0, -1), (1, -1)), 1, "hex", 1),
 }
 
-# lattice family -> (m-congruence modulus, limit modulus of tau2/tau1)
-_FAMILY = {"hex": (3, ZETA3), "square": (2, 1j)}
+# lattice family -> (m-congruence modulus, limit modulus zeta of tau2/tau1, c in
+# the second period zeta (1 - c s^p) s^a; the int -1 keeps the bits of 1 + s^p)
+_FAMILY = {"hex": (3, ZETA3, ZETA3), "square": (2, 1j, -1)}
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,17 @@ class LocalModel:
     coord_power: int             # a with v = (unit) * s^a * w
     tau: Callable[[complex], tuple[complex, complex]]
     dtau_ds: Callable[[complex], tuple[complex, complex]]
-    deck_multiplier: Callable[[complex], complex]
     deck_tau: Callable[[complex], tuple[complex, complex]]  # periods after one loop
     modulus_limit: complex       # lim of tau2/tau1 along the cover
 
     m = 1          # fiber complex dimension of an elliptic model
     nu = (1,)      # lattice volume factor of the one fiber factor
     default_k0 = 1.0 + 0j
+
+    def deck_multiplier(self, s: complex) -> complex:
+        """tau_1(s) / tau_1(zeta_d s), the multiplier zeta_d^e h(s) that
+        factors Phi through the deck action."""
+        return self.tau(s)[0] / self.deck_tau(s)[0]
 
     def label(self) -> str:
         return self.fiber.label()
@@ -184,37 +189,25 @@ def correction_exponent(t: FiberType) -> float:
 def _pow_model(t: FiberType) -> LocalModel:
     d, A, ap, fam, _ = _FINITE_TABLE[t.kind]
     p = _correction_power(t)
-    zeta = _FAMILY[fam][1]
-    e = d - ap
+    _, zeta, c = _FAMILY[fam]
     zd = cmath.exp(2j * cmath.pi / d)
-    zdp = zd ** (p % d)
 
     def tau(s: complex) -> tuple[complex, complex]:
         sp = s ** p
         sa = s ** ap
-        if fam == "hex":
-            return ((1 - sp) * sa, ZETA3 * (1 - ZETA3 * sp) * sa)
-        return ((1 - sp) * sa, 1j * (1 + sp) * sa)
+        return ((1 - sp) * sa, zeta * (1 - c * sp) * sa)
 
     def dtau_ds(s: complex) -> tuple[complex, complex]:
         sp = s ** p
         sa1 = s ** (ap - 1)
-        if fam == "hex":
-            return (sa1 * (ap - (ap + p) * sp),
-                    ZETA3 * sa1 * (ap - ZETA3 * (ap + p) * sp))
         return (sa1 * (ap - (ap + p) * sp),
-                1j * sa1 * (ap + (ap + p) * sp))
-
-    def deck_multiplier(s: complex) -> complex:
-        # f(s)/f(zeta_d s) for f(s) = (1 - s^p) s^a; factors Phi through the deck
-        return zd ** e * (1 - s ** p) / (1 - zdp * s ** p)
+                zeta * sa1 * (ap - c * (ap + p) * sp))
 
     def deck_tau(s: complex) -> tuple[complex, complex]:
         return tau(zd * s)
 
-    return LocalModel(fiber=t, d=d, A=A, deck_exponent=e, coord_power=ap,
-                      tau=tau, dtau_ds=dtau_ds, deck_multiplier=deck_multiplier,
-                      deck_tau=deck_tau, modulus_limit=zeta)
+    return LocalModel(fiber=t, d=d, A=A, deck_exponent=d - ap, coord_power=ap,
+                      tau=tau, dtau_ds=dtau_ds, deck_tau=deck_tau, modulus_limit=zeta)
 
 
 def _pure_power_model(t: FiberType, d: int, A: IntMat, e: int, ap: int,
@@ -232,8 +225,8 @@ def _pure_power_model(t: FiberType, d: int, A: IntMat, e: int, ap: int,
         return (ap * sa1, ap * zeta * sa1)
 
     return LocalModel(fiber=t, d=d, A=A, deck_exponent=e, coord_power=ap,
-                      tau=tau, dtau_ds=dtau_ds, deck_multiplier=lambda s: zd ** e,
-                      deck_tau=lambda s: tau(zd * s), modulus_limit=zeta)
+                      tau=tau, dtau_ds=dtau_ds, deck_tau=lambda s: tau(zd * s),
+                      modulus_limit=zeta)
 
 
 def _ib_model(t: FiberType) -> LocalModel:
@@ -252,7 +245,6 @@ def _ib_model(t: FiberType) -> LocalModel:
 
     return LocalModel(fiber=t, d=1, A=((1, b), (0, 1)), deck_exponent=0,
                       coord_power=0, tau=tau, dtau_ds=dtau_ds,
-                      deck_multiplier=lambda s: 1.0 + 0j,
                       deck_tau=deck_tau, modulus_limit=0j)
 
 
@@ -272,7 +264,6 @@ def _ibstar_model(t: FiberType) -> LocalModel:
 
     return LocalModel(fiber=t, d=2, A=((-1, -b), (0, -1)), deck_exponent=1,
                       coord_power=1, tau=tau, dtau_ds=dtau_ds,
-                      deck_multiplier=lambda s: -1.0 + 0j,
                       deck_tau=deck_tau, modulus_limit=0j)
 
 
@@ -341,8 +332,7 @@ def local_model(t: FiberType) -> LocalModel:
 # fiber products
 # ---------------------------------------------------------------------------
 
-_STAR_CONE_ANGLE = {FiberKind.IIstar: Fraction(2, 3), FiberKind.IIIstar: Fraction(1, 2),
-                    FiberKind.IVstar: Fraction(1, 3)}
+_E_STAR = {FiberKind.IIstar, FiberKind.IIIstar, FiberKind.IVstar}
 
 
 @dataclass(frozen=True)
@@ -364,6 +354,8 @@ class Classification:
 class ProductModel:
     """Fiber product of two elliptic local models on the common s-cover z = s^k.
 
+    k, alpha, beta, a1 and a2 come from the factor models; `left` and `right`
+    are the requested fiber types, whose expected exponents the checks read.
     `tau` and `dtau_ds` give the four periods (left pair, then right pair) and
     their s-derivatives under a LocalModel's names, so both kinds read alike."""
 
@@ -371,16 +363,25 @@ class ProductModel:
     right: FiberType
     left_model: LocalModel
     right_model: LocalModel
-    k: int
-    alpha: int
-    beta: int
-    a1: int
-    a2: int
     nu: tuple[int, int] = (1, 1)     # per-factor lattice volume factor (quotient models)
     label_override: Optional[str] = None
     default_k0: complex = 1.0 + 0j
+    k: int = field(init=False)
+    alpha: int = field(init=False)
+    beta: int = field(init=False)
+    a1: int = field(init=False)
+    a2: int = field(init=False)
 
     m = 2
+
+    def __post_init__(self):
+        lm, rm = self.left_model, self.right_model
+        k = math.lcm(lm.d, rm.d)
+        el, er = k // lm.d, k // rm.d
+        for name, value in (("k", k), ("alpha", lm.deck_exponent * el % k),
+                            ("beta", rm.deck_exponent * er % k),
+                            ("a1", lm.coord_power * el), ("a2", rm.coord_power * er)):
+            object.__setattr__(self, name, value)
 
     @property
     def e_left(self) -> int:
@@ -429,16 +430,8 @@ def fiber_product(left: FiberType, right: FiberType) -> ProductModel:
         raise UnsupportedPair("I_b admits no supported fiber-product model")
     if right.kind is FiberKind.Istar and left.kind is not FiberKind.Istar:
         left, right = right, left
-    lm = local_model(left)
-    rm = local_model(right)
-    k = math.lcm(lm.d, rm.d)
-    el, er = k // lm.d, k // rm.d
-    alpha = (lm.deck_exponent * el) % k
-    beta = (rm.deck_exponent * er) % k
-    a1 = lm.coord_power * el
-    a2 = rm.coord_power * er
-    return ProductModel(left=left, right=right, left_model=lm, right_model=rm,
-                        k=k, alpha=alpha, beta=beta, a1=a1, a2=a2)
+    return ProductModel(left=left, right=right, left_model=local_model(left),
+                        right_model=local_model(right))
 
 
 def canonical_coefficient(pm: ProductModel) -> Fraction:
@@ -505,7 +498,8 @@ def classify_asymptotics(pm: ProductModel) -> Classification:
     to a ray with volume growth 3/2; Istar x E-star opens a cone of angle
     2pi/3, pi/2, pi/3 with volume growth 2.  Every other pair (finite x
     finite with alpha+beta < k, Istar x {II, III, IV, I0star}) raises
-    Unsupported.
+    Unsupported.  The Istar x E-star angle is (k - 2 a2) pi / k, 2 pi / P for
+    the cone power P of the tangent-cone rescaling z ~ alpha^{-P}.
     """
     total = pm.alpha + pm.beta
     if all(pm.monodromy_finite) and total > pm.k:
@@ -515,9 +509,9 @@ def classify_asymptotics(pm: ProductModel) -> Classification:
     if pm.left.kind is FiberKind.Istar and pm.right.kind is FiberKind.Istar:
         return Classification(kind="ALH_star", volume_exponent=Fraction(3, 2),
                               cone="ray")
-    if pm.left.kind is FiberKind.Istar and pm.right.kind in _STAR_CONE_ANGLE:
+    if pm.left.kind is FiberKind.Istar and pm.right.kind in _E_STAR:
         return Classification(kind="ALG_star",
-                              angle_over_pi=_STAR_CONE_ANGLE[pm.right.kind],
+                              angle_over_pi=Fraction(pm.k - 2 * pm.a2, pm.k),
                               volume_exponent=Fraction(2, 1))
     raise Unsupported(f"{pm.label()} has no complete model: it is neither finite x finite "
                       "with alpha+beta >= k nor Istar x {Istar, IIstar, IIIstar, IVstar}")
@@ -535,8 +529,7 @@ def isotrivial_case13() -> ProductModel:
     hexa = FiberType(FiberKind.I0star)
     lm = _pure_power_model(hexa, 6, ((1, -1), (1, 0)), 5, 1, ZETA3)
     rmm = _pure_power_model(hexa, 6, ((-1, 1), (-1, 0)), 2, 4, ZETA3)
-    pm = ProductModel(left=hexa, right=hexa, left_model=lm, right_model=rmm,
-                      k=6, alpha=5, beta=2, a1=1, a2=4, nu=(2, 2),
+    pm = ProductModel(left=hexa, right=hexa, left_model=lm, right_model=rmm, nu=(2, 2),
                       label_override="isotrivial case 13",
                       default_k0=-1.0 / 12.0 + 0j)
     for side, factor in (("left", lm), ("right", rmm)):

@@ -423,10 +423,8 @@ def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
         residuals.append(res)
         orders.append(order)
     worst_res, worst_order = float(np.max(residuals)), float(np.min(orders))
-    # a NaN residual also comes with an infinite order, and is no residual below the floor
-    note = ("" if math.isfinite(worst_order) or math.isnan(worst_res) else
-            "min_order not measured, taken as infinite: at both samples the residual "
-            "at step h was already below the 1e-10 floor")
+    note = ("min_order not measured, taken as infinite: at both samples the residual "
+            "at step h was already below the 1e-10 floor" if worst_order == math.inf else "")
     return CheckResult(name="closedness", info={}, note=note, conditions={
         "max_residual": Condition("within", worst_res, 0.0, 1e-6,
                                   "DERIVED: FD convergence oracle"),
@@ -437,11 +435,10 @@ def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
 def _check_flatness(ctx: Context, rng: SplitMix64) -> CheckResult:
     from . import asymptotics as asy
     chart = asy.to_chart(ctx.model, ctx.eps, ctx.vf)
-    mid = 0.5 * sum(chart.sector)
     b1, b2 = np.array(asy._beta_samples(chart, rng, 6)).T
-    alphas = [(2.0 + 5.0 * i) * chart.alpha0 * cmath.exp(1j * mid) for i in range(6)]
+    alphas = asy._fit_radii(chart, [(2.0 + 5.0 * i) * chart.alpha0 for i in range(6)])
     dev = float(np.max(np.abs(chart.pulled_h(np.array(alphas), (b1, b2)) - chart.flat_h)))
-    alpha = 4.0 * chart.alpha0 * cmath.exp(1j * mid)
+    (alpha,) = asy._fit_radii(chart, [4.0 * chart.alpha0])
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
     scales = (abs(alpha), 1.0, 1.0)
 

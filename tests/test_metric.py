@@ -49,15 +49,13 @@ def flat_sample(m: int):
 
     lm = LocalModel(fiber=FiberType(FK.I0star), d=1, A=((1, 0), (0, 1)),
                     deck_exponent=0, coord_power=0, tau=tau, dtau_ds=dtau,
-                    deck_multiplier=lambda s: 1.0 + 0j, deck_tau=tau,
-                    modulus_limit=1j)
+                    deck_tau=tau, modulus_limit=1j)
     pt = PuncturedPoint(s=0.5 + 0j, d=1)
     vf = VolumeFormSpec(k0=0.25 + 0j)   # g(z) = 1 at z = 1/2
     if m == 1:
         return metric_at(lm, 2.0, vf, pt, (0.1 + 0.1j,))
     pm = ProductModel(left=lm.fiber, right=lm.fiber, left_model=lm,
-                      right_model=lm, k=1, alpha=0, beta=0, a1=0, a2=0,
-                      label_override="flat")
+                      right_model=lm, label_override="flat")
     return metric_at(pm, 2.0, vf, pt, (0.1 + 0.1j, 0.2 - 0.1j))
 
 
@@ -387,7 +385,6 @@ def test_degenerate_lattice_raises():
                      deck_exponent=1, coord_power=1,
                      tau=lambda s: (s, -1j * s),
                      dtau_ds=lambda s: (1.0 + 0j, -1j),
-                     deck_multiplier=lambda s: -1.0 + 0j,
                      deck_tau=lambda s: (-s, 1j * s),
                      modulus_limit=-1j)
     pt = PuncturedPoint(s=0.4 + 0.1j, d=2)
@@ -490,8 +487,7 @@ def test_batch_with_one_bad_point_raises():
                        deck_exponent=0, coord_power=0,
                        tau=lambda s: (1.0 + 0j, 1j * (0.5 - abs(s))),
                        dtau_ds=lambda s: (0j, -0.5j * s.conjugate() / abs(s)),
-                       deck_multiplier=lambda s: 1.0 + 0j, deck_tau=lambda s: (1.0 + 0j, 0j),
-                       modulus_limit=1j)
+                       deck_tau=lambda s: (1.0 + 0j, 0j), modulus_limit=1j)
     s = np.array([0.1, 0.2 + 0.1j, 0.3j, 0.25])
     v = (np.full(4, 0.1 + 0.1j),)
     good = elliptic_metric_at(flips, 1.0, VolumeFormSpec(), PuncturedPoint(s=s, d=1), v[0])

@@ -1,5 +1,6 @@
 """Every function, class and method of the package is reached from the package,
-and every parameter and field is set or read there (second half of the file).
+every parameter and field is set or read there, and every module-level
+constant is read there (the later sections of the file).
 
 A definition that only its own unit tests call is code that no scenario
 runs.  The check is by name: each top-level function and class, and each
@@ -122,10 +123,21 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _fields(node: ast.ClassDef):
-    """(name, has default) of each field of a dataclass, in order."""
+def _set_after_init(value: ast.expr | None) -> bool:
+    """Whether a field's value is `field(init=False)`: the class sets it,
+    so it is no parameter."""
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def _fields(node: ast.ClassDef, params_only: bool = False):
+    """(name, has default) of each field of a dataclass, in order; with
+    params_only, of each field its constructor takes."""
     for item in node.body:
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+        if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and not (params_only and _set_after_init(item.value))):
             yield item.target.id, item.value is not None
 
 
@@ -147,7 +159,7 @@ def _signatures(tree: ast.Module):
             if isinstance(child, ast.ClassDef):
                 if _is_dataclass(child):
                     yield child.name, child.name, [(f, i, d) for i, (f, d)
-                                                   in enumerate(_fields(child))]
+                                                   in enumerate(_fields(child, True))]
                 yield from visit(child, child)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 method = owner is not None and not any(
@@ -238,6 +250,35 @@ def test_every_dataclass_field_is_read():
 
 def test_every_field_allowance_is_needed():
     assert ALLOWED_FIELDS.keys() - _unread_fields() == set()
+
+
+# ---------------------------------------------------------------------------
+# module-level constants
+# ---------------------------------------------------------------------------
+#
+# A module-level name that nothing in the package reads is a table or a
+# setting that no scenario consults: a leftover once its readers derive the
+# value.  Dunders (`__version__`) are read by tools, not the package.
+
+
+def _constants(tree: ast.Module):
+    """Each name a module-level assignment binds, dunders skipped."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not (name.id.startswith("__")
+                                                       and name.id.endswith("__")):
+                    yield name.id
+
+
+def test_every_module_constant_is_read():
+    trees = _trees()
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert {name for tree in trees for name in _constants(tree)} - read == set()
 
 
 # ---------------------------------------------------------------------------
