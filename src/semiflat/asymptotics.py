@@ -81,8 +81,10 @@ class DecayFit:
             efold = abs(self.exponent_or_rate) * (self.window[1] - self.window[0])
             if efold < 3:
                 raise FitRejected(f"exponential window spans only {efold:.2f} e-foldings")
-        if self.kind in ("power", "exponential") and not self.ss_res_over_ss_tot < 0.01:
-            raise FitRejected(f"regression residual {self.ss_res_over_ss_tot:.3e} >= 0.01")
+        res = self.ss_res_over_ss_tot
+        if self.kind in ("power", "exponential") and not res < 0.01:
+            raise FitRejected(f"regression residual {res:.3e} >= 0.01" if math.isfinite(res)
+                              else f"non-finite regression residual {res}")
 
 
 def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -535,7 +537,7 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
         i2 = pm.right_model.modulus_limit.imag
         # right-factor pairing: I2 (1 - e^{-q L}) e^{-2 a2 L / k}
         q = correction_exponent(pm.right)
-        w = 3.0 - 2.0 * pm.a2 / pm.k          # B e^{-2L} = C L (1-e^{-qL}) e^{(w-2) L}
+        w = 2.0 + float(cls.angle_over_pi)    # B e^{-2L} = C L (1-e^{-qL}) e^{(w-2) L}
         c2 = 2.0 * b * k0 ** 2 * i2 / (math.pi * eps ** 2)
         exp_half = 0.5 * (w - 2.0)
 

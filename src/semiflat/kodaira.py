@@ -444,6 +444,20 @@ def canonical_coefficient(pm: ProductModel) -> Fraction:
     return Fraction((pm.k - 1) + pm.a1 + pm.a2 - 2 * pm.k, pm.k)
 
 
+# kind -> n = ord(Delta) - ord_inf(j) (Tate, LNM 476; Silverman, Advanced Topics IV.9);
+# I_b* has ord(Delta) = 6 + b and a pole of j of order b, so n = 6, not 6 + b
+_DISCRIMINANT_ORDER = {FiberKind.II: 2, FiberKind.III: 3, FiberKind.IV: 4, FiberKind.I0star: 6,
+                       FiberKind.Istar: 6, FiberKind.IVstar: 8, FiberKind.IIIstar: 9,
+                       FiberKind.IIstar: 10}
+
+
+def discriminant_coefficient(pm: ProductModel) -> Fraction:
+    """`canonical_coefficient` by Kodaira's canonical bundle formula (Barth-Hulek-Peters-
+    Van de Ven, V.12), reading no coordinate power: c = 1 - 1/k - (n1 + n2)/12."""
+    n = _DISCRIMINANT_ORDER[pm.left.kind] + _DISCRIMINANT_ORDER[pm.right.kind]
+    return 1 - Fraction(1, pm.k) - Fraction(n, 12)
+
+
 # isotrivial quotient cases: k -> rows of invariant-monomial exponents over
 # (s, w1, w2) chosen so the three monomials form coordinates at a generic
 # point of the reduced central fiber

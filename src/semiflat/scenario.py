@@ -31,7 +31,8 @@ from .diffgeo import FDScheme, chern_curvature_norm, closedness_residual
 from .errors import ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint, array_namespace,
                       canonical_coefficient, classify_asymptotics, correction_exponent,
-                      fiber_product, isotrivial_case13, isotrivial_coefficient, local_model)
+                      discriminant_coefficient, fiber_product, isotrivial_case13,
+                      isotrivial_coefficient, local_model)
 from .metric import (MetricSample, VolumeFormSpec, _fiber_terms, christoffel_closed,
                      christoffel_general, ma_residual, metric_at, periods_at)
 from .rng import SplitMix64
@@ -603,34 +604,27 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64) -> CheckResult:
         key: Condition("within", cone.limit_coefficient, expect, tol, prov)})
 
 
+# the paper's canonical-divisor table, by the kinds of the product's factors
+_PAPER_CANONICAL = {("Istar", "Istar"): Fraction(-1, 2), ("Istar", "IIstar"): Fraction(-1, 2),
+                    ("Istar", "IIIstar"): Fraction(-1, 2), ("Istar", "IVstar"): Fraction(-1, 3),
+                    ("IIstar", "IIIstar"): Fraction(-8, 12)}
+
+
 def _check_canonical(ctx: Context, rng: SplitMix64) -> CheckResult:
     pm = ctx.model
     got = canonical_coefficient(pm)
     if ctx.cfg["model_kind"] == "isotrivial":
-        expect = Fraction(-2, pm.k)
-        return CheckResult(name="canonical", info={}, conditions={
-            "coefficient": Condition("equal", isotrivial_coefficient(pm.k), expect, 0,
-                                     "PAPER: pole order 2, multiplicity k"),
-            "power_count": Condition("equal", got, expect, 0,
-                                     "PAPER: pole order 2, multiplicity k")})
-    # the coordinate powers satisfy a_i = k - (alpha, beta) across the catalog,
-    # so the closed form cross-checks the power count for every pair
-    cross = Fraction(pm.k - pm.alpha - pm.beta - 1, pm.k)
-    table = {("Istar", "Istar"): Fraction(-1, 2),
-             ("Istar", "IIstar"): Fraction(-1, 2),
-             ("Istar", "IIIstar"): Fraction(-1, 2),
-             ("Istar", "IVstar"): Fraction(-1, 3),
-             ("IIstar", "IIIstar"): Fraction(-8, 12)}
-    published = table.get((pm.left.kind.value, pm.right.kind.value))
-    if published is None:
-        return CheckResult(name="canonical", info={"closed_form": cross}, conditions={
-            "coefficient": Condition("equal", got, cross, 0,
-                                     "DERIVED: (k-alpha-beta-1)/k closed form; the pair "
-                                     "is not in the canonical-divisor table")})
-    return CheckResult(name="canonical", info={}, conditions={
-        "coefficient": Condition("equal", got, published, 0, "PAPER: canonical-divisor table"),
-        "closed_form": Condition("equal", cross, published, 0,
-                                 "PAPER: canonical-divisor table")})
+        derived, rule = isotrivial_coefficient(pm.k), "DERIVED: invariant-monomial power count"
+        published, source = Fraction(-2, pm.k), "PAPER: pole order 2, multiplicity k"
+    else:
+        derived, rule = (discriminant_coefficient(pm), "DERIVED: Kodaira's canonical bundle "
+                         "formula, 1 - 1/k - (n1+n2)/12 with n = ord Delta - ord_inf j")
+        published = _PAPER_CANONICAL.get((pm.left.kind.value, pm.right.kind.value))
+        source = "PAPER: canonical-divisor table"
+    conditions = {"coefficient": Condition("equal", got, derived, 0, rule)}
+    if published is not None:
+        conditions["published"] = Condition("equal", got, published, 0, source)
+    return CheckResult(name="canonical", info={}, conditions=conditions)
 
 
 def _check_fiber_volume(ctx: Context, rng: SplitMix64) -> CheckResult:

@@ -9,9 +9,9 @@ import pytest
 
 from semiflat.errors import ScenarioError, Unsupported, UnsupportedPair
 from semiflat.kodaira import (FiberKind, FiberType, canonical_coefficient,
-                              classify_asymptotics, det_a, fiber_product, finite_kinds,
-                              isotrivial_case13, isotrivial_coefficient, local_model,
-                              monodromy_order)
+                              classify_asymptotics, det_a, discriminant_coefficient,
+                              fiber_product, finite_kinds, isotrivial_case13,
+                              isotrivial_coefficient, local_model, monodromy_order)
 from semiflat.rng import SplitMix64
 from semiflat.scenario import run_scenario
 
@@ -235,6 +235,8 @@ def test_classification_is_the_support_rule():
     classified, negative_unclassified = 0, set()
     for a, b in pairs:
         pm = fiber_product(a, b)
+        # Kodaira's formula from the discriminant orders equals the power count
+        assert discriminant_coefficient(pm) == canonical_coefficient(pm), pm.label()
         try:
             classify_asymptotics(pm)
         except Unsupported:
