@@ -49,7 +49,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -277,7 +276,7 @@ def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray
 
 
 def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
-                    radii: Sequence[float], rng: SplitMix64 | None = None
+                    radii: Sequence[float], rng: SplitMix64
                     ) -> tuple[DecayFit, list[tuple[float, float]]]:
     """Decay of the relative diagonal deviation from the flat limit model.
 
@@ -288,7 +287,6 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     per-radius rows (radius, deviation).
     """
     chart = to_chart(pm, eps, vf)
-    rng = rng or SplitMix64(0xDECAF)
     betas = np.array(_beta_samples(chart, rng, 3))
     alphas = np.repeat(_fit_radii(chart, radii), len(betas))
     b1, b2 = np.tile(betas, (len(radii), 1)).T
@@ -328,7 +326,7 @@ def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[FD
 
 
 def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
-                        radii: Sequence[float], rng: SplitMix64 | None = None,
+                        radii: Sequence[float], rng: SplitMix64
                         ) -> tuple[DecayFit, list[tuple[float, float]]]:
     """Decay of the Chern curvature norm along the asymptotic chart.
 
@@ -342,7 +340,6 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     """
     chart = to_chart(pm, eps, vf)
     steps = (FDScheme(step=2e-3), FDScheme(step=1e-3))
-    rng = rng or SplitMix64(0xCAFE)
     beta = _beta_samples(chart, rng, 1)[0]
     # each radius: its point x and coordinate scales
     at = [(np.array([alpha.real, alpha.imag, beta[0].real, beta[0].imag,
@@ -624,7 +621,6 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
 
 @dataclass(frozen=True)
 class ConeDescription:
-    angle_over_pi: Optional[Fraction]
     limit_coefficient: Optional[float]
     measured: tuple[float, ...]
 
@@ -654,8 +650,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
         vals = chart.pulled_h(np.array(alphas), (0j, 0j))[:, 0, 0].real.tolist()
         if not _cauchy_ok(vals):
             raise NoConvergence(f"chart base coefficient not Cauchy: {vals}")
-        return ConeDescription(angle_over_pi=cls.angle_over_pi,
-                               limit_coefficient=vals[-1], measured=tuple(vals))
+        return ConeDescription(limit_coefficient=vals[-1], measured=tuple(vals))
     profile = base_profile(pm, eps, vf)        # star-like from here on
     if cls.kind == "ALH_star":
         s_par = 1.7
@@ -668,8 +663,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
             vals.append(lam ** 2 * grr / (4 * lam * s_par))
         if not _cauchy_ok(vals):
             raise NoConvergence(f"ray rescaling not Cauchy: {vals}")
-        return ConeDescription(angle_over_pi=None,
-                               limit_coefficient=vals[-1], measured=tuple(vals))
+        return ConeDescription(limit_coefficient=vals[-1], measured=tuple(vals))
     # ALG_star: Phi_lambda(alpha) = (alpha/alpha_lam)^{-P} with P the cone
     # power (the angle is 2 pi / P), alpha_lam -> 0 and
     # lam = alpha_lam |log alpha_lam|^{-1/2}
@@ -688,8 +682,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
         raise NoConvergence(f"cone rescaling not Cauchy: {vals}")
     # the limit is approached affinely in 1/|log alpha_lam|
     slope, intercept, _ = _ols(np.asarray(xs), np.asarray(vals))
-    return ConeDescription(angle_over_pi=cls.angle_over_pi,
-                           limit_coefficient=intercept, measured=tuple(vals))
+    return ConeDescription(limit_coefficient=intercept, measured=tuple(vals))
 
 
 def ray_limit_coefficient(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> float:

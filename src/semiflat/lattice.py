@@ -101,13 +101,6 @@ class SiegelData:
     Z: np.ndarray
 
 
-@dataclass(frozen=True)
-class HermitianForm:
-    """Hermitian coefficient matrix of the fiberwise Kahler form."""
-
-    H: np.ndarray
-
-
 def standard_symplectic(m: int) -> np.ndarray:
     J = np.zeros((2 * m, 2 * m))
     J[:m, m:] = np.eye(m)
@@ -179,8 +172,10 @@ def siegel_normalize(fam: PolarizedFamily) -> SiegelData:
     return SiegelData(S=S, R=R, Z=Z)
 
 
-def hermitian_h(fam: PolarizedFamily) -> HermitianForm:
-    """Fiber metric coefficient H, computed along both routes.
+def hermitian_h(fam: PolarizedFamily) -> np.ndarray:
+    """Fiber metric coefficient H, the Hermitian coefficient matrix of the
+    fiberwise Kahler form (one per matrix of a stack), computed along both
+    routes.
 
     H^{-1} is evaluated via the Siegel data (2 conj(R) Im(Z) R^t) and via
     i conj(T) Q^{-1} T^t; the two must agree to STD_TOL of each matrix's
@@ -194,10 +189,10 @@ def hermitian_h(fam: PolarizedFamily) -> HermitianForm:
             NotPositive, "the two routes to H^{-1} disagree beyond tolerance")
     _positive_definite(0.5 * (hinv_direct + _adjoint(hinv_direct)), "H^{-1}")
     H = np.linalg.inv(hinv_direct)
-    return HermitianForm(H=0.5 * (H + _adjoint(H)))
+    return 0.5 * (H + _adjoint(H))
 
 
-def scaled_h(H: HermitianForm, Q: np.ndarray, eps: float, m: int) -> HermitianForm:
+def scaled_h(H: np.ndarray, Q: np.ndarray, eps: float, m: int) -> np.ndarray:
     """Volume normalization H(eps) = eps * det(Q)^(-1/2m) * H, of one H or
     of each H of a stack.
 
@@ -210,7 +205,7 @@ def scaled_h(H: HermitianForm, Q: np.ndarray, eps: float, m: int) -> HermitianFo
     detq = float(np.linalg.det(np.asarray(Q, dtype=float)))
     if detq <= 0:
         raise SingularPolarization("det Q must be positive")
-    return HermitianForm(H=eps * detq ** (-0.5 / m) * H.H)
+    return eps * detq ** (-0.5 / m) * H
 
 
 def product_family(taus) -> PolarizedFamily:

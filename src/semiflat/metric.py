@@ -79,15 +79,6 @@ class VolumeFormSpec:
         return self.k(z) / z ** 2
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """The Hermitian matrix of omega at a point and the Omega coefficient
-    there; for a batch, the (N, m+1, m+1) stack and the (N,) coefficients."""
-
-    h: np.ndarray
-    omega_coeff: complex      # effective holomorphic volume coefficient g_eff
-
-
 def periods_at(model: Model, pt: PuncturedPoint):
     """Period vector and its z-derivative at a cover point: `model.tau` and
     `model.dtau_ds`, two periods of a LocalModel or four of a ProductModel."""
@@ -386,9 +377,10 @@ def filled(entries: Sequence, lead: tuple) -> np.ndarray:
 
 
 def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
-              pt: PuncturedPoint, v: Sequence[complex]) -> MetricSample:
-    """Assemble the semi-flat Hermitian matrix at a cover point, or the
-    stack of them over a batch of points (see the module docstring).
+              pt: PuncturedPoint, v: Sequence[complex]) -> np.ndarray:
+    """The semi-flat Hermitian matrix h at a cover point, shape (m+1, m+1),
+    or the (N, m+1, m+1) stack of them over a batch of N points (see the
+    module docstring); m = len(v) = model.m.
 
     Valid while both Im pairings are positive (inside the model's validity
     disk); raises DegenerateLattice otherwise, also for one bad point of a
@@ -397,16 +389,9 @@ def metric_at(model: Model, eps: float, vf: VolumeFormSpec,
     m = model.m
     if len(v) != m:
         raise ValueError(f"need {m} fiber coordinates")
-    base = base_terms(model, eps, vf, pt)
     lead = pt.s.shape if isinstance(pt.s, np.ndarray) else ()
-    h = filled(hermitian_entries(base, v), lead)
-    return MetricSample(h=h.reshape(lead + (m + 1, m + 1)), omega_coeff=base[3])
-
-
-def elliptic_metric_at(model: LocalModel, eps: float, vf: VolumeFormSpec,
-                       pt: PuncturedPoint, v: complex) -> MetricSample:
-    """m = 1 instance of metric_at (2 x 2 Hermitian matrix)."""
-    return metric_at(model, eps, vf, pt, (v,))
+    h = filled(hermitian_entries(base_terms(model, eps, vf, pt), v), lead)
+    return h.reshape(lead + (m + 1, m + 1))
 
 
 def laplace_det(h) -> complex:
@@ -424,14 +409,14 @@ def laplace_det(h) -> complex:
     raise ValueError(f"need a 2 x 2 or 3 x 3 matrix, got {np.shape(h)}")
 
 
-def ma_residual(sample: MetricSample) -> float:
+def ma_residual(h, g_eff: complex) -> float:
     """Relative residual of the Monge-Ampere determinant identity.
 
-    Returns |det(h) - |g_eff|^2| / |g_eff|^2; zero means the Calabi-Yau
-    identity holds exactly at this point.  det h is `laplace_det` of the
-    one (m+1) x (m+1) matrix of the sample, which may be an ndarray or
-    nested lists.
+    Returns |det(h) - |g_eff|^2| / |g_eff|^2 for one (m+1) x (m+1) matrix
+    h of metric_at (an ndarray or nested lists) and the effective volume
+    coefficient g_eff at its point; zero means the Calabi-Yau identity
+    holds exactly there.  det h is `laplace_det`.
     """
-    g = abs(sample.omega_coeff)
+    g = abs(g_eff)
     target = g * g
-    return abs(laplace_det(sample.h).real - target) / target
+    return abs(laplace_det(h).real - target) / target

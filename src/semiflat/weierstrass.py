@@ -211,34 +211,39 @@ def wp_prime(ed: EllipticData, v: complex) -> complex:
     return wp_prime_lattice(v, *ed.lattice)
 
 
-def cubic_residual(ed: EllipticData, v: complex) -> float:
-    """|Y^2 - (4X^3 + X^2 - g2 X - g3)| at the image (X, Y) of v in the Kodaira cubic."""
+def cubic_residual(ed: EllipticData, v: complex, wprime: complex) -> float:
+    """The Kodaira cubic at the image (X, Y) of v, relative to its leading
+    term: |Y^2 - (4X^3 + X^2 - g2 X - g3)| / max(1, |4X^3|), with
+    wprime = wp'(v) (`wp_prime`).  Near a pole both sides grow like |X|^3,
+    so an absolute residual would grow with them."""
     x = -1.0 / 12.0 - wp(ed, v) / (4 * math.pi ** 2)
-    y = 1j * wp_prime(ed, v) / (8 * math.pi ** 3)
+    y = 1j * wprime / (8 * math.pi ** 3)
     g2, g3 = ed.series
-    return abs(y * y - (4 * x ** 3 + x * x - g2 * x - g3))
+    return abs(y * y - (4 * x ** 3 + x * x - g2 * x - g3)) / max(1.0, abs(4 * x ** 3))
 
 
-def volume_pullback_ratio(ed: EllipticData, v: complex) -> complex:
-    """(dx/dv) / y divided by 2 pi i; the contract value is 1.
+def volume_pullback_ratio(ed: EllipticData, v: complex, wprime: complex) -> float:
+    """Relative deviation of the pullback identity dx/dv = 2 pi i y, whose
+    ratio (dx/dv) / (2 pi i y) is 1: |dx/dv - 2 pi i y| / max(|2 pi i y|,
+    4 pi |X|^{3/2}), with y = i wp'(v) / (8 pi^3) from wprime (`wp_prime`).
+    |X|^{3/2} is the size of wp' away from a branch point, so the bound
+    holds where y alone would vanish.
 
     dx/dv is measured by a fourth-order central finite difference of the
     embedding, so the check is independent of the closed form
     wp' = dx/dv * (-4 pi^2).  The step is 1e-3 |v_r|, v_r the reduced
     argument, so it shrinks with the distance to the nearest pole.  The
     stencil points are not reduced again, so none jumps to another
-    representative of its class.
+    representative of its class.  X at v_r is the mean of the two inner
+    stencil values, exact to O(h^2), which is all a scale needs.
     """
-    vr = reduce_argument(v, *ed.lattice[:2])
-    wprime = wp_prime(ed, vr)
     if abs(wprime) < 1e-8:
         raise BranchPoint("wp' vanishes: branch point of the cubic")
+    vr = reduce_argument(v, *ed.lattice[:2])
     h = 1e-3 * abs(vr)
-
-    def x_of(vv: complex) -> complex:
-        return -1.0 / 12.0 - _wp(vv, *ed.lattice) / (4 * math.pi ** 2)
-
-    dxdv = (-x_of(vr + 2 * h) + 8 * x_of(vr + h)
-            - 8 * x_of(vr - h) + x_of(vr - 2 * h)) / (12 * h)
-    y = 1j * wprime / (8 * math.pi ** 3)
-    return dxdv / y / (2j * math.pi)
+    x2, x1, xm1, xm2 = (-1.0 / 12.0 - _wp(vr + c * h, *ed.lattice) / (4 * math.pi ** 2)
+                        for c in (2, 1, -1, -2))
+    dxdv = (-x2 + 8 * x1 - 8 * xm1 + xm2) / (12 * h)
+    two_pi_i_y = -wprime / (4 * math.pi ** 2)
+    scale = max(abs(two_pi_i_y), 4 * math.pi * abs(0.5 * (x1 + xm1)) ** 1.5)
+    return abs(dxdv - two_pi_i_y) / scale

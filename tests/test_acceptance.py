@@ -28,11 +28,11 @@ from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, canonical_co
 from semiflat.lattice import (PolarizedFamily, hermitian_h, product_family,
                               siegel_normalize)
 from semiflat.metric import (VolumeFormSpec, christoffel_closed, christoffel_general,
-                             elliptic_metric_at, ma_residual, metric_at, periods_at)
+                             effective_g, ma_residual, metric_at, periods_at)
 from semiflat.rng import SplitMix64
-from semiflat.scenario import sample_point
+from semiflat.scenario import sample_points
 from semiflat.weierstrass import (EllipticData, cubic_residual, eisenstein_g4_g6,
-                                  volume_pullback_ratio, wp, wp_lattice)
+                                  volume_pullback_ratio, wp, wp_lattice, wp_prime)
 
 FK = FiberKind
 
@@ -55,6 +55,13 @@ def catalogued_products():
     return out
 
 
+def _worst_ma_residual(model, eps, vf, rng):
+    """The largest Monge-Ampere residual over 100 seeded samples of model."""
+    pt, v = sample_points(model, rng, 100)
+    h = metric_at(model, eps, vf, pt, v)
+    return float(np.max([ma_residual(hi, g) for hi, g in zip(h, effective_g(model, vf, pt.z))]))
+
+
 def test_criterion_1_monge_ampere():
     t0 = time.perf_counter()
     rng = SplitMix64(2026)
@@ -63,24 +70,15 @@ def test_criterion_1_monge_ampere():
     n_models = 0
     for pm in catalogued_products():
         n_models += 1
-        for _ in range(100):
-            pt, v = sample_point(pm, rng)
-            worst = max(worst, ma_residual(metric_at(pm, 1.2, vf, pt, v)))
+        worst = max(worst, _worst_ma_residual(pm, 1.2, vf, rng))
     elliptic = [FiberType(k) for k in finite_kinds()]
     elliptic += [FiberType(FK.I, b=1), FiberType(FK.I, b=2),
                  FiberType(FK.Istar, b=1), FiberType(FK.Istar, b=2)]
     for ft in elliptic:
         n_models += 1
-        lm = local_model(ft)
-        for _ in range(100):
-            pt, v = sample_point(lm, rng)
-            worst = max(worst, ma_residual(
-                elliptic_metric_at(lm, 0.8, vf, pt, v[0])))
+        worst = max(worst, _worst_ma_residual(local_model(ft), 0.8, vf, rng))
     c13 = isotrivial_case13()
-    for _ in range(100):
-        pt, v = sample_point(c13, rng)
-        worst = max(worst, ma_residual(
-            metric_at(c13, 0.7, VolumeFormSpec(k0=c13.default_k0), pt, v)))
+    worst = max(worst, _worst_ma_residual(c13, 0.7, VolumeFormSpec(k0=c13.default_k0), rng))
     dt = time.perf_counter() - t0
     ok = worst < 1e-10 and dt < 10.0
     _line(1, "Monge-Ampere identity", ok,
@@ -102,8 +100,8 @@ def test_criterion_2_closedness():
     lm = local_model(FiberType(FK.IV))
 
     for model, mvf, eps in ((pm, vf, 1.3), (c13, vf13, 0.7), (lm, vf, 1.0)):
-        pt, v = sample_point(model, rng)
-        z0, k = pt.z, pt.d
+        pt, v = sample_points(model, rng, 1)
+        z0, k = complex(pt.z[0]), pt.d
 
         def field(xs, model=model, mvf=mvf, eps=eps, k=k):
             def at(x):
@@ -111,13 +109,11 @@ def test_criterion_2_closedness():
                 p = PuncturedPoint(s=z ** (1.0 / k), d=k)
                 vs = tuple(complex(x[2 + 2 * j], x[3 + 2 * j])
                            for j in range(model.m))
-                if model.m == 1:
-                    return elliptic_metric_at(model, eps, mvf, p, vs[0]).h
-                return metric_at(model, eps, mvf, p, vs).h
+                return metric_at(model, eps, mvf, p, vs)
             return np.array([at(x) for x in xs])
 
         x = np.array([z0.real, z0.imag]
-                     + [w for vj in v for w in (vj.real, vj.imag)])
+                     + [w for vj in v for w in (vj[0].real, vj[0].imag)])
         res, order = closedness_residual(
             field, x, FDScheme(step=1e-4),
             (abs(z0),) + (1.0,) * model.m)
@@ -173,12 +169,12 @@ def test_criterion_4_decay_exponents():
     vf = VolumeFormSpec(k0=1.0)
     pm = fiber_product(FiberType(FK.IIstar, m_mult=2),
                        FiberType(FK.IIIstar, m_mult=1))
-    fit, _ = error_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13))
+    fit, _ = error_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13), SplitMix64(0xDECAF))
     err_ok = abs(fit.exponent_or_rate + 12 / 7) < 0.05
 
     eps, k0 = 1.0, 1.0
     alh = fiber_product(FiberType(FK.III), FiberType(FK.IIIstar))
-    rfit, _ = error_decay_fit(alh, eps, vf, np.linspace(5, 25, 11))
+    rfit, _ = error_decay_fit(alh, eps, vf, np.linspace(5, 25, 11), SplitMix64(0xDECAF))
     rate = eps / (2 * math.sqrt(2) * k0)
     rate_ok = abs(rfit.exponent_or_rate - rate) < 0.05 * rate
     dt = time.perf_counter() - t0
@@ -201,7 +197,7 @@ def test_criterion_4_curvature_exponent():
     vf = VolumeFormSpec(k0=1.0)
     pm = fiber_product(FiberType(FK.IIstar, m_mult=2),
                        FiberType(FK.IIIstar, m_mult=1))
-    fit, _ = curvature_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13))
+    fit, _ = curvature_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13), SplitMix64(0xCAFE))
     ok = abs(fit.exponent_or_rate + 31 / 12) < 0.1
     _line(4, "curvature exponent (published value)", ok,
           f"measured {fit.exponent_or_rate:.4f}, published -31/12 = "
@@ -294,9 +290,9 @@ def test_criterion_6_cone_limits_derived_constants():
     _line(6, "tangent-cone limits (derived constants)", ray_ok and cone_ok,
           f"ray {ray.limit_coefficient:.6f} vs {ray_honest:.6f}; cone "
           f"{cone.limit_coefficient:.3f} vs {cone_honest:.3f}; angle "
-          f"{cone.angle_over_pi} pi, {dt:.1f}s")
+          f"{classify_asymptotics(s4).angle_over_pi} pi, {dt:.1f}s")
     assert ray_ok and cone_ok
-    assert cone.angle_over_pi == Fraction(1, 3)
+    assert classify_asymptotics(s4).angle_over_pi == Fraction(1, 3)
     assert dt < 60.0
 
 
@@ -344,14 +340,14 @@ def test_criterion_8_weierstrass_grid():
         ed = EllipticData(z=z, b=1)
         for j in range(5):
             v = (0.18 + 0.5 * j / 4) + 0.13j * (j + 1)
-            worst_cubic = max(worst_cubic, cubic_residual(ed, v))
-            worst_ratio = max(worst_ratio,
-                              abs(volume_pullback_ratio(ed, v) - 1.0))
+            wprime = wp_prime(ed, v)
+            worst_cubic = max(worst_cubic, cubic_residual(ed, v, wprime))
+            worst_ratio = max(worst_ratio, volume_pullback_ratio(ed, v, wprime))
     dt = time.perf_counter() - t0
     ok = worst_cubic < 1e-8 and worst_ratio < 1e-8 and dt < 30.0
     _line(8, "Weierstrass cubic + volume pullback", ok,
-          f"max cubic residual {worst_cubic:.2e} (tol 1e-8), max |ratio-1| "
-          f"{worst_ratio:.2e} (tol 1e-8), 5x5 grid, {dt:.1f}s")
+          f"max relative cubic residual {worst_cubic:.2e} (tol 1e-8), max relative "
+          f"pullback deviation {worst_ratio:.2e} (tol 1e-8), 5x5 grid, {dt:.1f}s")
     assert worst_cubic < 1e-8
     assert worst_ratio < 1e-8
     assert dt < 30.0
@@ -424,17 +420,15 @@ def test_criterion_10_property_suites(seed):
                    [np.zeros((2, 2), dtype=int), np.eye(2, dtype=int)]])
     A = S @ AJ @ np.linalg.inv(S)
     fam2 = PolarizedFamily(T=fam.T @ A, Q=fam.Q, m=2)
-    assert np.max(np.abs(hermitian_h(fam).H - hermitian_h(fam2).H)) < 1e-10
+    assert np.max(np.abs(hermitian_h(fam) - hermitian_h(fam2))) < 1e-10
 
     # christoffel closed vs general
     pm = fiber_product(FiberType(FK.Istar, b=1), FiberType(FK.IVstar))
-    for _ in range(6):
-        pt, v = sample_point(pm, rng)
-        tau, dtz = periods_at(pm, pt)
-        g1 = christoffel_closed(pm, pt, v)
-        g2 = christoffel_general(tau, dtz, v)
-        scale = max(1.0, max(abs(g) for g in g1))
-        assert max(abs(a - b) for a, b in zip(g1, g2)) < 1e-12 * scale
+    pt, v = sample_points(pm, rng, 6)
+    g1 = np.stack(christoffel_closed(pm, pt, v))
+    g2 = np.stack(christoffel_general(*periods_at(pm, pt), v))
+    scale = np.maximum(1.0, np.abs(g1).max(axis=0))
+    assert np.all(np.abs(g1 - g2).max(axis=0) < 1e-12 * scale)
 
     # deck-period compatibility and deck action closing after k steps
     for kind in (FK.II, FK.IIIstar, FK.IV):

@@ -57,7 +57,7 @@ def test_closedness_flat_and_convergence_order():
         z = complex(x[0], x[1])
         pt = PuncturedPoint(s=z ** (1.0 / pm.k), d=pm.k)
         return metric_at(pm, 1.3, vf, pt,
-                         (complex(x[2], x[3]), complex(x[4], x[5]))).h
+                         (complex(x[2], x[3]), complex(x[4], x[5])))
 
     z0 = (0.9 * cmath.exp(0.43j)) ** 12
     x0 = np.array([z0.real, z0.imag, 0.3, 0.2, -0.1, 0.4])
@@ -75,7 +75,7 @@ def test_closedness_case13():
         z = complex(x[0], x[1])
         pt = PuncturedPoint(s=z ** (1.0 / 6.0), d=6)
         return metric_at(c13, 0.7, vf, pt,
-                         (complex(x[2], x[3]), complex(x[4], x[5]))).h
+                         (complex(x[2], x[3]), complex(x[4], x[5])))
 
     z0 = (0.6 * cmath.exp(0.9j)) ** 6
     x0 = np.array([z0.real, z0.imag, 0.05, 0.02, 0.03, -0.04])
@@ -136,7 +136,7 @@ def test_semiflat_ricci_vanishes():
         z = complex(x[0], x[1])
         pt = PuncturedPoint(s=z ** (1.0 / pm.k), d=pm.k)
         return metric_at(pm, 1.0, vf, pt,
-                         (complex(x[2], x[3]), complex(x[4], x[5]))).h
+                         (complex(x[2], x[3]), complex(x[4], x[5])))
 
     z0 = 0.2 * cmath.exp(1.2j)
     x0 = np.array([z0.real, z0.imag, 0.1, 0.02, 0.05, -0.03])

@@ -8,8 +8,8 @@ import pytest
 
 from semiflat.cli import bundled_path
 from semiflat.errors import NotPositive, SingularPolarization
-from semiflat.lattice import (HermitianForm, PolarizedFamily, _symplectic_basis, hermitian_h,
-                              product_family, scaled_h, siegel_normalize, standard_symplectic)
+from semiflat.lattice import (PolarizedFamily, _symplectic_basis, hermitian_h, product_family,
+                              scaled_h, siegel_normalize, standard_symplectic)
 from semiflat.rng import SplitMix64
 from semiflat.scenario import build_context, sample_points, validate_scenario
 
@@ -63,14 +63,14 @@ def test_siegel_random_reconstruction_residual():
 
 
 def test_hermitian_h_unit_square():
-    H = hermitian_h(unit_square()).H
+    H = hermitian_h(unit_square())
     assert abs(H[0, 0] - 0.5) < 1e-15
 
 
 def test_hermitian_h_product_diag():
     taus = (1.0 + 0j, 0.4 + 1.1j, 0.8 - 0.2j, 0.1 + 0.9j)
     fam = product_family(taus)
-    H = hermitian_h(fam).H
+    H = hermitian_h(fam)
     i12 = (np.conj(taus[0]) * taus[1]).imag
     i34 = (np.conj(taus[2]) * taus[3]).imag
     assert abs(H[0, 0] - 1.0 / (2 * i12)) < 1e-13
@@ -89,7 +89,7 @@ def test_hermitian_h_case13_true_lattice():
     T = np.column_stack(cols)
     fam = PolarizedFamily(T=T, Q=block_q(), m=2)
     eps = 0.7
-    Heps = scaled_h(hermitian_h(fam), fam.Q, eps, 2).H
+    Heps = scaled_h(hermitian_h(fam), fam.Q, eps, 2)
     assert abs(Heps[0, 0] - eps / (2 * math.sqrt(3)) * abs(z) ** (-1 / 3)) < 1e-12
     assert abs(Heps[1, 1] - eps / (2 * math.sqrt(3)) * abs(z) ** (-4 / 3)) < 1e-12
 
@@ -100,13 +100,12 @@ def test_scaled_h_scale_one_m1():
     fam = PolarizedFamily(T=np.array([[1.0, 1j]]), Q=Q, m=1)
     H = hermitian_h(fam)
     Hs = scaled_h(H, Q, math.sqrt(np.linalg.det(Q)), 1)
-    assert np.allclose(Hs.H, H.H)
+    assert np.allclose(Hs, H)
 
 
 def test_scaled_h_direct_arithmetic():
-    H = HermitianForm(H=np.array([[0.5]]))
-    out = scaled_h(H, J2, 2.0, 1)
-    assert abs(out.H[0, 0] - 1.0) < 1e-15
+    out = scaled_h(np.array([[0.5]]), J2, 2.0, 1)
+    assert abs(out[0, 0] - 1.0) < 1e-15
 
 
 def _random_sl2z(rng: SplitMix64) -> np.ndarray:
@@ -139,8 +138,8 @@ def test_h_invariant_under_symplectic_basis_change(seed):
     A = S @ AJ @ np.linalg.inv(S)
     assert np.max(np.abs(A.T @ fam.Q @ A - fam.Q)) < 1e-12
     fam2 = PolarizedFamily(T=fam.T @ A, Q=fam.Q, m=2)
-    H1 = hermitian_h(fam).H
-    H2 = hermitian_h(fam2).H
+    H1 = hermitian_h(fam)
+    H2 = hermitian_h(fam2)
     assert np.max(np.abs(H1 - H2)) < 1e-10
 
 
@@ -210,8 +209,8 @@ def test_stacked_oracle_equals_per_sample_calls(name):
     assert fam.T.shape == (5, 2, 4)
     sd = siegel_normalize(fam)
     H = hermitian_h(fam)
-    Heps = scaled_h(H, fam.Q, 0.7, 2).H
-    assert H.H.shape == Heps.shape == (5, 2, 2)
+    Heps = scaled_h(H, fam.Q, 0.7, 2)
+    assert H.shape == Heps.shape == (5, 2, 2)
     for i in range(5):
         one = product_family(sample_of(taus, i))
         sd1 = siegel_normalize(one)
@@ -219,8 +218,8 @@ def test_stacked_oracle_equals_per_sample_calls(name):
         assert np.array_equal(sd.S, sd1.S)
         assert_close(sd.R[i], sd1.R)
         assert_close(sd.Z[i], sd1.Z)
-        assert_close(H.H[i], H1.H)
-        assert_close(Heps[i], scaled_h(H1, one.Q, 0.7, 2).H)
+        assert_close(H[i], H1)
+        assert_close(Heps[i], scaled_h(H1, one.Q, 0.7, 2))
 
 
 def test_one_wrongly_oriented_sample_fails_the_stack():

@@ -11,8 +11,8 @@ from semiflat.kodaira import (FiberKind, FiberType, LocalModel, ProductModel,
                               PuncturedPoint, fiber_product, finite_kinds,
                               isotrivial_case13, local_model)
 from semiflat.lattice import hermitian_h, product_family, scaled_h
-from semiflat.metric import (MetricSample, VolumeFormSpec, _fiber_terms, christoffel_closed,
-                             christoffel_general, elliptic_metric_at, laplace_det, ma_residual,
+from semiflat.metric import (VolumeFormSpec, _fiber_terms, christoffel_closed,
+                             christoffel_general, effective_g, laplace_det, ma_residual,
                              metric_at, periods_at)
 from semiflat.rng import SplitMix64
 
@@ -20,8 +20,10 @@ FK = FiberKind
 
 
 def sample(model, rng):
-    from semiflat.scenario import sample_point
-    return sample_point(model, rng)
+    """One seeded in-chart point in Python numbers: sample_points with n = 1."""
+    from semiflat.scenario import sample_points
+    pt, v = sample_points(model, rng, 1)
+    return PuncturedPoint(s=complex(pt.s[0]), d=pt.d), tuple(complex(vj[0]) for vj in v)
 
 
 def all_product_pairs():
@@ -40,7 +42,7 @@ def all_product_pairs():
 
 def flat_sample(m: int):
     """metric_at on unit square lattices with g = 1 and eps = 2, where h is
-    the identity off the v-dependent mixed terms."""
+    the identity off the v-dependent mixed terms, and g_eff there."""
     def tau(s):
         return (1.0 + 0j, 1j)
 
@@ -53,18 +55,18 @@ def flat_sample(m: int):
     pt = PuncturedPoint(s=0.5 + 0j, d=1)
     vf = VolumeFormSpec(k0=0.25 + 0j)   # g(z) = 1 at z = 1/2
     if m == 1:
-        return metric_at(lm, 2.0, vf, pt, (0.1 + 0.1j,))
+        return metric_at(lm, 2.0, vf, pt, (0.1 + 0.1j,)), effective_g(lm, vf, pt.z)
     pm = ProductModel(left=lm.fiber, right=lm.fiber, left_model=lm,
                       right_model=lm, label_override="flat")
-    return metric_at(pm, 2.0, vf, pt, (0.1 + 0.1j, 0.2 - 0.1j))
+    return metric_at(pm, 2.0, vf, pt, (0.1 + 0.1j, 0.2 - 0.1j)), effective_g(pm, vf, pt.z)
 
 
 def test_flat_calibration_identity_matrix():
     # the flat case needs no wedge constant: det h = |g_eff|^2 exactly
-    s = flat_sample(2)
-    assert np.max(np.abs(s.h - np.eye(3))) < 1e-15
-    assert ma_residual(s) < 1e-15
-    assert ma_residual(flat_sample(1)) < 1e-15
+    h, g_eff = flat_sample(2)
+    assert np.max(np.abs(h - np.eye(3))) < 1e-15
+    assert ma_residual(h, g_eff) < 1e-15
+    assert ma_residual(*flat_sample(1)) < 1e-15
 
 
 def test_case13_displayed_coefficients():
@@ -73,15 +75,14 @@ def test_case13_displayed_coefficients():
     eps = 0.7
     pt = PuncturedPoint(s=0.6 * cmath.exp(0.9j), d=6)
     v = (0.21 - 0.11j, 0.05 + 0.3j)
-    samp = metric_at(c13, eps, vf, pt, v)
+    h = metric_at(c13, eps, vf, pt, v)
     z = pt.z
-    assert abs(samp.h[1, 1] - eps / (2 * math.sqrt(3)) * abs(z) ** (-1 / 3)) < 1e-14
-    assert abs(samp.h[2, 2] - eps / (2 * math.sqrt(3)) * abs(z) ** (-4 / 3)) < 1e-14
+    assert abs(h[1, 1] - eps / (2 * math.sqrt(3)) * abs(z) ** (-1 / 3)) < 1e-14
+    assert abs(h[2, 2] - eps / (2 * math.sqrt(3)) * abs(z) ** (-4 / 3)) < 1e-14
     base = abs(z) ** (5 / 3) / (12 * eps ** 2 * abs(z) ** 4)
     gam = christoffel_closed(c13, pt, v)
-    expected00 = base + samp.h[1, 1].real * abs(gam[0]) ** 2 \
-        + samp.h[2, 2].real * abs(gam[1]) ** 2
-    assert abs(samp.h[0, 0] - expected00) < 1e-12 * abs(expected00)
+    expected00 = base + h[1, 1].real * abs(gam[0]) ** 2 + h[2, 2].real * abs(gam[1]) ** 2
+    assert abs(h[0, 0] - expected00) < 1e-12 * abs(expected00)
 
 
 def test_case13_christoffel_closed_form():
@@ -113,11 +114,11 @@ def test_istar_istar_base_coefficient():
     pm = fiber_product(FiberType(FK.Istar, b=b1), FiberType(FK.Istar, b=b2))
     vf = VolumeFormSpec(k0=k0)
     pt = PuncturedPoint(s=0.09 * cmath.exp(1.3j), d=2)
-    samp = metric_at(pm, eps, vf, pt, (0j, 0j))
+    h = metric_at(pm, eps, vf, pt, (0j, 0j))
     z = pt.z
     L = -math.log(abs(z))
     expect = b1 * b2 * k0 ** 2 * L ** 2 / (math.pi ** 2 * eps ** 2 * abs(z) ** 2)
-    assert abs(samp.h[0, 0].real / expect - 1.0) < 1e-12
+    assert abs(h[0, 0].real / expect - 1.0) < 1e-12
 
 
 def test_ib_fiber_block_log_factor():
@@ -125,9 +126,9 @@ def test_ib_fiber_block_log_factor():
     b, eps = 3, 1.2
     lm = local_model(FiberType(FK.I, b=b))
     pt = PuncturedPoint(s=0.2 * cmath.exp(0.9j), d=1)
-    samp = elliptic_metric_at(lm, eps, VolumeFormSpec(), pt, 0.1 + 0.1j)
+    h = metric_at(lm, eps, VolumeFormSpec(), pt, (0.1 + 0.1j,))
     L = -math.log(abs(pt.z))
-    assert abs(samp.h[1, 1].real - math.pi * eps / (b * L)) < 1e-13
+    assert abs(h[1, 1].real - math.pi * eps / (b * L)) < 1e-13
 
 
 def test_istar_christoffel_structure():
@@ -144,8 +145,8 @@ def test_istar_christoffel_structure():
 
 
 def test_christoffel_constant_lattice_vanishes():
-    s = flat_sample(2)
-    assert np.max(np.abs(s.h - np.diag(np.diag(s.h)))) < 1e-15
+    h, _ = flat_sample(2)
+    assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-15
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
@@ -204,12 +205,12 @@ def test_ma_residual_all_models():
     for pm in all_product_pairs():
         for _ in range(10):
             pt, v = sample(pm, rng)
-            assert ma_residual(metric_at(pm, 1.3, vf, pt, v)) < 1e-10
+            assert ma_residual(metric_at(pm, 1.3, vf, pt, v), effective_g(pm, vf, pt.z)) < 1e-10
     for kind in finite_kinds():
         lm = local_model(FiberType(kind))
         for _ in range(10):
             pt, v = sample(lm, rng)
-            assert ma_residual(elliptic_metric_at(lm, 0.9, vf, pt, v[0])) < 1e-10
+            assert ma_residual(metric_at(lm, 0.9, vf, pt, v), effective_g(lm, vf, pt.z)) < 1e-10
 
 
 # |laplace_det - LU det| / |det|: n! products of n entries each, so about
@@ -237,7 +238,7 @@ def test_laplace_det_is_the_lu_det_on_metric_samples():
               + [local_model(FiberType(kind)) for kind in finite_kinds()])
     for model in models:
         for _ in range(5):
-            h = metric_at(model, 1.3, vf, *sample(model, rng)).h
+            h = metric_at(model, 1.3, vf, *sample(model, rng))
             lu = np.linalg.det(h)
             assert abs(laplace_det(h) - lu) <= DET_REL * abs(lu)
 
@@ -247,13 +248,13 @@ def test_ma_residual_reads_an_array_or_nested_lists():
     vf = VolumeFormSpec(k0=1.2)
     for model in (fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar)),
                   local_model(FiberType(FK.IV))):
-        s = metric_at(model, 0.9, vf, *sample(model, rng))
-        listed = MetricSample(s.h.tolist(), complex(s.omega_coeff))
-        assert ma_residual(listed) == ma_residual(s)
+        pt, v = sample(model, rng)
+        h, g_eff = metric_at(model, 0.9, vf, pt, v), effective_g(model, vf, pt.z)
+        assert ma_residual(h.tolist(), g_eff) == ma_residual(h, g_eff)
     # the oracle expands 2 x 2 and 3 x 3 matrices only: no fiber has m > 2
     for bad in (np.eye(1), np.eye(4), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
         with pytest.raises(ValueError):
-            ma_residual(MetricSample(bad, 1.0))
+            ma_residual(bad, 1.0)
 
 
 def test_christoffel_check_evaluates_its_periods_once(monkeypatch):
@@ -316,9 +317,9 @@ def test_ma_check_calls_the_oracle_once_per_sample(monkeypatch, cfg):
         {"name": "x", "checks": ["ma"], "samples": 7, **cfg}))
     shapes = []
 
-    def counted(sample):
-        shapes.append(np.shape(sample.h))
-        return ma_residual(sample)
+    def counted(h, g_eff):
+        shapes.append(np.shape(h))
+        return ma_residual(h, g_eff)
 
     monkeypatch.setattr(scenario, "ma_residual", counted)
     assert scenario._check_ma(ctx, SplitMix64(3)).passed
@@ -332,10 +333,10 @@ def test_positive_definite_in_chart():
     pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     for _ in range(20):
         pt, v = sample(pm, rng)
-        assert np.linalg.eigvalsh(metric_at(pm, 1.0, vf, pt, v).h).min() > 0
+        assert np.linalg.eigvalsh(metric_at(pm, 1.0, vf, pt, v)).min() > 0
     lm = local_model(FiberType(FK.IV))
     pt = PuncturedPoint(s=0.3 * cmath.exp(0.5j), d=3)
-    assert np.linalg.eigvalsh(elliptic_metric_at(lm, 1.0, vf, pt, 0.2 + 0.1j).h).min() > 0
+    assert np.linalg.eigvalsh(metric_at(lm, 1.0, vf, pt, (0.2 + 0.1j,))).min() > 0
 
 
 def test_eps_scaling():
@@ -344,8 +345,8 @@ def test_eps_scaling():
     pm = fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar))
     pt = PuncturedPoint(s=0.85 * cmath.exp(0.3j), d=12)
     v = (0.1 + 0.05j, -0.02 + 0.08j)
-    h1 = metric_at(pm, 1.0, vf, pt, v).h
-    h2 = metric_at(pm, 2.0, vf, pt, v).h
+    h1 = metric_at(pm, 1.0, vf, pt, v)
+    h2 = metric_at(pm, 2.0, vf, pt, v)
     assert abs(h2[1, 1] / h1[1, 1] - 2.0) < 1e-13
     assert abs(h2[2, 2] / h1[2, 2] - 2.0) < 1e-13
     base1 = h1[0, 0].real - (h1[1, 1].real * abs(h1[0, 1] / h1[1, 1]) ** 2
@@ -368,7 +369,7 @@ def test_fiber_areas_and_volume():
         tau = periods[0]
         F, _ = _fiber_terms(model, pt, periods, eps=eps)
         fam = product_family(tau)
-        H = scaled_h(hermitian_h(fam), fam.Q, eps, 2).H
+        H = scaled_h(hermitian_h(fam), fam.Q, eps, 2)
         nu = getattr(model, "nu", (1, 1))
         for j in range(2):
             area = 2 * H[j, j].real * (tau[2 * j].conjugate() * tau[2 * j + 1]).imag
@@ -389,7 +390,7 @@ def test_degenerate_lattice_raises():
                      modulus_limit=-1j)
     pt = PuncturedPoint(s=0.4 + 0.1j, d=2)
     with pytest.raises(DegenerateLattice):
-        elliptic_metric_at(bad, 1.0, VolumeFormSpec(), pt, 0.1 + 0.1j)
+        metric_at(bad, 1.0, VolumeFormSpec(), pt, (0.1 + 0.1j,))
 
 
 def test_singular_periods_raises():
@@ -406,7 +407,7 @@ def test_ib_and_ibstar_ma():
         lm = local_model(ft)
         for _ in range(10):
             pt, v = sample(lm, rng)
-            assert ma_residual(elliptic_metric_at(lm, 1.0, vf, pt, v[0])) < 1e-10
+            assert ma_residual(metric_at(lm, 1.0, vf, pt, v), effective_g(lm, vf, pt.z)) < 1e-10
 
 
 def _ma_scenarios():
@@ -427,12 +428,14 @@ def test_batched_metric_at_is_the_scalar_metric_at_per_point(cfg):
     model = ctx.model
     pt, v = sample_points(model, SplitMix64(11), 200)
     batch = metric_at(model, ctx.eps, ctx.vf, pt, v)
-    assert batch.h.shape == (200, model.m + 1, model.m + 1)
+    g_eff = effective_g(model, ctx.vf, pt.z)
+    assert batch.shape == (200, model.m + 1, model.m + 1)
     for i in range(200):
-        one = metric_at(model, ctx.eps, ctx.vf, PuncturedPoint(s=complex(pt.s[i]), d=pt.d),
-                        tuple(complex(vj[i]) for vj in v))
-        assert np.max(np.abs(batch.h[i] - one.h)) <= 1e-14 * np.max(np.abs(one.h))
-        assert abs(batch.omega_coeff[i] - one.omega_coeff) <= 1e-14 * abs(one.omega_coeff)
+        one_pt = PuncturedPoint(s=complex(pt.s[i]), d=pt.d)
+        one = metric_at(model, ctx.eps, ctx.vf, one_pt, tuple(complex(vj[i]) for vj in v))
+        one_g = effective_g(model, ctx.vf, one_pt.z)
+        assert np.max(np.abs(batch[i] - one)) <= 1e-14 * np.max(np.abs(one))
+        assert abs(g_eff[i] - one_g) <= 1e-14 * abs(one_g)
 
 
 def test_only_pulled_h_runs_on_complex_pairs(monkeypatch):
@@ -456,7 +459,7 @@ def test_only_pulled_h_runs_on_complex_pairs(monkeypatch):
     for ctx in contexts:
         pt, v = sample_points(ctx.model, SplitMix64(5), 50)
         batch = metric_at(ctx.model, ctx.eps, ctx.vf, pt, v)
-        assert batch.h.shape == (50, ctx.model.m + 1, ctx.model.m + 1)
+        assert batch.shape == (50, ctx.model.m + 1, ctx.model.m + 1)
         assert made == [], ctx.cfg["name"]
     chart = to_chart(contexts[0].model, contexts[0].eps, contexts[0].vf)
     alphas = np.array([r * chart.alpha0 * cmath.exp(0.5j * chart.sector[1]) for r in (2.0, 4.0)])
@@ -464,19 +467,18 @@ def test_only_pulled_h_runs_on_complex_pairs(monkeypatch):
     assert made
 
 
-def test_sample_point_is_the_first_of_sample_points():
-    # one sampler: sample_point takes the draws of sample_points(model, rng, 1)
-    # and ends in the same state
-    from semiflat.scenario import sample_point, sample_points
+def test_sample_points_is_its_samples_drawn_one_at_a_time():
+    # sample i of a batch takes the draws of the i-th call with n = 1, and
+    # both end in the same state: a batch of n is n samples in draw order
+    from semiflat.scenario import sample_points
     for model in (fiber_product(FiberType(FK.IIstar), FiberType(FK.IIIstar)),
                   local_model(FiberType(FK.I, b=2))):
         one, many = SplitMix64(8), SplitMix64(8)
         pts, vs = sample_points(model, many, 5)
         for i in range(5):
-            pt, v = sample_point(model, one)
-            assert type(pt.s) is complex and all(type(x) is complex for x in v)
-            assert abs(pt.s - pts.s[i]) <= 1e-15
-            assert max(abs(a - b[i]) for a, b in zip(v, vs)) <= 1e-15
+            pt, v = sample_points(model, one, 1)
+            assert pt.s[0] == pts.s[i]
+            assert all(a[0] == b[i] for a, b in zip(v, vs))
         assert one.next_u64() == many.next_u64()
 
 
@@ -490,11 +492,11 @@ def test_batch_with_one_bad_point_raises():
                        deck_tau=lambda s: (1.0 + 0j, 0j), modulus_limit=1j)
     s = np.array([0.1, 0.2 + 0.1j, 0.3j, 0.25])
     v = (np.full(4, 0.1 + 0.1j),)
-    good = elliptic_metric_at(flips, 1.0, VolumeFormSpec(), PuncturedPoint(s=s, d=1), v[0])
-    assert good.h.shape == (4, 2, 2)
+    good = metric_at(flips, 1.0, VolumeFormSpec(), PuncturedPoint(s=s, d=1), v)
+    assert good.shape == (4, 2, 2)
     s[2] = 0.7j
     with pytest.raises(DegenerateLattice, match=r"0\.7j"):
-        elliptic_metric_at(flips, 1.0, VolumeFormSpec(), PuncturedPoint(s=s, d=1), v[0])
+        metric_at(flips, 1.0, VolumeFormSpec(), PuncturedPoint(s=s, d=1), v)
 
 
 def test_punctured_point_validates_every_entry():

@@ -253,8 +253,7 @@ def test_every_registered_check_has_a_row():
 def metric_at_nan(mp):
     def make(original):
         def all_nan(*args):
-            batch = original(*args)
-            return replace(batch, h=np.full_like(batch.h, math.nan))
+            return np.full_like(original(*args), math.nan)
         return all_nan
     _wrap(mp, metric, "metric_at", make)
 
@@ -262,20 +261,20 @@ def metric_at_nan(mp):
 def metric_at_nan_at_second_sample(mp):
     def make(original):
         def second_nan(*args):
-            batch = original(*args)
-            h = batch.h.copy()
+            h = original(*args)
             h[1] = math.nan
-            return replace(batch, h=h)
+            return h
         return second_nan
     _wrap(mp, metric, "metric_at", make)
 
 
 def cubic_residual_nan(mp):
-    _wrap(mp, weierstrass, "cubic_residual", lambda original: lambda ed, v: math.nan)
+    _wrap(mp, weierstrass, "cubic_residual", lambda original: lambda ed, v, wprime: math.nan)
 
 
 def volume_pullback_ratio_nan(mp):
-    _wrap(mp, weierstrass, "volume_pullback_ratio", lambda original: lambda ed, v: math.nan)
+    _wrap(mp, weierstrass, "volume_pullback_ratio",
+          lambda original: lambda ed, v, wprime: math.nan)
 
 
 def left_fiber_coefficient_nan(mp):

@@ -25,7 +25,6 @@ SRC = Path(semiflat.__file__).parent
 ALLOWED = {
     "finite_kinds": "the acceptance gate calls it",
     "ProductModel.deck_multipliers": "the acceptance gate calls it",
-    "elliptic_metric_at": "the acceptance gate calls it",
     "ricci_scalar_residual": "test oracle; the jet Ricci-flatness check revives it",
     "first_partial": "test oracle: the pointwise formula closedness_residual reproduces "
                      "bit for bit",
@@ -103,8 +102,6 @@ ALLOWED_PARAMS = {
     "Report.results": "an accumulator: run_scenario appends each check's result",
     "CheckResult.wall_time": "set by run_scenario once the check has run",
     "main.argv": "the tests pass the argument list; the console script passes none",
-    "error_decay_fit.rng": "the acceptance gate calls the fit without a generator",
-    "curvature_decay_fit.rng": "the acceptance gate calls the fit without a generator",
     "ricci_scalar_residual.scales": "test oracle (ALLOWED above); its tests pass the "
                                     "chart scales",
 }
