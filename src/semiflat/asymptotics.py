@@ -106,7 +106,7 @@ class AsymptoticChart:
     eps: float
     vf: VolumeFormSpec
     p: float                   # power: z = (alpha/alpha0)^(-p); exp: unused
-    rate: float                # exp: z = exp(-rate alpha); power: unused
+    rate: float                # exp: z = exp(-rate alpha); power: 0.0
     alpha0: float
     sector: tuple[float, float]       # admissible arg(alpha) (power) / Im(alpha) (exp)
     flat_h: np.ndarray
@@ -243,16 +243,18 @@ def _fit_radii(chart: AsymptoticChart, radii: Sequence[float]) -> list[complex]:
     return [float(r) / chart.rate + 1j * mid / 2 for r in radii]
 
 
-def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray,
+def fit_decay(rate: float, radii: Sequence[float], values: np.ndarray,
               keep: np.ndarray, flat_below: float) -> DecayFit:
     """Regression of log `values` over the radii that `keep` marks.
 
     Values all under `flat_below` give a flat fit.  Otherwise `keep` must
     leave a value at or over `flat_below`, or FitRejected is raised: the
-    rejected radii hid the decay.  ALG charts fit a power exponent against
-    log radius; ALH charts fit a rate against Re(alpha) = radius /
-    chart.rate, the window reported in the same units.  A value that is
-    not finite raises FitRejected; `keep` would otherwise drop it as noise.
+    rejected radii hid the decay.  A rate of 0 fits a power exponent
+    against log radius (an ALG chart, whose `rate` is 0.0, and volume
+    growth); a positive rate (an ALH chart's) fits a rate against
+    Re(alpha) = radius / rate, the window reported in the same units.  A
+    value that is not finite raises FitRejected; `keep` would otherwise
+    drop it as noise.
     """
     finite = np.isfinite(values)
     if not finite.all():
@@ -265,18 +267,17 @@ def fit_decay(chart: AsymptoticChart, radii: Sequence[float], values: np.ndarray
                           f"none kept at or over {flat_below:g}")
     rs = np.asarray(radii, dtype=float)[keep]
     logs = np.log(values[keep])
-    if chart.kind == "power":
+    if rate == 0:
         slope, _, resid = _ols(np.log(rs), logs)
         return DecayFit(kind="power", exponent_or_rate=slope,
                         window=(float(rs.min()), float(rs.max())), ss_res_over_ss_tot=resid)
-    xs = rs / chart.rate
+    xs = rs / rate
     slope, _, resid = _ols(xs, logs)
     return DecayFit(kind="exponential", exponent_or_rate=-slope,
                     window=(float(xs.min()), float(xs.max())), ss_res_over_ss_tot=resid)
 
 
-def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
-                    radii: Sequence[float], rng: SplitMix64
+def error_decay_fit(chart: AsymptoticChart, radii: Sequence[float], rng: SplitMix64
                     ) -> tuple[DecayFit, list[tuple[float, float]]]:
     """Decay of the relative diagonal deviation from the flat limit model.
 
@@ -286,7 +287,6 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     is the largest over three fiber points.  Returns the fit and the
     per-radius rows (radius, deviation).
     """
-    chart = to_chart(pm, eps, vf)
     betas = np.array(_beta_samples(chart, rng, 3))
     alphas = np.repeat(_fit_radii(chart, radii), len(betas))
     b1, b2 = np.tile(betas, (len(radii), 1)).T
@@ -295,7 +295,7 @@ def error_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     devs = np.abs(diag / chart.flat_h.diagonal().real - 1.0).max(axis=(1, 2))
     rows = [(float(r), dev) for r, dev in zip(radii, devs)]
     keep = devs > 1e-13          # below this the deviation is rounding noise
-    return fit_decay(chart, radii, devs, keep, flat_below=1e-12), rows
+    return fit_decay(chart.rate, radii, devs, keep, flat_below=1e-12), rows
 
 
 # the most radii whose stencils one pulled_h call of the curvature fit
@@ -325,8 +325,7 @@ def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[FD
             for x, scales in at]
 
 
-def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
-                        radii: Sequence[float], rng: SplitMix64
+def curvature_decay_fit(chart: AsymptoticChart, radii: Sequence[float], rng: SplitMix64
                         ) -> tuple[DecayFit, list[tuple[float, float]]]:
     """Decay of the Chern curvature norm along the asymptotic chart.
 
@@ -338,7 +337,6 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
     fiber-direction steps are taken wide (the chart metric is low-degree
     polynomial in beta, so this costs no truncation).
     """
-    chart = to_chart(pm, eps, vf)
     steps = (FDScheme(step=2e-3), FDScheme(step=1e-3))
     beta = _beta_samples(chart, rng, 1)[0]
     # each radius: its point x and coordinate scales
@@ -361,7 +359,7 @@ def curvature_decay_fit(pm: ProductModel, eps: float, vf: VolumeFormSpec,
             ok = v2 < 0.8 * smallest
         trusted.append(ok)
     vals = np.array([v for _, v in rows])
-    return fit_decay(chart, radii, vals, np.array(trusted), flat_below=1e-8), rows
+    return fit_decay(chart.rate, radii, vals, np.array(trusted), flat_below=1e-8), rows
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +557,11 @@ def base_profile(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> BaseProfil
 
 def volume_growth_fit(profile: BaseProfile,
                       radii: Sequence[float]) -> tuple[DecayFit, list[tuple[float, float]]]:
-    """Fit log Vol(B(x0, r)) against log r over the given radii."""
-    rows = []
-    for r in radii:
-        L = profile.invert_dist(float(r))
-        rows.append((float(r), profile.volume(L)))
-    slope, _, resid = _ols(np.log(np.asarray([r for r, _ in rows])),
-                           np.log(np.asarray([v for _, v in rows])))
-    fit = DecayFit(kind="power", exponent_or_rate=slope,
-                   window=(min(radii), max(radii)), ss_res_over_ss_tot=resid)
-    return fit, rows
+    """Fit log Vol(B(x0, r)) against log r over all the given radii."""
+    rows = [(float(r), profile.volume(profile.invert_dist(float(r)))) for r in radii]
+    vols = np.array([v for _, v in rows])
+    # no volume is noise and none makes a fit flat
+    return fit_decay(0.0, radii, vols, np.full(len(rows), True), flat_below=-math.inf), rows
 
 
 # width of the clause-2 containment regions: the annulus ((1 - w) L, L) of a

@@ -169,12 +169,14 @@ def test_criterion_4_decay_exponents():
     vf = VolumeFormSpec(k0=1.0)
     pm = fiber_product(FiberType(FK.IIstar, m_mult=2),
                        FiberType(FK.IIIstar, m_mult=1))
-    fit, _ = error_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13), SplitMix64(0xDECAF))
+    fit, _ = error_decay_fit(to_chart(pm, 1.0, vf), np.geomspace(1e2, 1e5, 13),
+                             SplitMix64(0xDECAF))
     err_ok = abs(fit.exponent_or_rate + 12 / 7) < 0.05
 
     eps, k0 = 1.0, 1.0
     alh = fiber_product(FiberType(FK.III), FiberType(FK.IIIstar))
-    rfit, _ = error_decay_fit(alh, eps, vf, np.linspace(5, 25, 11), SplitMix64(0xDECAF))
+    rfit, _ = error_decay_fit(to_chart(alh, eps, vf), np.linspace(5, 25, 11),
+                              SplitMix64(0xDECAF))
     rate = eps / (2 * math.sqrt(2) * k0)
     rate_ok = abs(rfit.exponent_or_rate - rate) < 0.05 * rate
     dt = time.perf_counter() - t0
@@ -197,7 +199,8 @@ def test_criterion_4_curvature_exponent():
     vf = VolumeFormSpec(k0=1.0)
     pm = fiber_product(FiberType(FK.IIstar, m_mult=2),
                        FiberType(FK.IIIstar, m_mult=1))
-    fit, _ = curvature_decay_fit(pm, 1.0, vf, np.geomspace(1e2, 1e5, 13), SplitMix64(0xCAFE))
+    fit, _ = curvature_decay_fit(to_chart(pm, 1.0, vf), np.geomspace(1e2, 1e5, 13),
+                                 SplitMix64(0xCAFE))
     ok = abs(fit.exponent_or_rate + 31 / 12) < 0.1
     _line(4, "curvature exponent (published value)", ok,
           f"measured {fit.exponent_or_rate:.4f}, published -31/12 = "

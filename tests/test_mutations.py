@@ -347,9 +347,9 @@ NAN_ROWS = [
         _measured("dev_over_a3_spread", math.isnan)),
     Row("sob", "pair_istar_x_istar", volume_nan_beyond_1e4,
         _measured("clause1_inf", math.isnan)),
-    # a NaN volume makes a NaN regression residual, which the fit rejects
+    # radii 1e2 .. 1e6: the fit rejects the first NaN volume before it regresses
     Row("volume_growth", "pair_istar_x_istar", volume_nan_beyond_1e4,
-        _note("FitRejected: non-finite regression residual nan")),
+        _note("FitRejected: non-finite value at radius 21544.3")),
     Row("christoffel", "pair_iistar_x_iiistar", christoffel_closed_nan,
         _measured("max_rel_disagreement", math.isnan)),
     Row("flatness", "isotrivial_case13", pulled_h_nan("pulled_h_nan", 0.0, math.inf),
