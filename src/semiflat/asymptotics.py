@@ -309,20 +309,16 @@ _RADII_PER_BATCH = 7
 def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[FDScheme],
                  ) -> list[list[float]]:
     """The Chern norm at each step of each radius (x, scales) of `at`, all
-    read from one pulled_h batch of every stencil's points.  Each norm's
-    field returns its own stencil's slice of the batch, found by the bytes
-    of the stencil's points; other rows raise KeyError."""
+    read from one pulled_h batch of every stencil's points.  Each stencil is
+    built once, and its norm's field returns that stencil's slice of the
+    batch."""
     stencils = [ChernStencil(x, scheme, scales) for x, scales in at for scheme in steps]
     z = np.concatenate([s.points for s in stencils]).view(complex)
     h = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
     ends = np.cumsum([len(s.points) for s in stencils])[:-1]
-    rows = {s.points.tobytes(): hs for s, hs in zip(stencils, np.split(h, ends))}
-
-    def field(points: np.ndarray) -> np.ndarray:
-        return rows[points.tobytes()]
-
-    return [[chern_curvature_norm(field, x, scheme, scales) for scheme in steps]
-            for x, scales in at]
+    norms = [chern_curvature_norm(lambda points, hs=hs: hs, s)
+             for s, hs in zip(stencils, np.split(h, ends))]
+    return [norms[i:i + len(steps)] for i in range(0, len(norms), len(steps))]
 
 
 def curvature_decay_fit(chart: AsymptoticChart, radii: Sequence[float], rng: SplitMix64

@@ -9,9 +9,9 @@ crossings.  The complex coordinates of a point x in R^{2n} are
 A `Field` takes stacked points: it maps a (P, 2n) array of real points to
 the (P, n, n) stack of complex Hermitian matrices at them, and must be
 pure (each matrix depends on its own row only).  `closedness_residual`
-and `chern_curvature_norm` list all the points of their stencils and call
-the field once; `ricci_scalar_residual`, a test oracle, calls it once per
-point with a stack of one row.
+and `chern_curvature_norm` call the field once, on all the points of their
+stencils; `ricci_scalar_residual`, a test oracle, calls it once per point
+with a stack of one row.
 
 Two schemes are fixed, and only their step is set:
 
@@ -22,22 +22,25 @@ Two schemes are fixed, and only their step is set:
   step (`richardson`), which cancels the h^2 error term.
 
 `first_partial`, `second_partial`, `wirtinger_second` and `richardson`
-are the pointwise formulas, on a function of one point; the stacked
-checks reproduce them to the last bit.  Closedness takes the two real
-partials of each coordinate once and forms d and dbar from them, so it
-lists 12n points: the points x + e, x - e of `first_partial` at each
-step and real direction.  The stencils of one Chern norm share points,
+are the pointwise formulas, on a function of one point; the closedness
+residual and the Chern curvature tensor reproduce them to the last bit.
+Closedness takes the two real partials of each coordinate once and forms
+d and dbar from them, so it lists 12n points: the points x + e, x - e of
+`first_partial` at each step and real direction.  The stencils of one Chern norm share points,
 and its layout lists each point once by construction: d and dbar take
 the same partials, the mixed partial (i, j) repeats (j, i), and the pure
 second partial (i, i) of a diagonal pair (k, k) takes the rows x + e,
 x - e of the first partial along i, because its step h sqrt(s_k s_k) is
 the first-partial step h s_k to the last bit (`ChernStencil`).  A caller
 that evaluates the stencils of many norms in one batch builds each
-`ChernStencil` to list its points, and hands each norm a field that
-returns its stencil's slice of the batch.  Both checks form every point
-with the float operations of the pointwise formulas and every difference
-from the stacked values in their operation order: a check's value does
-not depend, to the last bit, on which way its field was evaluated.
+`ChernStencil` once, lists its points in the batch, and hands each norm
+its stencil and a field that returns that stencil's slice of the batch.
+Both checks form every point with the float operations of the pointwise
+formulas and every difference from the stacked values in their operation
+order: a closedness residual or a curvature tensor does not depend, to
+the last bit, on which way its field was evaluated.  The Chern norm then
+contracts the tensor in an h-orthonormal frame (`frame_norm`), a fixed
+linear map of the tensor.
 """
 
 from __future__ import annotations
@@ -235,10 +238,10 @@ class ChernStencil:
     """The stencil of one Chern-curvature norm at x, each point listed once.
 
     `points` holds the stencil points, in the order the pointwise formulas
-    first evaluate them; `norm` takes the field's matrices at those
-    points.  The layout (`_chern_layout`) merges every repeated shift of x
-    symbolically, so no rows are compared: 17, 65 and 145 rows for n = 1,
-    2 and 3.  The pointwise formulas take the step h sqrt(s_k s_l) for the
+    first evaluate them; `curvature` and `norm` take the field's matrices
+    at those points.  The layout (`_chern_layout`) merges every repeated
+    shift of x symbolically, so no rows are compared: 17, 65 and 145 rows
+    for n = 1, 2 and 3.  The pointwise formulas take the step h sqrt(s_k s_l) for the
     coordinate pair (k, l).  For k = l that is h sqrt(s_k * s_k), and
     sqrt(s * s) is s to the last bit for every double s whose square is a
     finite normal number (the correctly rounded root undoes the correctly
@@ -250,11 +253,13 @@ class ChernStencil:
     Every point is formed with the float operations of the pointwise
     formulas (x + e, (x + e_i) - e_j, ...), signed zeros included, and
     every difference, Richardson step, Wirtinger combination and product
-    is a stacked array expression in their operation order, so the norm is
-    bit for bit the one the pointwise formulas give: `first_partial` and
-    `second_partial` at steps h and h/2, `richardson`, then the Wirtinger
-    combinations d = (dx - i dy) / 2, dbar = (dx + i dy) / 2 and those of
-    `wirtinger_second`.
+    is a stacked array expression in their operation order, so `curvature`
+    is bit for bit the tensor the pointwise formulas give: `first_partial`
+    and `second_partial` at steps h and h/2, `richardson`, then the
+    Wirtinger combinations d = (dx - i dy) / 2, dbar = (dx + i dy) / 2 and
+    those of `wirtinger_second`.  `norm` contracts that tensor with its
+    frame (`frame_norm`), a fixed linear map, whose rounding is not the
+    pointwise formulas'.
     """
 
     def __init__(self, x: np.ndarray, scheme: FDScheme,
@@ -283,14 +288,14 @@ class ChernStencil:
         for a in (self.points, self._steps):
             a.flags.writeable = False
 
-    def norm(self, values: np.ndarray) -> float:
-        """|Rm| from the stack of the field's matrices at `points`.
+    def curvature(self, values: np.ndarray) -> np.ndarray:
+        """The curvature tensor R[i, j, k, l] = R_{i jbar k lbar} from the
+        stack of the field's matrices at `points`:
 
-        Computed as the Frobenius norm of the curvature tensor
-        R_{i jbar k lbar} = -d_k dbar_l h_{i jbar}
-                            + h^{q pbar} (d_k h_{i pbar}) (dbar_l h_{q jbar})
-        in an h-orthonormal frame (Cholesky transform), which is manifestly
-        nonnegative and frame-independent.
+            R_{i jbar k lbar} = -d_k dbar_l h_{i jbar}
+                                + h^{q pbar} (d_k h_{i pbar}) (dbar_l h_{q jbar}),
+
+        bit for bit the tensor of the pointwise formulas.
         """
         lay, n = self._layout, self.n
         f = np.asarray(values)
@@ -317,22 +322,39 @@ class ChernStencil:
         # [k, l]: dxx, dyy, dxy, dyx of the pair (xi_k, conj xi_l)
         dd = 0.25 * (d2[:, :, 0] + d2[:, :, 1] + 1j * (d2[:, :, 2] - d2[:, :, 3]))
         corr = (d @ np.linalg.inv(h0))[:, None] @ dbar[None, :]
-        R = np.ascontiguousarray((-dd + corr).transpose(2, 3, 0, 1))
-        L = np.linalg.cholesky(0.5 * (h0 + h0.conj().T))
-        A = np.linalg.inv(L.conj().T)        # A^dagger h A = I
-        T = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, A, A.conj(), A, A.conj())
-        return float(np.sqrt(np.sum(np.abs(T) ** 2)))
+        return np.ascontiguousarray((-dd + corr).transpose(2, 3, 0, 1))
+
+    def norm(self, values: np.ndarray) -> float:
+        """|Rm| from the stack of the field's matrices at `points`: the
+        Frobenius norm of `curvature` in an h-orthonormal frame at x
+        (`frame_norm`), which is nonnegative and frame-independent."""
+        return frame_norm(self.curvature(values), np.asarray(values)[0])
 
 
-def chern_curvature_norm(field: Field, x: np.ndarray, scheme: FDScheme,
-                         scales: Sequence[float] | None = None) -> float:
-    """Pointwise norm |Rm| of the Chern curvature with respect to the field.
+def frame_norm(R: np.ndarray, h: np.ndarray) -> float:
+    """Frobenius norm of the tensor R[i, j, k, l] = R_{i jbar k lbar} in an
+    h-orthonormal frame.
 
-    The field is called once, on the points of the stencil
-    (`ChernStencil(x, scheme, scales).points`, each point once); its
-    matrices are n x n for x in R^{2n}.
+    The frame is A = inv(L^H), L the Cholesky factor of (h + h^H) / 2, so
+    A^H h A = I, and the tensor in that frame is
+    T_{abcd} = R_{ijkl} A_{ia} conj(A)_{jb} A_{kc} conj(A)_{ld}.  With R as
+    the (n^2, n^2) matrix M[(i, j), (k, l)] and B = A (x) conj(A), the
+    Kronecker product, T is the matrix B^T M B: two n^2 x n^2 products.
     """
-    stencil = ChernStencil(x, scheme, scales)
+    n = len(h)
+    L = np.linalg.cholesky(0.5 * (h + h.conj().T))
+    A = np.linalg.inv(L.conj().T)        # A^dagger h A = I
+    B = (A[:, None, :, None] * A.conj()[None, :, None, :]).reshape(n * n, n * n)
+    return float(np.linalg.norm(B.T @ R.reshape(n * n, n * n) @ B))
+
+
+def chern_curvature_norm(field: Field, stencil: ChernStencil) -> float:
+    """Pointwise norm |Rm| of the Chern curvature with respect to the field,
+    at the point and steps of `stencil`.
+
+    The field is called once, on `stencil.points` (each point once); its
+    matrices are n x n for points in R^{2n}.
+    """
     return stencil.norm(field(stencil.points))
 
 

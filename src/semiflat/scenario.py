@@ -27,7 +27,7 @@ import numpy as np
 # and weierstrass are imported inside the checks that call them (and
 # eguchi_hanson by build_context for an eh scenario), so a CLI run loads
 # (and, without a bytecode cache, compiles) only what its checks use.
-from .diffgeo import FDScheme, chern_curvature_norm, closedness_residual
+from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
 from .errors import ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint, canonical_coefficient,
                       classify_asymptotics, correction_exponent, discriminant_coefficient,
@@ -425,7 +425,7 @@ def _check_flatness(ctx: Context, rng: SplitMix64) -> CheckResult:
         z = np.ascontiguousarray(points).view(complex)      # columns alpha, beta1, beta2
         return chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
 
-    curv = chern_curvature_norm(fld, x, FDScheme(step=2e-3), scales)
+    curv = chern_curvature_norm(fld, ChernStencil(x, FDScheme(step=2e-3), scales))
     return CheckResult(name="flatness", info={}, conditions={
         "max_coefficient_deviation": Condition("within", dev, 0.0, 1e-12,
                                                "PAPER: isotrivial ansatz is flat"),
@@ -483,14 +483,14 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64) -> CheckResult:
         radii = _radii(ctx.cfg, 1e2, 1e5)
     fit, rows = getattr(asy, spec.fit)(chart, radii, rng)
     csv = [(r, spec.label, v) for r, v in rows]
-    if fit.kind == "flat":
-        worst = float(np.max([v for _, v in rows]))
+    q = _qmin(pm)
+    worst = float(np.max([v for _, v in rows]))
+    if fit.kind == "flat" and math.isinf(q):
         return CheckResult(name=name, info={"kind": "flat"}, csv_rows=csv, conditions={
             spec.flat_key: Condition("within", worst, 0.0, spec.flat_tol,
                                      spec.flat_provenance)})
-    q = _qmin(pm)
     published, note = None, ""
-    if fit.kind == "power":
+    if chart.kind == "power":
         key, expect = "exponent", -(spec.channel * chart.p * q + spec.derivatives)
         tol = spec.tol
         published = _PAPER_DECAY.get((pm.left, pm.right), {}).get(name)
@@ -506,6 +506,12 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64) -> CheckResult:
         prov = "DERIVED: " + prov + "; see decisions record for the differing published exponent"
         note = (f"published exponent {published} = {float(published):.6g}; "
                 f"measured - published = {fit.exponent_or_rate - published:.6g}")
+    if fit.kind == "flat":
+        # every value under the floor on a model that decays: the window shows
+        # no law, so the law's condition is stated unmeasured, and fails
+        return CheckResult(name=name, csv_rows=csv,
+                           info={"kind": "flat", "window": fit.window, spec.flat_key: worst},
+                           conditions={key: Condition("within", math.nan, expect, tol, prov)})
     return CheckResult(name=name, info={"ss_res_over_ss_tot": fit.ss_res_over_ss_tot},
                        note=note, csv_rows=csv, conditions={
                            key: Condition("within", fit.exponent_or_rate, expect, tol, prov)})

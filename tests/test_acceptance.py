@@ -20,7 +20,7 @@ from semiflat.asymptotics import (base_profile, cone_limit_coefficient,
                                   curvature_decay_fit, error_decay_fit,
                                   ray_limit_coefficient, tangent_cone, to_chart,
                                   volume_growth_fit)
-from semiflat.diffgeo import FDScheme, chern_curvature_norm, closedness_residual
+from semiflat.diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
 from semiflat.eguchi_hanson import EHConfig, a_max, eh_metric
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, canonical_coefficient,
                               classify_asymptotics, fiber_product, finite_kinds,
@@ -152,8 +152,8 @@ def test_criterion_3_case13_flatness():
         return np.array([at(x) for x in xs])
 
     x = np.array([alpha.real, alpha.imag, 0.31, 0.12, 0.22, 0.41])
-    curv = chern_curvature_norm(field, x, FDScheme(step=2e-3),
-                                (abs(alpha), 1.0, 1.0))
+    curv = chern_curvature_norm(field, ChernStencil(x, FDScheme(step=2e-3),
+                                                    (abs(alpha), 1.0, 1.0)))
     dt = time.perf_counter() - t0
     ok = dev < 1e-12 and curv < 1e-6 and dt < 10.0
     _line(3, "isotrivial case-13 flatness", ok,

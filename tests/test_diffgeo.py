@@ -8,8 +8,9 @@ import pytest
 
 from semiflat.asymptotics import to_chart
 from semiflat.diffgeo import (ChernStencil, FDScheme, chern_curvature_norm,
-                              closedness_residual, first_partial, ricci_scalar_residual,
-                              richardson, second_partial, wirtinger_second)
+                              closedness_residual, first_partial, frame_norm,
+                              ricci_scalar_residual, richardson, second_partial,
+                              wirtinger_second)
 from semiflat.eguchi_hanson import EHConfig, eh_metric
 from semiflat.errors import StepTooSmall
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, fiber_product,
@@ -86,7 +87,7 @@ def test_closedness_case13():
 
 def test_curvature_flat_zero():
     flat = stacked(lambda x: np.diag([2.0, 1.0, 0.5]).astype(complex))
-    assert chern_curvature_norm(flat, np.zeros(6), FDScheme()) < 1e-10
+    assert chern_curvature_norm(flat, ChernStencil(np.zeros(6), FDScheme())) < 1e-10
 
 
 def test_curvature_eh_nonzero_ricci_flat():
@@ -98,11 +99,11 @@ def test_curvature_eh_nonzero_ricci_flat():
                                complex(x[4], x[5])))
 
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
-    norm_in = chern_curvature_norm(ehf, x0, FDScheme(step=1e-3))
+    norm_in = chern_curvature_norm(ehf, ChernStencil(x0, FDScheme(step=1e-3)))
     assert norm_in > 1e-3
     # |Rm| decays in u: the same shell direction further out is flatter
     x1 = 2.5 * x0
-    assert chern_curvature_norm(ehf, x1, FDScheme(step=1e-3)) < norm_in
+    assert chern_curvature_norm(ehf, ChernStencil(x1, FDScheme(step=1e-3))) < norm_in
     # det g = 1 means Ricci vanishes identically
     assert ricci_scalar_residual(ehf, x0, FDScheme(step=1e-3)) < 1e-6
 
@@ -120,8 +121,8 @@ def test_case13_chart_curvature_zero():
                               (complex(x[2], x[3]), complex(x[4], x[5])))
 
     x0 = np.array([alpha.real, alpha.imag, 0.31, 0.12, 0.2, 0.4])
-    norm = chern_curvature_norm(field, x0, FDScheme(step=2e-3),
-                                (abs(alpha), 1.0, 1.0))
+    norm = chern_curvature_norm(field, ChernStencil(x0, FDScheme(step=2e-3),
+                                                    (abs(alpha), 1.0, 1.0)))
     assert norm < 1e-6
 
 
@@ -188,7 +189,7 @@ def test_chern_norm_evaluates_each_point_once():
     ehf, calls = counted(stacked(lambda x: eh_metric(
         cfg, (complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5])))))
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
-    chern_curvature_norm(ehf, x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0))
+    chern_curvature_norm(ehf, ChernStencil(x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0)))
     assert len(calls) == 1 and calls[0] <= 145
 
 
@@ -222,11 +223,12 @@ def test_diagonal_second_partials_take_the_first_partial_step():
             ChernStencil(np.zeros(4), FDScheme(), (1.0, scale))
 
 
-def _pointwise_chern_norm(field, x, scheme, scales):
-    """|Rm| from the pointwise stencil formulas, one matrix at a time: the
-    reference for the stacked ChernStencil.  Each real partial is taken at
-    steps h and h/2 and combined by one Richardson step, then the Wirtinger
-    derivatives are formed."""
+def _pointwise_curvature(field, x, scheme, scales):
+    """The curvature tensor R[i, j, k, l] from the pointwise stencil
+    formulas, one matrix at a time: the reference for
+    `ChernStencil.curvature`.  Each real partial is taken at steps h and h/2
+    and combined by one Richardson step, then the Wirtinger derivatives are
+    formed."""
     n = x.size // 2
     h0 = field(x)
     hinv = np.linalg.inv(h0)
@@ -252,13 +254,23 @@ def _pointwise_chern_norm(field, x, scheme, scales):
             dyx = extrapolated(second_partial, i + 1, j, h=h)
             dd = 0.25 * (dxx + dyy + 1j * (dxy - dyx))
             R[:, :, k, l] = -dd + d[k] @ hinv @ dbar[l]
-    L = np.linalg.cholesky(0.5 * (h0 + h0.conj().T))
+    return R
+
+
+def _einsum_frame_norm(R, h):
+    """The Frobenius norm of R in the frame A = inv(L^H), L the Cholesky
+    factor of (h + h^H) / 2, by one five-operand einsum: the oracle for
+    `frame_norm`."""
+    L = np.linalg.cholesky(0.5 * (h + h.conj().T))
     A = np.linalg.inv(L.conj().T)
     T = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, A, A.conj(), A, A.conj())
     return float(np.sqrt(np.sum(np.abs(T) ** 2)))
 
 
 def test_chern_norm_equals_the_pointwise_formulas_bit_for_bit():
+    # the stacked curvature tensor is the pointwise one bit for bit (as
+    # integers, so that -0.0 and 0.0 differ); the norm is the einsum's
+    # frame contraction of it to rounding
     cfg = EHConfig(a=0.3)
 
     def ehf(x):
@@ -282,8 +294,52 @@ def test_chern_norm_equals_the_pointwise_formulas_bit_for_bit():
               (abs(alpha), 4.0, 4.0)),
              (real2, np.array([0.3, 0.2, 0.7, -0.1]), (2.0, 0.5))]
     for field, x, scales in cases:
-        assert (chern_curvature_norm(stacked(field), x, scheme, scales)
-                == _pointwise_chern_norm(field, x, scheme, scales))
+        stencil = ChernStencil(x, scheme, scales)
+        values = stacked(field)(stencil.points)
+        R = _pointwise_curvature(field, x, scheme, scales)
+        assert np.array_equal(stencil.curvature(values).view(np.uint64), R.view(np.uint64))
+        oracle = _einsum_frame_norm(R, field(x))
+        assert abs(chern_curvature_norm(stacked(field), stencil) / oracle - 1.0) <= 1e-14
+
+
+def _random_hermitian(rng, n, condition):
+    """A Hermitian positive-definite n x n matrix with condition number
+    `condition` and a random unitary eigenbasis."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    eig = 10 ** rng.uniform(-2, 2) * np.geomspace(1.0, condition, n)
+    return (Q * eig) @ Q.conj().T
+
+
+def _random_tensor(rng, n, scale):
+    return scale * (rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_norm_agrees_with_the_einsum(n):
+    # over the magnitudes of |Rm| the curvature fits see, and metrics up to
+    # condition number 1e6
+    rng = np.random.default_rng(31 * n)
+    for scale in 10.0 ** np.arange(-21, 3, 1.5):
+        for condition in (1.0, 1e3, 1e6):
+            R = _random_tensor(rng, n, scale)
+            h = _random_hermitian(rng, n, condition)
+            assert abs(frame_norm(R, h) / _einsum_frame_norm(R, h) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_norm_is_invariant_under_a_unitary_change_of_frame(n):
+    # the frame A becomes U^-1 A: R takes U where frame_norm applies A and
+    # conj(U) where it applies conj(A), and h, which the frame reads as
+    # A^H h A, becomes U^H h U.  Rounding U^H h U
+    # moves h by about 1e-16 |h|, which moves the norm by up to that times
+    # the condition number of h, so h is kept at condition 100 or below
+    rng = np.random.default_rng(53 * n)
+    for _ in range(50):
+        R = _random_tensor(rng, n, 10 ** rng.uniform(-21, 2))
+        h = _random_hermitian(rng, n, 10 ** rng.uniform(0, 2))
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        moved = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, U, U.conj(), U, U.conj())
+        assert abs(frame_norm(moved, U.conj().T @ h @ U) / frame_norm(R, h) - 1.0) <= 1e-13
 
 
 def _pointwise_closedness(field, x, scheme, scales):
