@@ -40,7 +40,10 @@ containment region (a difference of two volumes), is a closed form.  For
 Istar x Istar the distance and its inverse are closed forms too
 (r = C_r (L^2 - L0^2) / 2).  The distance of an Istar x E-star profile,
 the square root of such a density, is integrated once, into a cumulative
-table of Gauss-Legendre panels that distance and inversion read.
+table of Gauss-Legendre panels that distance and inversion read, and once
+more at half the panel width, into the table that `quad_rel_err` compares
+with.  A scenario builds one profile (`scenario.Context.profile`), so its
+checks share both tables.
 """
 
 from __future__ import annotations
@@ -311,7 +314,8 @@ def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[FD
     """The Chern norm at each step of each radius (x, scales) of `at`, all
     read from one pulled_h batch of every stencil's points.  Each stencil is
     built once, and its norm's field returns that stencil's slice of the
-    batch."""
+    batch.  The curvature fit and the `flatness` check both take their
+    norms here, the only caller of `chern_curvature_norm`."""
     stencils = [ChernStencil(x, scheme, scales) for x, scales in at for scheme in steps]
     z = np.concatenate([s.points for s in stencils]).view(complex)
     h = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
@@ -466,7 +470,10 @@ class BaseProfile:
     doubled until it covers the largest L or radius asked for.  dist adds
     the partial panel to the cumulative sum; invert_dist interpolates
     between panel edges and finishes with Newton steps, using
-    sqrt_g_radial as the derivative.  The table is not a field, so
+    sqrt_g_radial as the derivative.  quad_rel_err reads a second table,
+    of panels half as wide, built and grown the same way.  A table's
+    entries do not depend on the order of the requests, so a profile
+    answers each as a fresh one would.  The tables are not fields, so
     `dataclasses.replace` gives a copy that builds its own.
     """
 
@@ -496,13 +503,17 @@ class BaseProfile:
         cr, m = self.power_law
         return (self.L0 ** (m + 1) + (m + 1) * r / cr) ** (1.0 / (m + 1))
 
+    @cached_property
+    def _half_table(self) -> _PanelTable:
+        return _PanelTable(self, _PANEL_WIDTH / 2)
+
     def quad_rel_err(self, r: float) -> float:
         """Relative change of the volume at distance r when the panel width
         of the distance table is halved; 0.0 for a closed form."""
         if self.power_law is not None:
             return 0.0
-        fine = _PanelTable(self, _PANEL_WIDTH / 2)
-        return abs(self.volume(fine.invert(r)) / self.volume(self._table.invert(r)) - 1.0)
+        return abs(self.volume(self._half_table.invert(r))
+                   / self.volume(self._table.invert(r)) - 1.0)
 
 
 def _power_profile(L0: float, eps: float, cr: float, m: float, ca: float,

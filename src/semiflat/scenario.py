@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -27,7 +27,7 @@ import numpy as np
 # and weierstrass are imported inside the checks that call them (and
 # eguchi_hanson by build_context for an eh scenario), so a CLI run loads
 # (and, without a bytecode cache, compiles) only what its checks use.
-from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
+from .diffgeo import FDScheme, closedness_residual
 from .errors import ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint, canonical_coefficient,
                       classify_asymptotics, correction_exponent, discriminant_coefficient,
@@ -267,10 +267,25 @@ def _fiber_type(kind_name: str, m: Optional[int], b: Optional[int]) -> FiberType
 
 @dataclass
 class Context:
+    """A scenario's model, and its chart (ALG/ALH and isotrivial models) or
+    radial profile (star models): each built on first read, through the
+    `asymptotics` module so that a rebound builder is seen, and shared by
+    every check of the scenario."""
+
     cfg: dict
     model: object          # ProductModel | LocalModel | EHConfig | None
     vf: VolumeFormSpec
     eps: float
+
+    @cached_property
+    def chart(self):
+        from . import asymptotics
+        return asymptotics.to_chart(self.model, self.eps, self.vf)
+
+    @cached_property
+    def profile(self):
+        from . import asymptotics
+        return asymptotics.base_profile(self.model, self.eps, self.vf)
 
 
 def _configured(keys: str, make: Callable, **kwargs):
@@ -413,19 +428,13 @@ def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
 
 def _check_flatness(ctx: Context, rng: SplitMix64) -> CheckResult:
     from . import asymptotics as asy
-    chart = asy.to_chart(ctx.model, ctx.eps, ctx.vf)
+    chart = ctx.chart
     b1, b2 = np.array(asy._beta_samples(chart, rng, 6)).T
     alphas = asy._fit_radii(chart, [(2.0 + 5.0 * i) * chart.alpha0 for i in range(6)])
     dev = float(np.max(np.abs(chart.pulled_h(np.array(alphas), (b1, b2)) - chart.flat_h)))
     (alpha,) = asy._fit_radii(chart, [4.0 * chart.alpha0])
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
-    scales = (abs(alpha), 1.0, 1.0)
-
-    def fld(points: np.ndarray) -> np.ndarray:
-        z = np.ascontiguousarray(points).view(complex)      # columns alpha, beta1, beta2
-        return chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
-
-    curv = chern_curvature_norm(fld, ChernStencil(x, FDScheme(step=2e-3), scales))
+    [[curv]] = asy._batch_norms(chart, [(x, (abs(alpha), 1.0, 1.0))], (FDScheme(step=2e-3),))
     return CheckResult(name="flatness", info={}, conditions={
         "max_coefficient_deviation": Condition("within", dev, 0.0, 1e-12,
                                                "PAPER: isotrivial ansatz is flat"),
@@ -475,8 +484,7 @@ _DECAY_CHECKS = {
 def _check_decay(name: str, ctx: Context, rng: SplitMix64) -> CheckResult:
     from . import asymptotics as asy
     spec = _DECAY_CHECKS[name]
-    pm = ctx.model
-    chart = asy.to_chart(pm, ctx.eps, ctx.vf)
+    pm, chart = ctx.model, ctx.chart
     if chart.kind == "exp":
         radii = _radii(ctx.cfg, 5.0, spec.alh_r_max, spec.alh_n, np.linspace)
     else:
@@ -519,15 +527,13 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64) -> CheckResult:
 
 def _check_volume_growth(ctx: Context, rng: SplitMix64) -> CheckResult:
     from . import asymptotics as asy
-    pm = ctx.model
-    cls = classify_asymptotics(pm)
-    profile = asy.base_profile(pm, ctx.eps, ctx.vf)
+    cls = classify_asymptotics(ctx.model)
     radii = _radii(ctx.cfg, 1e2, 1e6)
-    fit, rows = asy.volume_growth_fit(profile, radii)
+    fit, rows = asy.volume_growth_fit(ctx.profile, radii)
     return CheckResult(
         name="volume_growth", csv_rows=[(r, "volume", v) for r, v in rows],
         info={"ss_res_over_ss_tot": fit.ss_res_over_ss_tot,
-              "quad_rel_err": profile.quad_rel_err(float(max(radii)))},
+              "quad_rel_err": ctx.profile.quad_rel_err(float(max(radii)))},
         conditions={"exponent": Condition("within", fit.exponent_or_rate,
                                           float(cls.volume_exponent), 0.05,
                                           "PAPER: geodesic-ball growth order")})
@@ -535,11 +541,9 @@ def _check_volume_growth(ctx: Context, rng: SplitMix64) -> CheckResult:
 
 def _check_sob(ctx: Context, rng: SplitMix64) -> CheckResult:
     from . import asymptotics as asy
-    pm = ctx.model
-    cls = classify_asymptotics(pm)
-    profile = asy.base_profile(pm, ctx.eps, ctx.vf)
+    cls = classify_asymptotics(ctx.model)
     radii = _radii(ctx.cfg, 1e2, 1e6, 9)
-    rep = asy.sob_check(profile, float(cls.volume_exponent), cls.cone, radii)
+    rep = asy.sob_check(ctx.profile, float(cls.volume_exponent), cls.cone, radii)
     conditions = {
         f"clause{i}_inf": Condition("above", rep[f"clause{i}_inf"], "positive", 0.0,
                                     f"PAPER: SOB(beta) clause ({i}) with a finite "

@@ -11,6 +11,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiflat import asymptotics
 from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _batch_norms,
@@ -310,7 +312,8 @@ def _bundled_decay(name: str, seed: int) -> dict:
 
 
 def test_decay_check_builds_its_chart_once(monkeypatch):
-    # the fits take the chart that _check_decay built, so each check builds one
+    # the checks of a scenario read the chart of its context, so a scenario
+    # builds one, however many of its checks read it
     built = []
 
     def counted(*args):
@@ -318,11 +321,47 @@ def test_decay_check_builds_its_chart_once(monkeypatch):
         return to_chart(*args)
 
     monkeypatch.setattr(asymptotics, "to_chart", counted)
-    cfg = json.loads(bundled_path("pair_iistar_x_iiistar.json").read_text())
-    cfg["checks"] = ["error_decay", "curvature_decay"]
+    for name, checks in (("pair_iistar_x_iiistar", ["error_decay", "curvature_decay"]),
+                         ("isotrivial_case13", ["flatness", "error_decay"])):
+        cfg = json.loads(bundled_path(f"{name}.json").read_text())
+        cfg["checks"] = checks
+        built.clear()
+        report = run_scenario(cfg, seed=1, log=io.StringIO())
+        assert [r.passed for r in report.results] == [True, True]
+        assert len(built) == 1, name
+
+
+def test_star_checks_share_one_profile(monkeypatch):
+    # volume_growth and sob read the profile of the scenario's context, and
+    # each of its two distance tables is integrated once
+    built, widths = [], []
+    init = asymptotics._PanelTable.__init__
+
+    def counted(*args):
+        built.append(args)
+        return base_profile(*args)
+
+    def table(self, profile, width):
+        widths.append(width)
+        init(self, profile, width)
+
+    monkeypatch.setattr(asymptotics, "base_profile", counted)
+    monkeypatch.setattr(asymptotics._PanelTable, "__init__", table)
+    cfg = json.loads(bundled_path("pair_istar_x_ivstar.json").read_text())
+    cfg["checks"] = ["volume_growth", "sob"]
     report = run_scenario(cfg, seed=1, log=io.StringIO())
     assert [r.passed for r in report.results] == [True, True]
-    assert len(built) == 2
+    assert len(built) == 1
+    assert sorted(widths) == [0.25, 0.5]
+
+
+def test_flatness_curvature_norm_keeps_its_bits():
+    # flatness reads its one norm through _batch_norms; the value of the
+    # bundled scenario at seed 1 is pinned to the last bit
+    report = run_scenario(json.loads(bundled_path("isotrivial_case13.json").read_text()),
+                          seed=1, log=io.StringIO())
+    (flatness,) = [r for r in report.results if r.name == "flatness"]
+    assert flatness.measured["curvature_norm"] == 7.527988733765852e-10
 
 
 @pytest.mark.parametrize("left, right", [(("I0star", None), ("IVstar", 4)),
@@ -593,6 +632,26 @@ def test_bounded_distance_raises():
     assert abs(prof.invert_dist(0.5) - math.log(2.0)) < 1e-12
     with pytest.raises(NoConvergence):
         prof.invert_dist(2.0)
+
+
+# the eps and k0 grid of the star_radial benchmark workload
+STAR_EPSILONS = (0.5, 0.75, 1.0, 1.5, 2.0)
+STAR_K0 = (-1.5, -1.0, -0.7, 0.7, 1.0, 1.5)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(right=st.sampled_from(["iistar", "iiistar", "ivstar"]),
+       eps=st.sampled_from(STAR_EPSILONS), k0=st.sampled_from(STAR_K0),
+       asks=st.lists(st.tuples(st.sampled_from(["invert_dist", "quad_rel_err"]),
+                               st.floats(1e2, 1e6)), min_size=1, max_size=5))
+def test_profile_answers_as_a_fresh_one(right, eps, k0, asks):
+    # the two distance tables of a profile grow with what is asked of it;
+    # every answer, in any order and after any others, has the bits of a
+    # fresh profile asked for that radius alone
+    shared = star_profile(right, eps, k0)
+    for method, r in asks:
+        fresh = star_profile(right, eps, k0)
+        assert getattr(shared, method)(r).hex() == getattr(fresh, method)(r).hex(), (method, r)
 
 
 def test_replaced_profile_integrates_once():

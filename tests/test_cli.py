@@ -382,6 +382,23 @@ def test_seed_defaults_to_zero_for_every_check(name):
             == json.loads(seeded.to_json())["checks"])
 
 
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name", [n for n in bundled_scenarios() if n.startswith("pair_")])
+def test_shared_geometry_does_not_couple_checks(name, seed):
+    # a scenario's checks share its chart or profile; each check that draws
+    # no random numbers reports alone what it reports beside the others
+    cfg = json.loads(bundled_path(name).read_text())
+    together = {c["name"]: c for c in json.loads(
+        run_scenario(dict(cfg), seed=seed, log=io.StringIO()).to_json())["checks"]}
+    ran = 0
+    for check in ("canonical", "volume_growth", "sob", "tangent_cone"):
+        if check in cfg["checks"]:
+            alone = run_scenario({**cfg, "checks": [check]}, seed=seed, log=io.StringIO())
+            assert json.loads(alone.to_json())["checks"] == [together[check]], check
+            ran += 1
+    assert ran >= 2
+
+
 def test_csv_format_and_external_regression(tmp_path):
     cfg = json.loads(bundled_path("pair_istar_x_istar.json").read_text())
     report = run_scenario(dict(cfg), out_dir=tmp_path)
