@@ -42,8 +42,10 @@ Istar x Istar the distance and its inverse are closed forms too
 the square root of such a density, is integrated once, into a cumulative
 table of Gauss-Legendre panels that distance and inversion read, and once
 more at half the panel width, into the table that `quad_rel_err` compares
-with.  A scenario builds one profile (`scenario.Context.profile`), so its
-checks share both tables.
+with.  A table solves each radius once and keeps the answer.  A scenario
+builds one profile (`scenario.Context.profile`), so its checks share both
+tables, and `volume_growth`, `sob` and `quad_rel_err` one Newton solve per
+radius and table.
 """
 
 from __future__ import annotations
@@ -394,12 +396,16 @@ class _PanelTable:
     Panel j spans [L0 + j h, L0 + (j+1) h]; `cum_dist[j]` integrates
     sqrt_g_radial from L0 to its left edge.  The table doubles its panel
     count until it covers what is asked, so its entries do not depend on
-    the order of the requests.
+    the order of the requests.  Nor, then, does the Newton solve of a
+    radius, so the table solves each radius once and keeps its L: a radius
+    asked again gets the bits of its first solve.  A solve that raises is
+    not kept.
     """
 
     def __init__(self, profile: "BaseProfile", width: float):
         self.profile, self.h = profile, width
         self.cum_dist = np.zeros(1)
+        self._solved: dict[float, float] = {}
 
     @property
     def panels(self) -> int:
@@ -432,8 +438,16 @@ class _PanelTable:
         return float(self.cum_dist[j]) + _gauss(self.profile.sqrt_g_radial, edge, L)
 
     def invert(self, r: float) -> float:
-        """L with dist_at(L) = r: linear interpolation between the panel edges
-        around r, then Newton steps kept inside that panel."""
+        """L with dist_at(L) = r, solved on the first ask for r."""
+        r = float(r)
+        L = self._solved.get(r)
+        if L is None:
+            L = self._solved[r] = self._solve(r)
+        return L
+
+    def _solve(self, r: float) -> float:
+        """Linear interpolation between the panel edges around r, then Newton
+        steps kept inside that panel."""
         while self.cum_dist[-1] < r:
             self._grow()
         j = min(max(int(np.searchsorted(self.cum_dist, r, side="right")) - 1, 0),
@@ -473,8 +487,9 @@ class BaseProfile:
     sqrt_g_radial as the derivative.  quad_rel_err reads a second table,
     of panels half as wide, built and grown the same way.  A table's
     entries do not depend on the order of the requests, so a profile
-    answers each as a fresh one would.  The tables are not fields, so
-    `dataclasses.replace` gives a copy that builds its own.
+    answers each as a fresh one would, and a table solves each radius
+    once: an ask it has answered reads the kept L.  The tables are not
+    fields, so `dataclasses.replace` gives a copy that builds its own.
     """
 
     L0: float

@@ -332,10 +332,12 @@ def test_decay_check_builds_its_chart_once(monkeypatch):
 
 
 def test_star_checks_share_one_profile(monkeypatch):
-    # volume_growth and sob read the profile of the scenario's context, and
-    # each of its two distance tables is integrated once
-    built, widths = [], []
-    init = asymptotics._PanelTable.__init__
+    # volume_growth and sob read the profile of the scenario's context, each
+    # of its two distance tables is integrated once, and each table solves
+    # a radius once: the 13 radii both checks ask for and the r_max of
+    # quad_rel_err on the full-width table, r_max alone on the half-width one
+    built, widths, solves = [], [], []
+    init, solve = asymptotics._PanelTable.__init__, asymptotics._PanelTable._solve
 
     def counted(*args):
         built.append(args)
@@ -345,14 +347,38 @@ def test_star_checks_share_one_profile(monkeypatch):
         widths.append(width)
         init(self, profile, width)
 
+    def counted_solve(self, r):
+        solves.append(self.h)
+        return solve(self, r)
+
     monkeypatch.setattr(asymptotics, "base_profile", counted)
     monkeypatch.setattr(asymptotics._PanelTable, "__init__", table)
+    monkeypatch.setattr(asymptotics._PanelTable, "_solve", counted_solve)
     cfg = json.loads(bundled_path("pair_istar_x_ivstar.json").read_text())
     cfg["checks"] = ["volume_growth", "sob"]
     report = run_scenario(cfg, seed=1, log=io.StringIO())
     assert [r.passed for r in report.results] == [True, True]
     assert len(built) == 1
     assert sorted(widths) == [0.25, 0.5]
+    assert {h: solves.count(h) for h in widths} == {0.5: 13, 0.25: 1}
+
+
+def test_star_radial_measurements_keep_their_bits():
+    # volume_growth and sob read one Newton solve per radius and table; the
+    # values of the bundled scenario at seed 1 are pinned to the last bit
+    report = run_scenario(json.loads(bundled_path("pair_istar_x_iiistar.json").read_text()),
+                          seed=1, log=io.StringIO())
+    measured = {r.name: r.measured for r in report.results}
+    growth, sob = measured["volume_growth"], measured["sob"]
+    assert growth["exponent"] == 1.9605370472343349
+    assert growth["quad_rel_err"] == 0.0
+    assert {k: sob[k] for k in ("clause1_sup", "clause1_inf", "clause1_stable",
+                                "clause2_sup", "clause2_inf", "clause2_stable",
+                                "quad_rel_err")} == {
+        "clause1_sup": 1.2879066850922716, "clause1_inf": 0.8311526108127104,
+        "clause1_stable": 1.5495429700123806, "clause2_sup": 0.0024968883595852696,
+        "clause2_inf": 0.0012934152131350827, "clause2_stable": 1.930461567351688,
+        "quad_rel_err": 0.0}
 
 
 def test_flatness_curvature_norm_keeps_its_bits():
@@ -630,24 +656,32 @@ def test_bounded_distance_raises():
                        eps=1.0)
     assert abs(prof.dist(40.0) - 1.0) < 1e-12
     assert abs(prof.invert_dist(0.5) - math.log(2.0)) < 1e-12
-    with pytest.raises(NoConvergence):
-        prof.invert_dist(2.0)
+    # a failed solve is not kept: asked again, the radius fails again
+    for _ in range(2):
+        with pytest.raises(NoConvergence):
+            prof.invert_dist(2.0)
 
 
 # the eps and k0 grid of the star_radial benchmark workload
 STAR_EPSILONS = (0.5, 0.75, 1.0, 1.5, 2.0)
 STAR_K0 = (-1.5, -1.0, -0.7, 0.7, 1.0, 1.5)
+# few enough radii that asks repeat, so that answers come from a table's
+# kept solves: the star checks' 1e2 and 1e6 ends, one radius between them
+# and one off their grid
+STAR_RADII = (1e2, 2154.4346900318824, 31415.9, 1e6)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(right=st.sampled_from(["iistar", "iiistar", "ivstar"]),
        eps=st.sampled_from(STAR_EPSILONS), k0=st.sampled_from(STAR_K0),
        asks=st.lists(st.tuples(st.sampled_from(["invert_dist", "quad_rel_err"]),
-                               st.floats(1e2, 1e6)), min_size=1, max_size=5))
+                               st.one_of(st.sampled_from(STAR_RADII),
+                                         st.floats(1e2, 1e6))), min_size=1, max_size=5))
 def test_profile_answers_as_a_fresh_one(right, eps, k0, asks):
-    # the two distance tables of a profile grow with what is asked of it;
-    # every answer, in any order and after any others, has the bits of a
-    # fresh profile asked for that radius alone
+    # the two distance tables of a profile grow with what is asked of it,
+    # and each keeps the radii it has solved; every answer, in any order,
+    # after any others and asked again or not, has the bits of a fresh
+    # profile asked for that radius alone
     shared = star_profile(right, eps, k0)
     for method, r in asks:
         fresh = star_profile(right, eps, k0)
