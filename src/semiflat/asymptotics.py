@@ -40,12 +40,10 @@ containment region (a difference of two volumes), is a closed form.  For
 Istar x Istar the distance and its inverse are closed forms too
 (r = C_r (L^2 - L0^2) / 2).  The distance of an Istar x E-star profile,
 the square root of such a density, is integrated once, into a cumulative
-table of Gauss-Legendre panels that distance and inversion read, and once
-more at half the panel width, into the table that `quad_rel_err` compares
-with.  A table solves each radius once and keeps the answer.  A scenario
-builds one profile (`scenario.Context.profile`), so its checks share both
-tables, and `volume_growth`, `sob` and `quad_rel_err` one Newton solve per
-radius and table.
+table of Gauss-Legendre panels that distance and inversion read.  The
+table solves each radius once and keeps the answer.  A scenario builds one
+profile (`scenario.Context.profile`), so its checks share the table, and
+`volume_growth` and `sob` one Newton solve per radius.
 """
 
 from __future__ import annotations
@@ -393,17 +391,17 @@ class _PanelTable:
     """Cumulative radial distance of a profile over fixed panels, and its
     inverse.
 
-    Panel j spans [L0 + j h, L0 + (j+1) h]; `cum_dist[j]` integrates
-    sqrt_g_radial from L0 to its left edge.  The table doubles its panel
-    count until it covers what is asked, so its entries do not depend on
-    the order of the requests.  Nor, then, does the Newton solve of a
-    radius, so the table solves each radius once and keeps its L: a radius
-    asked again gets the bits of its first solve.  A solve that raises is
-    not kept.
+    Panel j spans [L0 + j h, L0 + (j+1) h], h = `_PANEL_WIDTH`;
+    `cum_dist[j]` integrates sqrt_g_radial from L0 to its left edge.  The
+    table doubles its panel count until it covers what is asked, so its
+    entries do not depend on the order of the requests.  Nor, then, does
+    the Newton solve of a radius, so the table solves each radius once and
+    keeps its L: a radius asked again gets the bits of its first solve.  A
+    solve that raises is not kept.
     """
 
-    def __init__(self, profile: "BaseProfile", width: float):
-        self.profile, self.h = profile, width
+    def __init__(self, profile: "BaseProfile"):
+        self.profile, self.h = profile, _PANEL_WIDTH
         self.cum_dist = np.zeros(1)
         self._solved: dict[float, float] = {}
 
@@ -484,12 +482,11 @@ class BaseProfile:
     doubled until it covers the largest L or radius asked for.  dist adds
     the partial panel to the cumulative sum; invert_dist interpolates
     between panel edges and finishes with Newton steps, using
-    sqrt_g_radial as the derivative.  quad_rel_err reads a second table,
-    of panels half as wide, built and grown the same way.  A table's
-    entries do not depend on the order of the requests, so a profile
-    answers each as a fresh one would, and a table solves each radius
-    once: an ask it has answered reads the kept L.  The tables are not
-    fields, so `dataclasses.replace` gives a copy that builds its own.
+    sqrt_g_radial as the derivative.  The table's entries do not depend on
+    the order of the requests, so a profile answers each as a fresh one
+    would, and the table solves each radius once: an ask it has answered
+    reads the kept L.  The table is not a field, so `dataclasses.replace`
+    gives a copy that builds its own.
     """
 
     L0: float
@@ -501,7 +498,7 @@ class BaseProfile:
 
     @cached_property
     def _table(self) -> _PanelTable:
-        return _PanelTable(self, _PANEL_WIDTH)
+        return _PanelTable(self)
 
     def dist(self, L: float) -> float:
         if self.power_law is None:
@@ -517,18 +514,6 @@ class BaseProfile:
             return self._table.invert(r)
         cr, m = self.power_law
         return (self.L0 ** (m + 1) + (m + 1) * r / cr) ** (1.0 / (m + 1))
-
-    @cached_property
-    def _half_table(self) -> _PanelTable:
-        return _PanelTable(self, _PANEL_WIDTH / 2)
-
-    def quad_rel_err(self, r: float) -> float:
-        """Relative change of the volume at distance r when the panel width
-        of the distance table is halved; 0.0 for a closed form."""
-        if self.power_law is not None:
-            return 0.0
-        return abs(self.volume(self._half_table.invert(r))
-                   / self.volume(self._table.invert(r)) - 1.0)
 
 
 def _power_profile(L0: float, eps: float, cr: float, m: float, ca: float,
@@ -601,8 +586,12 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
     of the classified tangent cone `cone` (a log-annulus for a "ray", a thin
     annulus sector for a "cone").  The annulus-connectivity clause is not
     computed: it is taken as structural for a circle-fibered base, and
-    `connectivity` says so.
+    `connectivity` says so.  Fewer than 2 radii raise FitRejected: one
+    radius cannot show that a constant is stable.
     """
+    if len(radii) < 2:
+        raise FitRejected(f"{len(radii)} radius in the window; the clause constants "
+                          "need at least 2 to be stable")
     c1 = []
     c2 = []
     for r in radii:
@@ -623,7 +612,6 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
         "clause2_sup": float(c2.max()), "clause2_inf": float(c2.min()),
         "clause1_stable": float(c1.max() / c1.min()),
         "clause2_stable": float(c2.max() / c2.min()),
-        "quad_rel_err": profile.quad_rel_err(max(radii)),
         "connectivity": "annulus connectivity not computed; taken as structural "
                         "for a circle-fibered base",
     }
@@ -636,7 +624,7 @@ def sob_check(profile: BaseProfile, beta: float, cone: str,
 
 @dataclass(frozen=True)
 class ConeDescription:
-    limit_coefficient: Optional[float]
+    limit_coefficient: float
     measured: tuple[float, ...]
 
 
@@ -696,7 +684,7 @@ def tangent_cone(pm: ProductModel, eps: float, vf: VolumeFormSpec) -> ConeDescri
     if not _cauchy_ok(vals, tol=0.25):
         raise NoConvergence(f"cone rescaling not Cauchy: {vals}")
     # the limit is approached affinely in 1/|log alpha_lam|
-    slope, intercept, _ = _ols(np.asarray(xs), np.asarray(vals))
+    _, intercept, _ = _ols(np.asarray(xs), np.asarray(vals))
     return ConeDescription(limit_coefficient=intercept, measured=tuple(vals))
 
 

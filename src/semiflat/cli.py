@@ -3,7 +3,8 @@
     semiflat run <scenario.json> [--out DIR] [--seed N] [--tolerance-scale F]
     semiflat --list
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 malformed scenario.
+Exit codes: 0 all checks passed, 1 a check failed, 2 malformed scenario
+or an output directory that cannot be written.
 For a fixed seed the report and CSV files are byte-identical across runs.
 No environment variable is read.
 """
@@ -65,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
                               tolerance_scale=args.tolerance_scale)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1
 

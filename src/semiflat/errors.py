@@ -41,7 +41,8 @@ class StepTooSmall(SemiflatError):
 class FitRejected(SemiflatError):
     """A decay or volume-growth fit is refused: its window is too short, a value
     is not finite, every radius over the flat threshold was rejected, or the
-    regression residual is not below its threshold."""
+    regression residual is not below its threshold.  The SOB(beta) check is
+    refused on a window of fewer than 2 radii."""
 
 
 class NoConvergence(SemiflatError):

@@ -532,8 +532,7 @@ def _check_volume_growth(ctx: Context, rng: SplitMix64) -> CheckResult:
     fit, rows = asy.volume_growth_fit(ctx.profile, radii)
     return CheckResult(
         name="volume_growth", csv_rows=[(r, "volume", v) for r, v in rows],
-        info={"ss_res_over_ss_tot": fit.ss_res_over_ss_tot,
-              "quad_rel_err": ctx.profile.quad_rel_err(float(max(radii)))},
+        info={"ss_res_over_ss_tot": fit.ss_res_over_ss_tot},
         conditions={"exponent": Condition("within", fit.exponent_or_rate,
                                           float(cls.volume_exponent), 0.05,
                                           "PAPER: geodesic-ball growth order")})

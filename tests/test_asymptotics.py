@@ -332,23 +332,22 @@ def test_decay_check_builds_its_chart_once(monkeypatch):
 
 
 def test_star_checks_share_one_profile(monkeypatch):
-    # volume_growth and sob read the profile of the scenario's context, each
-    # of its two distance tables is integrated once, and each table solves
-    # a radius once: the 13 radii both checks ask for and the r_max of
-    # quad_rel_err on the full-width table, r_max alone on the half-width one
-    built, widths, solves = [], [], []
+    # volume_growth and sob read the profile of the scenario's context, its
+    # one distance table is integrated once, and the table solves each of
+    # the 13 radii both checks ask for once
+    built, tables, solves = [], [], []
     init, solve = asymptotics._PanelTable.__init__, asymptotics._PanelTable._solve
 
     def counted(*args):
         built.append(args)
         return base_profile(*args)
 
-    def table(self, profile, width):
-        widths.append(width)
-        init(self, profile, width)
+    def table(self, profile):
+        tables.append(self)
+        init(self, profile)
 
     def counted_solve(self, r):
-        solves.append(self.h)
+        solves.append(r)
         return solve(self, r)
 
     monkeypatch.setattr(asymptotics, "base_profile", counted)
@@ -359,26 +358,23 @@ def test_star_checks_share_one_profile(monkeypatch):
     report = run_scenario(cfg, seed=1, log=io.StringIO())
     assert [r.passed for r in report.results] == [True, True]
     assert len(built) == 1
-    assert sorted(widths) == [0.25, 0.5]
-    assert {h: solves.count(h) for h in widths} == {0.5: 13, 0.25: 1}
+    assert len(tables) == 1
+    assert len(solves) == len(set(solves)) == 13
 
 
 def test_star_radial_measurements_keep_their_bits():
-    # volume_growth and sob read one Newton solve per radius and table; the
-    # values of the bundled scenario at seed 1 are pinned to the last bit
+    # volume_growth and sob read one Newton solve per radius; the values of
+    # the bundled scenario at seed 1 are pinned to the last bit
     report = run_scenario(json.loads(bundled_path("pair_istar_x_iiistar.json").read_text()),
                           seed=1, log=io.StringIO())
     measured = {r.name: r.measured for r in report.results}
     growth, sob = measured["volume_growth"], measured["sob"]
     assert growth["exponent"] == 1.9605370472343349
-    assert growth["quad_rel_err"] == 0.0
     assert {k: sob[k] for k in ("clause1_sup", "clause1_inf", "clause1_stable",
-                                "clause2_sup", "clause2_inf", "clause2_stable",
-                                "quad_rel_err")} == {
+                                "clause2_sup", "clause2_inf", "clause2_stable")} == {
         "clause1_sup": 1.2879066850922716, "clause1_inf": 0.8311526108127104,
         "clause1_stable": 1.5495429700123806, "clause2_sup": 0.0024968883595852696,
-        "clause2_inf": 0.0012934152131350827, "clause2_stable": 1.930461567351688,
-        "quad_rel_err": 0.0}
+        "clause2_inf": 0.0012934152131350827, "clause2_stable": 1.930461567351688}
 
 
 def test_flatness_curvature_norm_keeps_its_bits():
@@ -611,6 +607,20 @@ def test_sob_clauses():
     assert abs(repe["clause1_inf"] - math.pi) < 1e-6
 
 
+def test_sob_needs_two_radii():
+    # one radius gives each clause constant a stability ratio of exactly 1,
+    # which shows nothing: the check is refused, naming the count, as the
+    # volume-growth fit on the same window is
+    with pytest.raises(FitRejected, match="1 radius"):
+        sob_check(euclidean_profile(), 2.0, "cone", [1e3])
+    cfg = json.loads(bundled_path("pair_istar_x_ivstar.json").read_text())
+    cfg.update(checks=["volume_growth", "sob"], n_radii=1)
+    report = run_scenario(cfg, seed=1, log=io.StringIO())
+    assert [(r.passed, r.note.split(":")[0]) for r in report.results] == [
+        (False, "FitRejected"), (False, "FitRejected")]
+    assert "1 radius" in report.results[1].note
+
+
 STAR_RIGHT = {"istar": FiberType(FK.Istar, b=1), "iistar": FiberType(FK.IIstar),
               "iiistar": FiberType(FK.IIIstar), "ivstar": FiberType(FK.IVstar)}
 
@@ -625,7 +635,8 @@ def star_profile(right: str, eps: float, k0: float) -> BaseProfile:
 def test_radial_profile_against_mpmath(right, eps, k0):
     # closed forms (every volume; Istar x Istar distance) and the panel
     # table (Istar x E-star distance) against adaptive mpmath quadrature of
-    # the same integrands
+    # the same integrands; the radius the table solved for is the mpmath
+    # distance at its L
     prof = star_profile(right, eps, k0)
     closed = prof.power_law is not None
     assert closed == (right == "istar")
@@ -638,8 +649,9 @@ def test_radial_profile_against_mpmath(right, eps, k0):
                                      prof.eps * 2 * math.pi, 1e-12)):
             want = scale * float(mpmath.quad(lambda t: float(fn(float(t))), knots))
             assert abs(got / want - 1.0) < tol, (L, got, want)
-    err = prof.quad_rel_err(1e6)
-    assert err == 0.0 if closed else 0.0 <= err < 1e-12
+    want = float(mpmath.quad(lambda t: float(prof.sqrt_g_radial(float(t))),
+                             mpmath.linspace(prof.L0, L_far, 17)))
+    assert abs(want / 1e6 - 1.0) < 1e-10, want
 
 
 @pytest.mark.parametrize("right", sorted(STAR_RIGHT))
@@ -674,18 +686,17 @@ STAR_RADII = (1e2, 2154.4346900318824, 31415.9, 1e6)
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(right=st.sampled_from(["iistar", "iiistar", "ivstar"]),
        eps=st.sampled_from(STAR_EPSILONS), k0=st.sampled_from(STAR_K0),
-       asks=st.lists(st.tuples(st.sampled_from(["invert_dist", "quad_rel_err"]),
-                               st.one_of(st.sampled_from(STAR_RADII),
-                                         st.floats(1e2, 1e6))), min_size=1, max_size=5))
-def test_profile_answers_as_a_fresh_one(right, eps, k0, asks):
-    # the two distance tables of a profile grow with what is asked of it,
-    # and each keeps the radii it has solved; every answer, in any order,
-    # after any others and asked again or not, has the bits of a fresh
-    # profile asked for that radius alone
+       radii=st.lists(st.one_of(st.sampled_from(STAR_RADII), st.floats(1e2, 1e6)),
+                      min_size=1, max_size=5))
+def test_profile_answers_as_a_fresh_one(right, eps, k0, radii):
+    # the distance table of a profile grows with what is asked of it and
+    # keeps the radii it has solved; every answer, in any order, after any
+    # others and asked again or not, has the bits of a fresh profile asked
+    # for that radius alone
     shared = star_profile(right, eps, k0)
-    for method, r in asks:
+    for r in radii:
         fresh = star_profile(right, eps, k0)
-        assert getattr(shared, method)(r).hex() == getattr(fresh, method)(r).hex(), (method, r)
+        assert shared.invert_dist(r).hex() == fresh.invert_dist(r).hex(), r
 
 
 def test_replaced_profile_integrates_once():

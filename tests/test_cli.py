@@ -348,6 +348,20 @@ def test_pair_without_complete_model_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unwritable_out_exits_two(tmp_path):
+    # an --out under a regular file cannot be made: the checks ran, but no
+    # report is written, so exit code 2 and one output error line on
+    # stderr, not a traceback and not the code of a failed check
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    run = _python("-m", "semiflat.cli", "run", "elliptic_ii.json", "--out",
+                  str(blocker / "sub"), cwd=tmp_path)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    errors = [line for line in run.stderr.splitlines() if not line.startswith("[")]
+    assert len(errors) == 1 and errors[0].startswith("output error:"), run.stderr
+
+
 def test_deterministic_reports_and_csv(tmp_path):
     cfg = json.loads(bundled_path("pair_iistar_x_iiistar.json").read_text())
     a = tmp_path / "a"
