@@ -56,8 +56,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .diffgeo import ChernStencil, FDScheme, chern_curvature_norm
-from .errors import FitRejected, NoConvergence, Unsupported
+from .diffgeo import ChernStencil, chern_curvature_norm
+from .errors import DegenerateLattice, FitRejected, NoConvergence, Unsupported
 from .kodaira import (ProductModel, PuncturedPoint, array_namespace, classify_asymptotics,
                       correction_exponent)
 from .metric import (ComplexPairs, VolumeFormSpec, base_terms, filled, hermitian_entries,
@@ -148,6 +148,14 @@ class AsymptoticChart:
             dz = -self.rate * s ** k
             dc1 = -(self.rate * a1 / k) * c1
             dc2 = -(self.rate * a2 / k) * c2
+        r = np.atleast_1d(abs(s))
+        off = ~((0 < r) & (r < 1))
+        if off.any():
+            # |alpha| <= alpha0 on an ALG chart, or |z| underflowing to 0
+            i = int(off.argmax())
+            a = complex(np.atleast_1d(alpha.real)[i], np.atleast_1d(alpha.imag)[i])
+            raise DegenerateLattice(f"chart point alpha = {a:.6g} (alpha0 = {self.alpha0:.6g}) "
+                                    f"maps to |s| = {r[i]:.6g}, outside 0 < |s| < 1")
         return PuncturedPoint(s=s, d=k), c1, c2, dz, dc1, dc2
 
     def pulled_h(self, alpha, betas) -> np.ndarray:
@@ -309,14 +317,14 @@ def error_decay_fit(chart: AsymptoticChart, radii: Sequence[float], rng: SplitMi
 _RADII_PER_BATCH = 7
 
 
-def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[FDScheme],
+def _batch_norms(chart: AsymptoticChart, at: Sequence[tuple], steps: Sequence[float],
                  ) -> list[list[float]]:
     """The Chern norm at each step of each radius (x, scales) of `at`, all
     read from one pulled_h batch of every stencil's points.  Each stencil is
     built once, and its norm's field returns that stencil's slice of the
     batch.  The curvature fit and the `flatness` check both take their
     norms here, the only caller of `chern_curvature_norm`."""
-    stencils = [ChernStencil(x, scheme, scales) for x, scales in at for scheme in steps]
+    stencils = [ChernStencil(x, step, scales) for x, scales in at for step in steps]
     z = np.concatenate([s.points for s in stencils]).view(complex)
     h = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
     ends = np.cumsum([len(s.points) for s in stencils])[:-1]
@@ -337,7 +345,7 @@ def curvature_decay_fit(chart: AsymptoticChart, radii: Sequence[float], rng: Spl
     fiber-direction steps are taken wide (the chart metric is low-degree
     polynomial in beta, so this costs no truncation).
     """
-    steps = (FDScheme(step=2e-3), FDScheme(step=1e-3))
+    steps = (2e-3, 1e-3)
     beta = _beta_samples(chart, rng, 1)[0]
     # each radius: its point x and coordinate scales
     at = [(np.array([alpha.real, alpha.imag, beta[0].real, beta[0].imag,

@@ -13,7 +13,7 @@ and `chern_curvature_norm` call the field once, on all the points of their
 stencils; `ricci_scalar_residual`, a test oracle, calls it once per point
 with a stack of one row.
 
-Two schemes are fixed, and only their step is set:
+Two schemes are fixed, and their step h is an argument:
 
 - closedness takes plain central differences at steps h, h/2 and h/4, and
   reads the convergence order off the three residuals;
@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Sequence
@@ -61,17 +60,6 @@ from .errors import StepTooSmall
 Field = Callable[[np.ndarray], np.ndarray]
 # one point (2n,) -> one matrix (n, n): the pointwise formulas' argument
 PointFunction = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """The finite-difference step h, in units of each coordinate's scale."""
-
-    step: float = 1e-4
-
-    def __post_init__(self):
-        if not (1e-8 <= self.step <= 1e-2):
-            raise ValueError("step must lie in [1e-8, 1e-2]")
 
 
 def first_partial(field: PointFunction, x: np.ndarray, i: int, h: float) -> np.ndarray:
@@ -109,14 +97,15 @@ def wirtinger_second(field: PointFunction, x: np.ndarray, a: int, b: int, h: flo
     return 0.25 * (dxx + dyy + 1j * (dxy - dyx))
 
 
-def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
+def closedness_residual(field: Field, x: np.ndarray, step: float,
                         scales: Sequence[float] | None = None) -> tuple[float, float]:
     """Relative |d omega| residual and the fitted convergence order.
 
     The residual is the largest d-omega component divided by the largest
     first-derivative component, measured with plain central differences at
-    steps h, h/2, h/4.  The form is exactly closed, so the residual is pure
-    truncation and must shrink at second order until rounding noise takes over; when the
+    steps h, h/2, h/4, h being `step` times each coordinate's scale.  The
+    form is exactly closed, so the residual is pure truncation and must
+    shrink at second order until rounding noise takes over; when the
     first residual already sits at the noise floor the order is reported as
     infinity, and StepTooSmall is raised if shrinking the step makes things
     worse above that floor.  A residual that is not finite makes the order NaN.
@@ -127,9 +116,8 @@ def closedness_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     """
     n = x.size // 2
     scales = tuple(scales) if scales is not None else (1.0,) * n
-    h = scheme.step
     # [level, direction]: first_partial's step at h / 2 ** level
-    steps = np.array([[h / 2 ** k * scales[i // 2] for i in range(2 * n)] for k in range(3)])
+    steps = np.array([[step / 2 ** k * scales[i // 2] for i in range(2 * n)] for k in range(3)])
     e = np.zeros((3, 2 * n) + x.shape, dtype=x.dtype)
     e[:, range(2 * n), range(2 * n)] = steps
     points = np.stack([x + e, x - e], axis=2).reshape(-1, x.size)
@@ -238,8 +226,8 @@ class ChernStencil:
     """The stencil of one Chern-curvature norm at x, each point listed once.
 
     `points` holds the stencil points, in the order the pointwise formulas
-    first evaluate them; `curvature` and `norm` take the field's matrices
-    at those points.  The layout (`_chern_layout`) merges every repeated
+    first evaluate them; `curvature` takes the field's matrices at those
+    points.  The layout (`_chern_layout`) merges every repeated
     shift of x symbolically, so no rows are compared: 17, 65 and 145 rows
     for n = 1, 2 and 3.  The pointwise formulas take the step h sqrt(s_k s_l) for the
     coordinate pair (k, l).  For k = l that is h sqrt(s_k * s_k), and
@@ -257,12 +245,12 @@ class ChernStencil:
     is bit for bit the tensor the pointwise formulas give: `first_partial`
     and `second_partial` at steps h and h/2, `richardson`, then the
     Wirtinger combinations d = (dx - i dy) / 2, dbar = (dx + i dy) / 2 and
-    those of `wirtinger_second`.  `norm` contracts that tensor with its
-    frame (`frame_norm`), a fixed linear map, whose rounding is not the
-    pointwise formulas'.
+    those of `wirtinger_second`.  `chern_curvature_norm` contracts that
+    tensor with its frame (`frame_norm`), a fixed linear map, whose
+    rounding is not the pointwise formulas'.
     """
 
-    def __init__(self, x: np.ndarray, scheme: FDScheme,
+    def __init__(self, x: np.ndarray, step: float,
                  scales: Sequence[float] | None = None):
         x = np.asarray(x, dtype=float)
         n = x.size // 2
@@ -274,8 +262,8 @@ class ChernStencil:
                                  "overflows or underflows")
         self.n = n
         lay = self._layout = _chern_layout(n)
-        steps = [scheme.step * scales[i // 2] for i in range(2 * n)]
-        steps += [scheme.step * math.sqrt(scales[k] * scales[l]) for k, l in _off_diagonal(n)]
+        steps = [step * scales[i // 2] for i in range(2 * n)]
+        steps += [step * math.sqrt(scales[k] * scales[l]) for k, l in _off_diagonal(n)]
         self._steps = np.array(steps + [h / 2 for h in steps])
         h = self._steps[lay.slot]
         p = x
@@ -324,12 +312,6 @@ class ChernStencil:
         corr = (d @ np.linalg.inv(h0))[:, None] @ dbar[None, :]
         return np.ascontiguousarray((-dd + corr).transpose(2, 3, 0, 1))
 
-    def norm(self, values: np.ndarray) -> float:
-        """|Rm| from the stack of the field's matrices at `points`: the
-        Frobenius norm of `curvature` in an h-orthonormal frame at x
-        (`frame_norm`), which is nonnegative and frame-independent."""
-        return frame_norm(self.curvature(values), np.asarray(values)[0])
-
 
 def frame_norm(R: np.ndarray, h: np.ndarray) -> float:
     """Frobenius norm of the tensor R[i, j, k, l] = R_{i jbar k lbar} in an
@@ -350,15 +332,18 @@ def frame_norm(R: np.ndarray, h: np.ndarray) -> float:
 
 def chern_curvature_norm(field: Field, stencil: ChernStencil) -> float:
     """Pointwise norm |Rm| of the Chern curvature with respect to the field,
-    at the point and steps of `stencil`.
+    at the point and steps of `stencil`: the Frobenius norm of
+    `stencil.curvature` in an h-orthonormal frame at x (`frame_norm`),
+    which is nonnegative and frame-independent.
 
     The field is called once, on `stencil.points` (each point once); its
     matrices are n x n for points in R^{2n}.
     """
-    return stencil.norm(field(stencil.points))
+    values = np.asarray(field(stencil.points))
+    return frame_norm(stencil.curvature(values), values[0])
 
 
-def ricci_scalar_residual(field: Field, x: np.ndarray, scheme: FDScheme,
+def ricci_scalar_residual(field: Field, x: np.ndarray, step: float,
                           scales: Sequence[float] | None = None) -> float:
     """|i d dbar log det h| coefficient magnitude (Ricci form of a Kahler field).
 
@@ -374,7 +359,7 @@ def ricci_scalar_residual(field: Field, x: np.ndarray, scheme: FDScheme,
     res = 0.0
     for a in range(n):
         for b in range(n):
-            h = scheme.step * math.sqrt(scales[a] * scales[b])
+            h = step * math.sqrt(scales[a] * scales[b])
             val = richardson(lambda s: wirtinger_second(logdet, x, a, b, s), h)
             res = max(res, abs(val[0, 0]))
     return res

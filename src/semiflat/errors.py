@@ -31,7 +31,9 @@ class Unsupported(SemiflatError):
 
 
 class DegenerateLattice(SemiflatError):
-    """An imaginary pairing Im(conj(tau_i) tau_j) is non-positive at the sample point."""
+    """An imaginary pairing Im(conj(tau_i) tau_j) is non-positive at the sample point,
+    or a chart point lies off the punctured disk 0 < |z| < 1: inside the anchor
+    of an ALG chart (|alpha| <= alpha0), or so far out that |z| underflows to 0."""
 
 
 class StepTooSmall(SemiflatError):

@@ -27,7 +27,7 @@ import numpy as np
 # and weierstrass are imported inside the checks that call them (and
 # eguchi_hanson by build_context for an eh scenario), so a CLI run loads
 # (and, without a bytecode cache, compiles) only what its checks use.
-from .diffgeo import FDScheme, closedness_residual
+from .diffgeo import closedness_residual
 from .errors import ScenarioError, SemiflatError
 from .kodaira import (FiberKind, FiberType, ProductModel, PuncturedPoint, canonical_coefficient,
                       classify_asymptotics, correction_exponent, discriminant_coefficient,
@@ -413,8 +413,7 @@ def _check_closedness(ctx: Context, rng: SplitMix64) -> CheckResult:
 
     z = pt.z
     x = np.column_stack([z.real, z.imag] + [w for vj in v for w in (vj.real, vj.imag)])
-    residuals, orders = zip(*(closedness_residual(fld, xi, FDScheme(step=1e-4),
-                                                  (abs(zi),) + (1.0,) * model.m)
+    residuals, orders = zip(*(closedness_residual(fld, xi, 1e-4, (abs(zi),) + (1.0,) * model.m)
                               for xi, zi in zip(x, z)))
     worst_res, worst_order = float(np.max(residuals)), float(np.min(orders))
     note = ("min_order not measured, taken as infinite: at both samples the residual "
@@ -434,7 +433,7 @@ def _check_flatness(ctx: Context, rng: SplitMix64) -> CheckResult:
     dev = float(np.max(np.abs(chart.pulled_h(np.array(alphas), (b1, b2)) - chart.flat_h)))
     (alpha,) = asy._fit_radii(chart, [4.0 * chart.alpha0])
     x = np.array([alpha.real, alpha.imag, 0.3, 0.2, 0.25, 0.35])
-    [[curv]] = asy._batch_norms(chart, [(x, (abs(alpha), 1.0, 1.0))], (FDScheme(step=2e-3),))
+    [[curv]] = asy._batch_norms(chart, [(x, (abs(alpha), 1.0, 1.0))], (2e-3,))
     return CheckResult(name="flatness", info={}, conditions={
         "max_coefficient_deviation": Condition("within", dev, 0.0, 1e-12,
                                                "PAPER: isotrivial ansatz is flat"),
@@ -501,7 +500,7 @@ def _check_decay(name: str, ctx: Context, rng: SplitMix64) -> CheckResult:
     if chart.kind == "power":
         key, expect = "exponent", -(spec.channel * chart.p * q + spec.derivatives)
         tol = spec.tol
-        published = _PAPER_DECAY.get((pm.left, pm.right), {}).get(name)
+        published = _PAPER_DECAY.get(frozenset((pm.left, pm.right)), {}).get(name)
     else:
         key, expect = "rate", spec.channel * q * chart.rate
         tol = spec.tol * expect
@@ -592,13 +591,15 @@ def _check_tangent_cone(ctx: Context, rng: SplitMix64) -> CheckResult:
         key: Condition("within", cone.limit_coefficient, expect, tol, prov)})
 
 
-# the paper's canonical-divisor table, by the kinds of the product's factors
-_PAPER_CANONICAL = {("Istar", "Istar"): Fraction(-1, 2), ("Istar", "IIstar"): Fraction(-1, 2),
-                    ("Istar", "IIIstar"): Fraction(-1, 2), ("Istar", "IVstar"): Fraction(-1, 3),
-                    ("IIstar", "IIIstar"): Fraction(-8, 12)}
+# the paper's canonical-divisor table, by the unordered pair of the factors' kinds
+_PAPER_CANONICAL = {frozenset(pair): c for pair, c in (
+    (("Istar", "Istar"), Fraction(-1, 2)), (("Istar", "IIstar"), Fraction(-1, 2)),
+    (("Istar", "IIIstar"), Fraction(-1, 2)), (("Istar", "IVstar"), Fraction(-1, 3)),
+    (("IIstar", "IIIstar"), Fraction(-8, 12)))}
 
-# the paper's displayed decay exponents, by the product's fiber types
-_PAPER_DECAY = {(FiberType(FiberKind.IIstar, m_mult=2), FiberType(FiberKind.IIIstar, m_mult=1)):
+# the paper's displayed decay exponents, by the unordered pair of fiber types
+_PAPER_DECAY = {frozenset((FiberType(FiberKind.IIstar, m_mult=2),
+                           FiberType(FiberKind.IIIstar, m_mult=1))):
                 {"error_decay": Fraction(-12, 7), "curvature_decay": Fraction(-31, 12)}}
 
 
@@ -611,7 +612,7 @@ def _check_canonical(ctx: Context, rng: SplitMix64) -> CheckResult:
     else:
         derived, rule = (discriminant_coefficient(pm), "DERIVED: Kodaira's canonical bundle "
                          "formula, 1 - 1/k - (n1+n2)/12 with n = ord Delta - ord_inf j")
-        published = _PAPER_CANONICAL.get((pm.left.kind.value, pm.right.kind.value))
+        published = _PAPER_CANONICAL.get(frozenset((pm.left.kind.value, pm.right.kind.value)))
         source = "PAPER: canonical-divisor table"
     conditions = {"coefficient": Condition("equal", got, derived, 0, rule)}
     if published is not None:

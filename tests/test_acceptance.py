@@ -20,7 +20,7 @@ from semiflat.asymptotics import (base_profile, cone_limit_coefficient,
                                   curvature_decay_fit, error_decay_fit,
                                   ray_limit_coefficient, tangent_cone, to_chart,
                                   volume_growth_fit)
-from semiflat.diffgeo import ChernStencil, FDScheme, chern_curvature_norm, closedness_residual
+from semiflat.diffgeo import ChernStencil, chern_curvature_norm, closedness_residual
 from semiflat.eguchi_hanson import EHConfig, a_max, eh_metric
 from semiflat.kodaira import (FiberKind, FiberType, PuncturedPoint, canonical_coefficient,
                               classify_asymptotics, fiber_product, finite_kinds,
@@ -115,7 +115,7 @@ def test_criterion_2_closedness():
         x = np.array([z0.real, z0.imag]
                      + [w for vj in v for w in (vj[0].real, vj[0].imag)])
         res, order = closedness_residual(
-            field, x, FDScheme(step=1e-4),
+            field, x, 1e-4,
             (abs(z0),) + (1.0,) * model.m)
         results.append((model.label(), res, order))
     dt = time.perf_counter() - t0
@@ -152,7 +152,7 @@ def test_criterion_3_case13_flatness():
         return np.array([at(x) for x in xs])
 
     x = np.array([alpha.real, alpha.imag, 0.31, 0.12, 0.22, 0.41])
-    curv = chern_curvature_norm(field, ChernStencil(x, FDScheme(step=2e-3),
+    curv = chern_curvature_norm(field, ChernStencil(x, 2e-3,
                                                     (abs(alpha), 1.0, 1.0)))
     dt = time.perf_counter() - t0
     ok = dev < 1e-12 and curv < 1e-6 and dt < 10.0

@@ -22,13 +22,13 @@ from semiflat.asymptotics import (AsymptoticChart, BaseProfile, DecayFit, _batch
                                   ray_limit_coefficient, sob_check, tangent_cone,
                                   to_chart, volume_growth_fit)
 from semiflat.cli import bundled_path
-from semiflat.diffgeo import ChernStencil, FDScheme, chern_curvature_norm
+from semiflat.diffgeo import ChernStencil, chern_curvature_norm
 from semiflat.errors import DegenerateLattice, FitRejected, NoConvergence, Unsupported
 from semiflat.kodaira import (FiberKind, FiberType, classify_asymptotics, fiber_product,
                               finite_kinds, isotrivial_case13)
 from semiflat.metric import ComplexPairs, VolumeFormSpec, base_terms, metric_at
 from semiflat.rng import SplitMix64
-from semiflat.scenario import run_scenario
+from semiflat.scenario import build_context, run_scenario
 
 FK = FiberKind
 VF1 = VolumeFormSpec(k0=1.0)
@@ -132,7 +132,7 @@ def test_batched_pulled_h_is_a_stack_of_scalar_calls(left, right, radius):
     x = np.array([alpha.real, alpha.imag, 0.3, -0.0, 0.7, 0.45])
     scales = (abs(alpha), 4.0, 4.0)
     points = _distinct_rows(np.concatenate(
-        [ChernStencil(x, FDScheme(step=s), scales).points for s in (2e-3, 1e-3)]))
+        [ChernStencil(x, s, scales).points for s in (2e-3, 1e-3)]))
     z = points.view(complex)
     batch = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
     oracle = np.array([python_complex_pulled_h(chart, *p) for p in z.tolist()])
@@ -170,18 +170,18 @@ def test_each_chern_norm_reads_its_own_stencil_slice(monkeypatch):
     chart = to_chart(iistar_iiistar(), 0.9, VolumeFormSpec(k0=1.2))
     at = [(np.array([alpha.real, alpha.imag, 0.3, -0.0, 0.7, 0.45]), (abs(alpha), 4.0, 4.0))
           for alpha in _fit_radii(chart, [3e3, 1e4])]
-    steps = (FDScheme(step=2e-3), FDScheme(step=1e-3))
+    steps = (2e-3, 1e-3)
     norms = _recorded_norms(monkeypatch)
     values = _batch_norms(chart, at, steps)
     assert len(norms) == 4
-    expected = [ChernStencil(x, scheme, scales) for x, scales in at for scheme in steps]
+    expected = [ChernStencil(x, step, scales) for x, scales in at for step in steps]
     for (stencil, calls), other, value in zip(norms, expected, sum(values, [])):
         assert stencil.points.tobytes() == other.points.tobytes()
         (called,) = calls
         assert called is stencil.points
         z = stencil.points.view(complex)
         alone = chart.pulled_h(z[:, 0], (z[:, 1], z[:, 2]))
-        assert value == stencil.norm(alone)
+        assert value == chern_curvature_norm(lambda points: alone, stencil)
 
 
 def test_batched_pulled_h_raises_outside_the_validity_disk():
@@ -212,6 +212,41 @@ def test_batched_pulled_h_raises_outside_the_validity_disk():
     with pytest.raises(DegenerateLattice):
         chart.pulled_h(np.array([inside, outside, inside]),
                        (np.full(3, betas[0]), np.full(3, betas[1])))
+
+
+def test_a_chart_point_off_the_punctured_disk_fails_its_check():
+    # a chart point inside the anchor (|alpha| <= alpha0 on an ALG chart)
+    # has |z| >= 1: pulled_h raises DegenerateLattice, so each check that
+    # reaches it fails with the error in its note, and the run goes on.  The
+    # grid: the six chart models at each epsilon and k0 below, seed 1, with
+    # the default radius windows.  Those start at 1e2 on an ALG chart (the
+    # decay checks and tangent_cone), and flatness starts at 2 alpha0
+    reached = 0
+    for name in ("pair_i0star_x_iistar", "pair_ii_x_iistar", "pair_iii_x_iiistar",
+                 "pair_iistar_x_iiistar", "pair_iv_x_ivstar", "isotrivial_case13"):
+        for eps in (1e-3, 0.1, 1.0, 10.0):
+            for k0 in (0.1, 1.0, 10.0):
+                cfg = json.loads(bundled_path(f"{name}.json").read_text())
+                for key in ("r_min", "r_max", "n_radii"):
+                    cfg.pop(key, None)
+                curvature = ("flatness" if cfg["model_kind"] == "isotrivial"
+                             else "curvature_decay")
+                cfg.update(epsilon=eps, k0_re=k0,
+                           checks=["error_decay", curvature, "tangent_cone"])
+                chart = build_context(cfg).chart
+                reach = chart.kind == "power" and chart.alpha0 >= 1e2
+                expected = set(cfg["checks"]) - {"flatness"} if reach else set()
+                results = run_scenario(cfg, seed=1, log=io.StringIO()).results
+                failed = {r.name for r in results if "DegenerateLattice" in r.note}
+                assert failed == expected, (name, eps, k0)
+                assert not any(r.passed for r in results if r.name in failed)
+                reached += bool(expected)
+    assert reached == 14
+    # far out on an ALH chart, |z| underflows to 0: the same error
+    cfg = json.loads(bundled_path("pair_ii_x_iistar.json").read_text())
+    cfg.update(checks=["error_decay"], r_max=1e6)
+    (result,) = run_scenario(cfg, seed=1, log=io.StringIO()).results
+    assert result.note.startswith("DegenerateLattice: ") and not result.passed
 
 
 @pytest.mark.parametrize("left, right", [(FK.IIstar, FK.IIIstar), (FK.III, FK.IIIstar)],
@@ -450,22 +485,32 @@ def test_decay_provenance_names_the_paper_only_where_it_displays_the_value(monke
     # every fit is stubbed to one power fit, so each complete ALG pair states
     # its exponent condition, also where the default window rejects the fit.
     # PAPER is read exactly where the published exponent equals the derived
-    # one; a differing published exponent is named in the note and provenance
+    # one; a differing published exponent is named in the note and provenance.
+    # Each pair runs in both orders, which name one product: the published
+    # exponents, and the `published` condition of `canonical` (stated for
+    # IIstar x IIIstar alone among these pairs), hold in both
     fit = DecayFit(kind="power", exponent_or_rate=-1.0, window=(1e2, 1e5),
                    ss_res_over_ss_tot=0.0)
     for name in ("error_decay_fit", "curvature_decay_fit"):
         monkeypatch.setattr(asymptotics, name, lambda *args: (fit, [(1e2, 1.0)]))
-    seen = {"PAPER": 0, "differing": 0}
+    seen = {"PAPER": 0, "differing": 0, "canonical": 0}
     wrong = []
     pairs = complete_alg_pairs()
     assert len(pairs) > 30
-    for left, right in pairs:
+    for left, right in pairs + [(right, left) for left, right in pairs if left != right]:
         cfg = {"name": "alg", "model_kind": "pair", "left": left.kind.value,
-               "right": right.kind.value, "checks": ["error_decay", "curvature_decay"]}
+               "right": right.kind.value,
+               "checks": ["canonical", "error_decay", "curvature_decay"]}
         cfg.update({k: t.m_mult for k, t in (("m_left", left), ("m_right", right)) if t.m_mult})
-        published = PUBLISHED_DECAY.get((left.kind.value, left.m_mult, right.kind.value,
-                                         right.m_mult), {})
+        key = (left.kind.value, left.m_mult, right.kind.value, right.m_mult)
+        published = PUBLISHED_DECAY.get(key, PUBLISHED_DECAY.get(key[2:] + key[:2], {}))
         for r in run_scenario(cfg, seed=1, log=io.StringIO()).results:
+            if r.name == "canonical":
+                stated = "published" in r.conditions
+                if stated != ({left.kind, right.kind} == {FK.IIstar, FK.IIIstar}):
+                    wrong.append(f"{left.label()} x {right.label()} canonical: {stated}")
+                seen["canonical"] += stated
+                continue
             (cond,) = r.conditions.values()
             paper = r.name in published and abs(published[r.name] - cond.expected) < 1e-12
             differs = r.name in published and not paper
@@ -477,7 +522,7 @@ def test_decay_provenance_names_the_paper_only_where_it_displays_the_value(monke
             seen["PAPER"] += paper
             seen["differing"] += differs
     assert wrong == []
-    assert seen == {"PAPER": 1, "differing": 1}
+    assert seen == {"PAPER": 2, "differing": 2, "canonical": 12}
 
 
 def test_curvature_decay_reproduces_bit_for_bit():
@@ -782,7 +827,7 @@ def test_star_curvature_decay_istar_istar():
 
         x = np.array([z.real, z.imag, 0.2 * abs(s), 0.1 * abs(s),
                       -0.15 * abs(s), 0.12 * abs(s)])
-        nrm = chern_curvature_norm(field, ChernStencil(x, FDScheme(step=1e-3),
+        nrm = chern_curvature_norm(field, ChernStencil(x, 1e-3,
                                                        (abs(z), abs(s), abs(s))))
         Ls.append(L)
         vals.append(nrm)

@@ -362,6 +362,27 @@ def test_unwritable_out_exits_two(tmp_path):
     assert len(errors) == 1 and errors[0].startswith("output error:"), run.stderr
 
 
+def test_chart_point_inside_the_anchor_fails_its_checks(tmp_path):
+    # at epsilon 0.1 and k0 10, IIstar[m=2] x IIIstar has alpha0 = 451, over
+    # the first default radius 1e2: the checks that reach the anchor fail
+    # with DegenerateLattice, exit code 1, and the report keeps `ma`'s pass
+    path = tmp_path / "anchor.json"
+    path.write_text(json.dumps({"name": "anchor", "model_kind": "pair", "left": "IIstar",
+                                "m_left": 2, "right": "IIIstar", "epsilon": 0.1, "k0_re": 10.0,
+                                "checks": ["ma", "error_decay", "curvature_decay",
+                                           "tangent_cone"]}), encoding="utf-8")
+    run = _python("-m", "semiflat.cli", "run", str(path), "--out", str(tmp_path / "out"),
+                  cwd=tmp_path)
+    assert run.returncode == 1, run.stderr
+    assert "Traceback" not in run.stderr
+    report = json.loads((tmp_path / "out" / "anchor_report.json").read_text())
+    assert {c["name"]: (c["status"], c["note"].partition(":")[0])
+            for c in report["checks"]} == {
+        "ma": ("pass", ""), "error_decay": ("fail", "DegenerateLattice"),
+        "curvature_decay": ("fail", "DegenerateLattice"),
+        "tangent_cone": ("fail", "DegenerateLattice")}
+
+
 def test_deterministic_reports_and_csv(tmp_path):
     cfg = json.loads(bundled_path("pair_iistar_x_iiistar.json").read_text())
     a = tmp_path / "a"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semiflat.asymptotics import to_chart
-from semiflat.diffgeo import (ChernStencil, FDScheme, chern_curvature_norm,
+from semiflat.diffgeo import (ChernStencil, chern_curvature_norm,
                               closedness_residual, first_partial, frame_norm,
                               ricci_scalar_residual, richardson, second_partial,
                               wirtinger_second)
@@ -47,7 +47,7 @@ def test_fd_battery_polynomial_exponential():
 
 def test_closedness_flat_and_convergence_order():
     flat = stacked(lambda x: np.eye(3, dtype=complex))
-    res, order = closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
+    res, order = closedness_residual(flat, np.zeros(6), 1e-3)
     assert res < 1e-13 and order == math.inf
 
     vf = VolumeFormSpec(k0=0.8 + 0.1j)
@@ -62,7 +62,7 @@ def test_closedness_flat_and_convergence_order():
 
     z0 = (0.9 * cmath.exp(0.43j)) ** 12
     x0 = np.array([z0.real, z0.imag, 0.3, 0.2, -0.1, 0.4])
-    res, order = closedness_residual(stacked(field), x0, FDScheme(step=1e-4),
+    res, order = closedness_residual(stacked(field), x0, 1e-4,
                                      (abs(z0), 1.0, 1.0))
     assert res < 1e-6
     assert order >= 1.9
@@ -80,14 +80,14 @@ def test_closedness_case13():
 
     z0 = (0.6 * cmath.exp(0.9j)) ** 6
     x0 = np.array([z0.real, z0.imag, 0.05, 0.02, 0.03, -0.04])
-    res, order = closedness_residual(stacked(field), x0, FDScheme(step=1e-4),
+    res, order = closedness_residual(stacked(field), x0, 1e-4,
                                      (abs(z0), 1.0, 1.0))
     assert res < 1e-6 and order >= 1.9
 
 
 def test_curvature_flat_zero():
     flat = stacked(lambda x: np.diag([2.0, 1.0, 0.5]).astype(complex))
-    assert chern_curvature_norm(flat, ChernStencil(np.zeros(6), FDScheme())) < 1e-10
+    assert chern_curvature_norm(flat, ChernStencil(np.zeros(6), 1e-4)) < 1e-10
 
 
 def test_curvature_eh_nonzero_ricci_flat():
@@ -99,13 +99,13 @@ def test_curvature_eh_nonzero_ricci_flat():
                                complex(x[4], x[5])))
 
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
-    norm_in = chern_curvature_norm(ehf, ChernStencil(x0, FDScheme(step=1e-3)))
+    norm_in = chern_curvature_norm(ehf, ChernStencil(x0, 1e-3))
     assert norm_in > 1e-3
     # |Rm| decays in u: the same shell direction further out is flatter
     x1 = 2.5 * x0
-    assert chern_curvature_norm(ehf, ChernStencil(x1, FDScheme(step=1e-3))) < norm_in
+    assert chern_curvature_norm(ehf, ChernStencil(x1, 1e-3)) < norm_in
     # det g = 1 means Ricci vanishes identically
-    assert ricci_scalar_residual(ehf, x0, FDScheme(step=1e-3)) < 1e-6
+    assert ricci_scalar_residual(ehf, x0, 1e-3) < 1e-6
 
 
 def test_case13_chart_curvature_zero():
@@ -121,7 +121,7 @@ def test_case13_chart_curvature_zero():
                               (complex(x[2], x[3]), complex(x[4], x[5])))
 
     x0 = np.array([alpha.real, alpha.imag, 0.31, 0.12, 0.2, 0.4])
-    norm = chern_curvature_norm(field, ChernStencil(x0, FDScheme(step=2e-3),
+    norm = chern_curvature_norm(field, ChernStencil(x0, 2e-3,
                                                     (abs(alpha), 1.0, 1.0)))
     assert norm < 1e-6
 
@@ -141,7 +141,7 @@ def test_semiflat_ricci_vanishes():
 
     z0 = 0.2 * cmath.exp(1.2j)
     x0 = np.array([z0.real, z0.imag, 0.1, 0.02, 0.05, -0.03])
-    assert ricci_scalar_residual(field, x0, FDScheme(step=1e-3),
+    assert ricci_scalar_residual(field, x0, 1e-3,
                                  (abs(z0), 1.0, 1.0)) < 1e-6
 
 
@@ -160,14 +160,7 @@ def test_step_too_small_detection():
                         dtype=complex)
 
     with pytest.raises(StepTooSmall):
-        closedness_residual(fld, np.array([0.3, 0.1, 0.2, 0.4]), FDScheme(step=1e-3))
-
-
-def test_fd_scheme_validation():
-    with pytest.raises(ValueError):
-        FDScheme(step=1e-9)
-    with pytest.raises(ValueError):
-        FDScheme(step=0.1)
+        closedness_residual(fld, np.array([0.3, 0.1, 0.2, 0.4]), 1e-3)
 
 
 def counted(field):
@@ -189,7 +182,7 @@ def test_chern_norm_evaluates_each_point_once():
     ehf, calls = counted(stacked(lambda x: eh_metric(
         cfg, (complex(x[0], x[1]), complex(x[2], x[3]), complex(x[4], x[5])))))
     x0 = np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4])
-    chern_curvature_norm(ehf, ChernStencil(x0, FDScheme(step=1e-3), (1.7, 4.0, 4.0)))
+    chern_curvature_norm(ehf, ChernStencil(x0, 1e-3, (1.7, 4.0, 4.0)))
     assert len(calls) == 1 and calls[0] <= 145
 
 
@@ -206,7 +199,7 @@ def test_chern_stencil_lists_each_point_once(n):
     for _ in range(20):
         x = rng.normal(size=2 * n) * 10 ** rng.uniform(-2, 2, 2 * n)
         scales = 10 ** rng.uniform(-3, 3, n)
-        step = FDScheme(step=10 ** rng.uniform(-6, -2))
+        step = 10 ** rng.uniform(-6, -2)
         points = ChernStencil(x, step, scales).points
         assert _distinct_row_count(points) == len(points)
     assert len(points) == {1: 17, 2: 65, 3: 145}[n]
@@ -220,10 +213,10 @@ def test_diagonal_second_partials_take_the_first_partial_step():
     assert np.array_equal(np.sqrt(s * s), s)
     for scale in (0.0, -1.0, 1e-160, 1e160, math.inf, math.nan):
         with pytest.raises(ValueError, match="scale"):
-            ChernStencil(np.zeros(4), FDScheme(), (1.0, scale))
+            ChernStencil(np.zeros(4), 1e-4, (1.0, scale))
 
 
-def _pointwise_curvature(field, x, scheme, scales):
+def _pointwise_curvature(field, x, step, scales):
     """The curvature tensor R[i, j, k, l] from the pointwise stencil
     formulas, one matrix at a time: the reference for
     `ChernStencil.curvature`.  Each real partial is taken at steps h and h/2
@@ -238,7 +231,7 @@ def _pointwise_curvature(field, x, scheme, scales):
 
     d, dbar = [], []
     for a in range(n):
-        h = scheme.step * scales[a]
+        h = step * scales[a]
         dx = extrapolated(first_partial, 2 * a, h=h)
         dy = extrapolated(first_partial, 2 * a + 1, h=h)
         d.append(0.5 * (dx - 1j * dy))
@@ -246,7 +239,7 @@ def _pointwise_curvature(field, x, scheme, scales):
     R = np.zeros((n,) * 4, dtype=complex)
     for k in range(n):
         for l in range(n):
-            h = scheme.step * math.sqrt(scales[k] * scales[l])
+            h = step * math.sqrt(scales[k] * scales[l])
             i, j = 2 * k, 2 * l
             dxx = extrapolated(second_partial, i, j, h=h)
             dyy = extrapolated(second_partial, i + 1, j + 1, h=h)
@@ -287,16 +280,16 @@ def test_chern_norm_equals_the_pointwise_formulas_bit_for_bit():
     def real2(x):
         return np.array([[2 + x[0] ** 2, 0.1 * x[1]], [0.1 * x[1], 1 + x[2] ** 2 * x[3]]])
 
-    scheme = FDScheme(step=1e-3)
+    step = 1e-3
     cases = [(ehf, np.array([0.5, 0.1, -0.3, 0.2, 0.25, -0.4]), (1.7, 4.0, 4.0)),
              (ehf, np.array([0.5, -0.0, 0.0, 0.2, -0.0, -0.4]), (1.0, 1.0, 1.0)),
              (pulled, np.array([alpha.real, alpha.imag, 0.3, 0.1, 0.2, 0.4]),
               (abs(alpha), 4.0, 4.0)),
              (real2, np.array([0.3, 0.2, 0.7, -0.1]), (2.0, 0.5))]
     for field, x, scales in cases:
-        stencil = ChernStencil(x, scheme, scales)
+        stencil = ChernStencil(x, step, scales)
         values = stacked(field)(stencil.points)
-        R = _pointwise_curvature(field, x, scheme, scales)
+        R = _pointwise_curvature(field, x, step, scales)
         assert np.array_equal(stencil.curvature(values).view(np.uint64), R.view(np.uint64))
         oracle = _einsum_frame_norm(R, field(x))
         assert abs(chern_curvature_norm(stacked(field), stencil) / oracle - 1.0) <= 1e-14
@@ -342,14 +335,14 @@ def test_frame_norm_is_invariant_under_a_unitary_change_of_frame(n):
         assert abs(frame_norm(moved, U.conj().T @ h @ U) / frame_norm(R, h) - 1.0) <= 1e-13
 
 
-def _pointwise_closedness(field, x, scheme, scales):
+def _pointwise_closedness(field, x, step, scales):
     """The closedness residual and order from the pointwise formulas, one
     matrix at a time: the reference for the stacked closedness_residual.
     d and dbar are formed from `first_partial` at steps h, h/2 and h/4."""
     n = x.size // 2
     r = []
     for k in range(3):
-        h = scheme.step / 2 ** k
+        h = step / 2 ** k
         d, dbar = [], []
         for a in range(n):
             dx = first_partial(field, x, 2 * a, h * scales[a])
@@ -395,10 +388,10 @@ def test_closedness_equals_the_pointwise_formulas_bit_for_bit():
              (pulled, np.array([alpha.real, alpha.imag, 0.3, 0.1, 0.2, 0.4]),
               (abs(alpha), 4.0, 4.0)),
              (real2, np.array([0.3, 0.2, 0.7, -0.1]), (2.0, 0.5))]
-    scheme = FDScheme(step=1e-3)
+    step = 1e-3
     for field, x, scales in cases:
-        assert (closedness_residual(stacked(field), x, scheme, scales)
-                == _pointwise_closedness(field, x, scheme, scales))
+        assert (closedness_residual(stacked(field), x, step, scales)
+                == _pointwise_closedness(field, x, step, scales))
 
 
 def test_closedness_evaluates_each_point_once():
@@ -406,7 +399,7 @@ def test_closedness_evaluates_each_point_once():
     # 2 real directions x 2 points, where the stencils make 72 evaluations,
     # all in one call
     flat, calls = counted(stacked(lambda x: np.eye(3, dtype=complex)))
-    closedness_residual(flat, np.zeros(6), FDScheme(step=1e-3))
+    closedness_residual(flat, np.zeros(6), 1e-3)
     assert calls == [36]
 
 

@@ -11,6 +11,9 @@ also be used.  Dunder methods are called by the language and are skipped.
 Names are not resolved, so a method that shares its name with another
 attribute or method anywhere in the package passes; the package keeps
 such names apart (`_PanelTable.cum_dist` is not `BaseProfile.dist`).
+Where it does not, the guard is blind: `LocalModel.label`, whose one caller
+is the acceptance gate, passes on the `label` calls of `FiberType` and
+`ProductModel`.
 """
 
 import ast
